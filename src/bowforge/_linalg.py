@@ -1,13 +1,14 @@
 """Shared numerical conventions: residuals, rank thresholds, null spaces.
 
-Every rank decision in the package goes through `rank_cutoff` so that the
-thresholding convention (sigma_max * max(dim) * eps * 64) is set in exactly
-one place.
+Every rank decision in the package goes through `rank_decision`, so the
+thresholding convention (sigma_max * max(dim) * eps * 64) and the straddle
+rule are set in exactly one place.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import RankIndeterminate
 
@@ -52,24 +53,32 @@ def rank_cutoff(sigma_max: float, shape: tuple[int, int]) -> float:
     return sigma_max * max(shape + (1,)) * _EPS * RANK_SAFETY
 
 
-def svd_rank(m, raise_indeterminate: bool = False) -> int:
-    """Numerical rank by SVD thresholding.
+def rank_decision(s, shape: tuple[int, int], strict: bool, scale: float | None = None) -> int:
+    """Numerical rank from the singular values `s` of a matrix of `shape`.
 
-    With `raise_indeterminate`, a singular value within STRADDLE_FACTOR of
+    The cutoff is rank_cutoff(scale, shape), with scale defaulting to
+    sigma_max.  With `strict`, a singular value within STRADDLE_FACTOR of
     the cutoff raises RankIndeterminate instead of being silently rounded.
     """
-    m = cmat(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    cut = rank_cutoff(float(s[0]), m.shape)
-    if raise_indeterminate and cut > 0.0:
+    if scale is None:
+        scale = float(s[0]) if len(s) else 0.0
+    cut = rank_cutoff(scale, shape)
+    if strict and cut > 0.0:
         straddling = (s > cut / STRADDLE_FACTOR) & (s < cut * STRADDLE_FACTOR)
         if np.any(straddling):
             raise RankIndeterminate(
                 f"singular values {s[straddling]} straddle cutoff {cut:.3e}"
             )
     return int(np.count_nonzero(s > cut))
+
+
+def svd_rank(m, raise_indeterminate: bool = False) -> int:
+    """Numerical rank by SVD thresholding (see rank_decision)."""
+    m = cmat(m)
+    if m.size == 0:
+        return 0
+    s = np.linalg.svd(m, compute_uv=False)
+    return rank_decision(s, m.shape, raise_indeterminate)
 
 
 def null_space(m, raise_indeterminate: bool = False) -> np.ndarray:
@@ -80,33 +89,13 @@ def null_space(m, raise_indeterminate: bool = False) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     if rows == 0 or fro(m) == 0.0:
         return np.eye(cols, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(m)
-    cut = rank_cutoff(float(s[0]), m.shape)
-    if raise_indeterminate:
-        straddling = (s > cut / STRADDLE_FACTOR) & (s < cut * STRADDLE_FACTOR)
-        if np.any(straddling):
-            raise RankIndeterminate(
-                f"singular values {s[straddling]} straddle cutoff {cut:.3e}"
-            )
-    rank = int(np.count_nonzero(s > cut))
-    return vh[rank:].conj().T
-
-
-def orth(m) -> np.ndarray:
-    """Orthonormal basis (columns) of the column span of m."""
-    m = cmat(m)
-    if m.size == 0 or fro(m) == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cut = rank_cutoff(float(s[0]), m.shape)
-    return u[:, s > cut]
-
-
-def complement_in(subspace: np.ndarray, ambient_dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(subspace) in C^ambient_dim."""
-    if subspace.shape[1] == 0:
-        return np.eye(ambient_dim, dtype=np.complex128)
-    return null_space(subspace.conj().T)
+    try:
+        _, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError:
+        # the default divide-and-conquer routine (gesdd) can fail to converge
+        # on matrices that the slower QR-iteration routine (gesvd) handles
+        _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
+    return vh[rank_decision(s, m.shape, raise_indeterminate) :].conj().T
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -201,12 +190,3 @@ def spectral_projector(m, eigenvalue: complex, tol: float = 1e-6) -> np.ndarray:
         raise ValueError(f"{eigenvalue} is not an eigenvalue (tol {tol})")
     vinv = np.linalg.inv(vecs)
     return vecs[:, idx] @ vinv[idx, :]
-
-
-def subspace_max_angle(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest principal angle between the column spans of a and b."""
-    from scipy.linalg import subspace_angles
-
-    if a.shape[1] == 0 and b.shape[1] == 0:
-        return 0.0
-    return float(np.max(subspace_angles(a, b)))

@@ -68,19 +68,20 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BowDatum:
-    """All matrices of a bow complex, shape-checked against the dimension vector."""
+    """All matrices of a bow complex, shape-checked against the dimension
+    vector once, when the datum is built; the datum is immutable."""
 
     topo: TopologicalData
     dims: DimensionVector
-    beta: list[np.ndarray]  # beta[i]: d_i x d_i, i = 0..n
-    A: list[np.ndarray]  # A[i]: d_{i+1} x d_i, i = 0..n-1
-    alpha: list[np.ndarray]  # alpha[i]: d_{i+1} x 1
-    gamma: list[np.ndarray]  # gamma[i]: 1 x d_i
-    betaN: list[np.ndarray]  # betaN[j]: dn_j x dn_j; [0] aliases beta[n], [k] beta[0]
-    Mxi: list[np.ndarray]  # Mxi[j-1] = M_{xi_j}: dn_j x dn_{j-1}, j = 1..k
-    Mpsi: list[np.ndarray]  # Mpsi[j-1] = M_{psi_j}: dn_{j-1} x dn_j
+    beta: tuple[np.ndarray, ...]  # beta[i]: d_i x d_i, i = 0..n
+    A: tuple[np.ndarray, ...]  # A[i]: d_{i+1} x d_i, i = 0..n-1
+    alpha: tuple[np.ndarray, ...]  # alpha[i]: d_{i+1} x 1
+    gamma: tuple[np.ndarray, ...]  # gamma[i]: 1 x d_i
+    betaN: tuple[np.ndarray, ...]  # betaN[j]: dn_j x dn_j; [0] aliases beta[n], [k] beta[0]
+    Mxi: tuple[np.ndarray, ...]  # Mxi[j-1] = M_{xi_j}: dn_j x dn_{j-1}, j = 1..k
+    Mpsi: tuple[np.ndarray, ...]  # Mpsi[j-1] = M_{psi_j}: dn_{j-1} x dn_j
 
     @classmethod
     def assemble(
@@ -101,23 +102,20 @@ class BowDatum:
         """
         if dims is None:
             dims = compute_dimensions(topo)
-        beta = [_freeze(b) for b in beta]
-        interior = [_freeze(b) for b in betaN_interior]
-        datum = cls(
+        beta = tuple(_freeze(b) for b in beta)
+        return cls(
             topo=topo,
             dims=dims,
             beta=beta,
-            A=[_freeze(a) for a in A],
-            alpha=[_freeze(a) for a in alpha],
-            gamma=[_freeze(g) for g in gamma],
-            betaN=[beta[topo.n], *interior, beta[0]],
-            Mxi=[_freeze(m) for m in Mxi],
-            Mpsi=[_freeze(m) for m in Mpsi],
+            A=tuple(_freeze(a) for a in A),
+            alpha=tuple(_freeze(a) for a in alpha),
+            gamma=tuple(_freeze(g) for g in gamma),
+            betaN=(beta[topo.n], *(_freeze(b) for b in betaN_interior), beta[0]),
+            Mxi=tuple(_freeze(m) for m in Mxi),
+            Mpsi=tuple(_freeze(m) for m in Mpsi),
         )
-        datum.validate_shapes()
-        return datum
 
-    def validate_shapes(self) -> None:
+    def __post_init__(self) -> None:
         n, k = self.topo.n, self.topo.k
         d, dn = self.dims.d, self.dims.dn
 
@@ -214,7 +212,6 @@ def p_step_residuals(b: BowDatum) -> list[tuple[str, float]]:
 
 def validate_relations(b: BowDatum, tol: float = la.DEFAULT_TOL) -> ValidationReport:
     """Check the n Sylvester relations and the 2k chain relations."""
-    b.validate_shapes()
     named = sylvester_residuals(b) + p_step_residuals(b)
     return ValidationReport(
         checks=tuple(RelationCheck(nm, r, tol) for nm, r in named), tol=tol
@@ -228,7 +225,6 @@ def aggregate_maps(b: BowDatum) -> tuple[np.ndarray, np.ndarray]:
     they intertwine the chain endpoints: Mpsi_hat beta_0 = beta_n Mpsi_hat
     and Mxi_hat beta_n = beta_0 Mxi_hat whenever the relations hold.
     """
-    b.validate_shapes()
     d0, dnn = b.dims.dn[-1], b.dims.dn[0]
     mxi_hat = np.eye(dnn, dtype=np.complex128)
     for m in b.Mxi:
@@ -264,7 +260,6 @@ def check_chain_invariants(
     Mpsi_hat Mxi_hat = prod_j (beta_n - z_j), (d) the trace consequence
     tr betaN_j - tr betaN_{j-1} = z_j nd_j, and the aggregate intertwinings.
     """
-    b.validate_shapes()
     named: list[tuple[str, float]] = []
     for j in range(1, b.topo.k + 1):
         z = b.topo.z[j - 1]
@@ -335,7 +330,7 @@ class ExactnessResult:
         return self.status == PASS
 
 
-def check_exactness(b: BowDatum, i: int, tol: float = la.DEFAULT_TOL) -> ExactnessResult:
+def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
     """Pointwise exactness of the i-th three-term complex, i in 0..n-1.
 
     Failure is only possible at eigenvalues, so two finite checks suffice:
@@ -380,8 +375,8 @@ def check_exactness(b: BowDatum, i: int, tol: float = la.DEFAULT_TOL) -> Exactne
     return ExactnessResult(i, status, tuple(witnesses))
 
 
-def check_exactness_all(b: BowDatum, tol: float = la.DEFAULT_TOL) -> list[ExactnessResult]:
-    return [check_exactness(b, i, tol) for i in range(b.topo.n)]
+def check_exactness_all(b: BowDatum) -> list[ExactnessResult]:
+    return [check_exactness(b, i) for i in range(b.topo.n)]
 
 
 def gauge_transform(b: BowDatum, g: list[np.ndarray], g_p: list[np.ndarray]) -> BowDatum:

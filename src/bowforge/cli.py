@@ -28,16 +28,11 @@ from .errors import (
 )
 from .export import export_bow_complex
 from .generator import generate
-from .monad import ScanConfig, SurfacePoint, fiber_at, is_locally_free_at, scan_local_freeness
+from .monad import ScanConfig, SurfacePoint, assemble_monad, scan_local_freeness
 from .orthosymplectic import verify_pairing_relations
 from .topology import chern_summary, compute_dimensions, validate_topology
 
 PASS_EXIT, FAIL_EXIT, ERROR_EXIT = 0, 1, 2
-
-
-def _default_tol() -> float:
-    env = os.environ.get("BOWFORGE_TOL")
-    return float(env) if env else DEFAULT_TOL
 
 
 def _emit(document: dict, fmt: str) -> None:
@@ -126,7 +121,7 @@ def cmd_validate(args) -> int:
 
 def cmd_exactness(args) -> int:
     _, datum = _load_bow(args.file)
-    results = check_exactness_all(datum, tol=args.tol)
+    results = check_exactness_all(datum)
     doc = {
         "verdict": "pass" if all(r.passed for r in results) else "fail",
         "steps": [
@@ -169,8 +164,9 @@ def cmd_fiber(args) -> int:
     if xi == 0:
         raise ParseError("--xi must be nonzero (psi is derived from the surface equation)")
     point = SurfacePoint.from_xi_eta(datum.topo.z, xi, eta)
-    basis = fiber_at(datum, point)
-    free = is_locally_free_at(datum, point)
+    monad = assemble_monad(datum, point)
+    rank = monad.fiber().shape[1]
+    free = monad.locally_free()
     _emit(
         {
             "point": {
@@ -178,13 +174,13 @@ def cmd_fiber(args) -> int:
                 "psi": bowfile.complex_to_doc(point.psi),
                 "eta": bowfile.complex_to_doc(point.eta),
             },
-            "rank": basis.shape[1],
+            "rank": rank,
             "locally_free": free.passed,
             "expected_rank": datum.topo.n,
         },
         args.format,
     )
-    ok = free.passed and basis.shape[1] == datum.topo.n
+    ok = free.passed and rank == datum.topo.n
     return PASS_EXIT if ok else FAIL_EXIT
 
 
@@ -237,37 +233,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kw):
+    def add(name, func, tol=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=func)
-        p.add_argument("--tol", type=float, default=_default_tol())
+        p.add_argument("file")
+        if tol:
+            # argparse converts a string default, so a malformed BOWFORGE_TOL exits 2
+            default = os.environ.get("BOWFORGE_TOL") or DEFAULT_TOL
+            p.add_argument("--tol", type=float, default=default)
         p.add_argument("--format", choices=("human", "machine"), default="human")
         return p
 
-    p = add("dims", cmd_dims, help="dimension vector and Chern summary of a topology")
-    p.add_argument("file")
-    p = add("validate", cmd_validate, help="check the defining matrix relations")
-    p.add_argument("file")
-    p = add("exactness", cmd_exactness, help="pointwise exactness of each chain step")
-    p.add_argument("file")
-    p = add("invariants", cmd_invariants, help="derived chain invariants")
-    p.add_argument("file")
+    add("dims", cmd_dims, help="dimension vector and Chern summary of a topology")
+    add("validate", cmd_validate, tol=True, help="check the defining matrix relations")
+    add("exactness", cmd_exactness, help="pointwise exactness of each chain step")
+    add("invariants", cmd_invariants, tol=True, help="derived chain invariants")
     p = add("gen", cmd_gen, help="generate a random datum for a topology")
-    p.add_argument("file")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p = add("fiber", cmd_fiber, help="fiber rank at a surface point")
-    p.add_argument("file")
     p.add_argument("--xi", required=True)
     p.add_argument("--eta", required=True)
     p = add("scan", cmd_scan, help="local-freeness scan over sampled points")
-    p.add_argument("file")
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p = add("pairing", cmd_pairing, help="verify SO/Sp pairing identities")
-    p.add_argument("file")
-    p = add("export-bow", cmd_export_bow, help="emit the bow-complex document")
-    p.add_argument("file")
+    add("pairing", cmd_pairing, tol=True, help="verify SO/Sp pairing identities")
+    p = add("export-bow", cmd_export_bow, tol=True, help="emit the bow-complex document")
     p.add_argument("-o", "--output", required=True)
     return parser
 

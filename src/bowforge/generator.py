@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import block_diag
 
 from . import _linalg as la
 from .bowdata import (
@@ -96,8 +97,7 @@ def rank_factorization(
             (inner, 0), dtype=np.complex128
         )
     u, s, vh = np.linalg.svd(C)
-    cut = la.rank_cutoff(float(s[0]) if s.size else 0.0, C.shape)
-    r0 = int(np.count_nonzero(s > cut))
+    r0 = la.rank_decision(s, C.shape, strict=False)
     if r0 > inner:
         raise RankTooLarge(f"rank(C) = {r0} exceeds inner dimension {inner}")
 
@@ -408,18 +408,10 @@ def generate_mirror(
         alpha_dual = -f[0] * gx.T
         gamma_dual = ax.T
 
-        def diag2(upper, lower):
-            ru, cu = upper.shape
-            rl, cl = lower.shape
-            out = np.zeros((ru + rl, cu + cl), dtype=np.complex128)
-            out[:ru, :cu] = upper
-            out[ru:, cu:] = lower
-            return out
-
-        beta = [diag2(b1.T, b0), diag2(b0.T, b0), diag2(b0.T, b1)]
+        beta = [block_diag(b1.T, b0), block_diag(b0.T, b0), block_diag(b0.T, b1)]
         A = [
-            diag2(A_dual, np.eye(x0, dtype=np.complex128)),
-            diag2(np.eye(x0, dtype=np.complex128), Ax),
+            block_diag(A_dual, np.eye(x0, dtype=np.complex128)),
+            block_diag(np.eye(x0, dtype=np.complex128), Ax),
         ]
         alpha = [
             np.vstack([alpha_dual, np.zeros((x0, 1))]),
@@ -465,9 +457,9 @@ def generate_mirror(
                 )
                 dual_nodes.append(nxt)
 
-        betaN = [diag2(dual_nodes[j], X.betaN[j]) for j in range(k + 1)]
-        Mxi = [diag2(dual_mxi[j - 1], X.Mxi[j - 1]) for j in range(1, k + 1)]
-        Mpsi = [diag2(dual_mpsi[j - 1], X.Mpsi[j - 1]) for j in range(1, k + 1)]
+        betaN = [block_diag(dual_nodes[j], X.betaN[j]) for j in range(k + 1)]
+        Mxi = [block_diag(dual_mxi[j - 1], X.Mxi[j - 1]) for j in range(1, k + 1)]
+        Mpsi = [block_diag(dual_mpsi[j - 1], X.Mpsi[j - 1]) for j in range(1, k + 1)]
 
         datum = BowDatum.assemble(
             t, beta, A, alpha, gamma, betaN[1:-1], Mxi, Mpsi, dims=dims
@@ -588,8 +580,8 @@ def degenerate_example() -> tuple[TopologicalData, BowDatum]:
     """A datum that satisfies the relations but fails exactness over eta = 0.
 
     All lambda-chain matrices vanish except alpha_0 = [1]; the kernel vector
-    [1] at eta* = 0 witnesses the failure, and the bundle is not locally
-    free over that fiber.
+    [1] at eta* = 0 witnesses the failure.  The defect is torsion in a
+    rank-one sheaf: the monad kernel stays locally free over that fiber.
     """
     t = TopologicalData(
         n=1, k=1, ell=1.0, lam=(0.5,), m=(0,), nd=(0,), m0=1, z=(1.0,)

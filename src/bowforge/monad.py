@@ -55,6 +55,13 @@ class BlockIndex:
 
 
 @dataclass(frozen=True)
+class LocalFreenessResult:
+    passed: bool
+    witness: np.ndarray | None = None
+    quotient_dim: int = 0
+
+
+@dataclass(frozen=True)
 class MonadAtPoint:
     """The monad maps evaluated at one surface point.
 
@@ -92,6 +99,50 @@ class MonadAtPoint:
         scale = 1.0 + la.fro(self.Bmap) * la.fro(self.Amap)
         return la.fro(prod) / scale
 
+    def fiber(self) -> np.ndarray:
+        """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap).
+
+        Returns a (dimB + dimC) x r matrix spanning ker(Bmap) intersected
+        with Im(Amap)^perp; r = dim ker(Bmap) - rank(Amap).  Raises
+        RankIndeterminate when a singular value sits too close to the rank
+        threshold to call, or when Im(Amap) is not inside ker(Bmap).
+        """
+        kernel = la.null_space(self.Bmap, raise_indeterminate=True)
+        if kernel.shape[1] == 0:
+            return kernel
+        rank_a = la.svd_rank(self.Amap, raise_indeterminate=True)
+        complement = la.null_space(self.Amap.conj().T @ kernel)
+        projected = kernel.shape[1] - complement.shape[1]
+        if projected != rank_a:
+            raise RankIndeterminate(
+                f"image of Amap not contained in ker(Bmap): rank {rank_a} vs "
+                f"projected rank {projected}"
+            )
+        return kernel @ complement
+
+    def locally_free(self) -> LocalFreenessResult:
+        """Pointwise local-freeness criterion.
+
+        Quotients ker(alpha) by the column span of mu and tests injectivity
+        of beta_tilde on the quotient; a failure returns a witness vector in
+        ker(alpha) \\ Im(mu) annihilated by beta_tilde.
+        """
+        kernel = la.null_space(self.alpha, raise_indeterminate=True)
+        if kernel.shape[1] == 0:
+            return LocalFreenessResult(passed=True)
+        reps = kernel @ la.null_space(self.mu.conj().T @ kernel)
+        q = reps.shape[1]
+        if q == 0:
+            return LocalFreenessResult(passed=True)
+        mapped = self.beta_tilde @ reps
+        _, s, vh = np.linalg.svd(mapped)
+        # reps is orthonormal, so ||beta_tilde||_2 bounds sigma_max(mapped)
+        scale = float(np.linalg.norm(self.beta_tilde, 2))
+        if la.rank_decision(s, mapped.shape, strict=True, scale=scale) == q:
+            return LocalFreenessResult(passed=True, quotient_dim=q)
+        witness = reps @ vh.conj().T[:, -1]
+        return LocalFreenessResult(passed=False, witness=witness, quotient_dim=q)
+
 
 def _offsets(sizes: list[tuple[str, int]]) -> tuple[dict, int]:
     table = {}
@@ -125,7 +176,6 @@ def assemble_monad(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> Mo
             f"point {x} violates xi*psi = prod(eta - z_i): "
             f"residual {x.surface_residual(b.topo.z):.3e}"
         )
-    b.validate_shapes()
     n = b.topo.n
     d = b.dims.d
     d0, dnn = d[0], d[n]
@@ -251,67 +301,18 @@ def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, f
 
 
 def fiber_at(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> np.ndarray:
-    """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap) at x.
+    """Orthonormal basis of the monad cohomology at x (see MonadAtPoint.fiber).
 
-    Returns a (dimB + dimC) x r matrix; r = dim ker(Bmap) - rank(Amap).
-    At locally free points r equals the structure-group rank n.  Raises
-    RankIndeterminate when a singular value sits too close to the rank
-    threshold to call.
+    At locally free points its rank equals the structure-group rank n.
     """
-    m = assemble_monad(b, x, tol)
-    kernel = la.null_space(m.Bmap, raise_indeterminate=True)
-    if kernel.shape[1] == 0:
-        return kernel
-    image_in_kernel = kernel.conj().T @ m.Amap
-    rank_a = la.svd_rank(m.Amap, raise_indeterminate=True)
-    span = la.orth(image_in_kernel)
-    if span.shape[1] != rank_a:
-        raise RankIndeterminate(
-            f"image of Amap not contained in ker(Bmap): rank {rank_a} vs "
-            f"projected rank {span.shape[1]}"
-        )
-    return kernel @ la.complement_in(span, kernel.shape[1])
-
-
-@dataclass(frozen=True)
-class LocalFreenessResult:
-    passed: bool
-    witness: np.ndarray | None = None
-    quotient_dim: int = 0
+    return assemble_monad(b, x, tol).fiber()
 
 
 def is_locally_free_at(
     b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL
 ) -> LocalFreenessResult:
-    """Pointwise local-freeness criterion.
-
-    Computes ker(alpha) at x, quotients by the column span of mu, and tests
-    injectivity of beta_tilde on the quotient; a failure returns a witness
-    vector in ker(alpha) \\ Im(mu) annihilated by beta_tilde.
-    """
-    m = assemble_monad(b, x, tol)
-    kernel = la.null_space(m.alpha, raise_indeterminate=True)
-    if kernel.shape[1] == 0:
-        return LocalFreenessResult(passed=True)
-    mu_in_kernel = la.orth(kernel.conj().T @ m.mu)
-    reps = kernel @ la.complement_in(mu_in_kernel, kernel.shape[1])
-    q = reps.shape[1]
-    if q == 0:
-        return LocalFreenessResult(passed=True)
-    mapped = m.beta_tilde @ reps
-    u, s, vh = np.linalg.svd(mapped)
-    scale = max(float(s[0]) if s.size else 0.0, float(np.linalg.norm(m.beta_tilde, 2)))
-    cut = la.rank_cutoff(scale, mapped.shape)
-    straddling = (s > cut / la.STRADDLE_FACTOR) & (s < cut * la.STRADDLE_FACTOR)
-    if np.any(straddling):
-        raise RankIndeterminate(
-            f"beta_tilde rank decision straddles cutoff at {x}: {s[straddling]}"
-        )
-    rank = int(np.count_nonzero(s > cut))
-    if rank == q:
-        return LocalFreenessResult(passed=True, quotient_dim=q)
-    witness = reps @ vh.conj().T[:, -1]
-    return LocalFreenessResult(passed=False, witness=witness, quotient_dim=q)
+    """Pointwise local-freeness criterion (see MonadAtPoint.locally_free)."""
+    return assemble_monad(b, x, tol).locally_free()
 
 
 @dataclass(frozen=True)
@@ -411,12 +412,11 @@ def scan_local_freeness(
     reports: list[PointReport] = []
     for pt, kind in batches:
         try:
-            basis = fiber_at(b, pt, tol)
-            free = is_locally_free_at(b, pt, tol)
+            monad = assemble_monad(b, pt, tol)
+            rank = monad.fiber().shape[1]
+            free = monad.locally_free()
             status = "ok" if free.passed else "fail"
-            reports.append(
-                PointReport(pt, kind, basis.shape[1], free.passed, status)
-            )
+            reports.append(PointReport(pt, kind, rank, free.passed, status))
         except RankIndeterminate:
             reports.append(PointReport(pt, kind, None, None, "indeterminate"))
     return ScanReport(points=tuple(reports), expected_rank=b.topo.n)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .bowdata import (
-    BowDatum,
-    RelationCheck,
-    ValidationReport,
-    aggregate_maps,
-    validate_relations,
-)
+from .bowdata import BowDatum, RelationCheck, ValidationReport, aggregate_maps
 from .errors import (
     DegenerateForm,
     FlavorChargeMismatch,
@@ -251,11 +245,10 @@ def fiber_form(
     (SO) or antisymmetric (Sp) within tol and nondegenerate.  The point
     must sit away from the spectra of all chain endomorphisms.
     """
-    from .monad import assemble_monad, fiber_at
+    from .monad import assemble_monad
 
     monad = assemble_monad(b, x)
-    basis = fiber_at(b, x)
-    form = form_on_basis(b, p, x.eta, basis, monad.block_index)
+    form = form_on_basis(b, p, x.eta, monad.fiber(), monad.block_index)
 
     sign = 1.0 if p.flavor == SO else -1.0
     asym = la.rel_residual(form, sign * form.T)

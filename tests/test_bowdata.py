@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,22 @@ def test_shape_mismatch_raised_before_numerics():
             Mxi=[mats["Mxi[0]"]],
             Mpsi=[mats["Mpsi[0]"]],
         )
+
+
+def test_datum_is_immutable(u2):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u2.beta = ()
+    with pytest.raises(AttributeError):
+        u2.A.append(np.zeros((1, 1)))  # block sequences are tuples
+    with pytest.raises(ValueError):
+        u2.beta[0][0, 0] = 1.0  # and the blocks are read-only
+
+
+def test_direct_construction_checks_shapes(u2):
+    fields = {f.name: getattr(u2, f.name) for f in dataclasses.fields(BowDatum)}
+    assert BowDatum(**fields).A is u2.A
+    with pytest.raises(ShapeMismatch, match=r"gamma\[1\]"):
+        BowDatum(**{**fields, "gamma": (u2.gamma[0], np.zeros((1, 7)))})
 
 
 def test_chain_endpoints_are_aliased(u2):

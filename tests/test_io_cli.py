@@ -228,6 +228,16 @@ def test_cli_tolerance_env_override(tmp_path, capsys, monkeypatch):
     assert main(["validate", fixture("u2-basic")]) == 1
     monkeypatch.setenv("BOWFORGE_TOL", "1e-9")
     assert main(["validate", fixture("u2-basic")]) == 0
+    monkeypatch.setenv("BOWFORGE_TOL", "abc")
+    assert main(["validate", fixture("u2-basic")]) == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_cli_tol_only_on_commands_that_read_it(capsys):
+    for cmd in ("dims", "exactness", "scan"):
+        assert main([cmd, fixture("u2-basic"), "--tol", "1e-8"]) == 2
+    for cmd in ("validate", "invariants"):
+        assert main([cmd, fixture("u2-basic"), "--tol", "1e-8"]) == 0
     capsys.readouterr()
 
 

@@ -24,6 +24,19 @@ def test_null_space_edge_shapes():
     assert abs(basis[0, 0] + basis[1, 0]) < 1e-14
 
 
+def test_null_space_survives_svd_nonconvergence(monkeypatch):
+    # numpy's default SVD routine (gesdd) fails to converge on some monad
+    # projections at m0 = 20; null_space then retries with gesvd
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    m = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    basis = la.null_space(m)
+    assert basis.shape == (3, 1)
+    assert np.linalg.norm(m @ basis) < 1e-14
+
+
 def test_svd_rank_and_straddle_detection():
     assert la.svd_rank(np.diag([1.0, 1e-3])) == 2
     assert la.svd_rank(np.diag([1.0, 0.0])) == 1
@@ -35,13 +48,25 @@ def test_svd_rank_and_straddle_detection():
     assert la.svd_rank(m) in (1, 2)  # silent mode still answers
 
 
-def test_orth_and_complement():
+def test_rank_decision_straddle_and_scale():
+    cutoff = la.rank_cutoff(1.0, (2, 2))
+    s = np.array([1.0, cutoff])
+    with pytest.raises(RankIndeterminate):
+        la.rank_decision(s, (2, 2), strict=True)
+    assert la.rank_decision(s, (2, 2), strict=False) in (1, 2)
+    # scale replaces sigma_max: against 1e10, both values fall below the cutoff
+    s = np.array([1e-6, 1e-7])
+    assert la.rank_decision(s, (2, 2), strict=True) == 2
+    assert la.rank_decision(s, (2, 2), strict=True, scale=1e10) == 0
+    assert la.rank_decision(np.zeros(0), (0, 3), strict=True) == 0
+
+
+def test_complement_by_null_space_of_adjoint():
     m = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
-    basis = la.orth(m)
-    assert basis.shape == (3, 1)
-    comp = la.complement_in(basis, 3)
+    comp = la.null_space(m.conj().T)  # orthogonal complement of the column span
     assert comp.shape == (3, 2)
-    assert np.linalg.norm(basis.conj().T @ comp) < 1e-12
+    assert np.linalg.norm(m.conj().T @ comp) < 1e-12
+    np.testing.assert_allclose(comp.conj().T @ comp, np.eye(2), atol=1e-12)
 
 
 def test_charpoly_conventions():

@@ -184,6 +184,45 @@ def test_scan_report_structure(u2):
     assert len(no_structured.points) == 4
 
 
+def test_scan_assembles_once_per_point(u2, monkeypatch):
+    from bowforge import monad
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return assemble_monad(*args, **kwargs)
+
+    monkeypatch.setattr(monad, "assemble_monad", counting)
+    report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
+    assert calls == [p.point for p in report.points]
+
+
+def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
+    from pathlib import Path
+
+    from bowforge import cli, monad
+    from bowforge.orthosymplectic import fiber_form
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return assemble_monad(*args, **kwargs)
+
+    monkeypatch.setattr(monad, "assemble_monad", counting)
+    monkeypatch.setattr(cli, "assemble_monad", counting)
+    so2 = canon["so2-mirror"]
+    pt = random_points(so2.datum, 1, seed=5)[0]
+    fiber_form(so2.datum, so2.pairing, pt)
+    assert calls == [pt]
+    calls.clear()
+    fixture = Path(__file__).parent / "fixtures" / "u2-basic.json"
+    assert cli.main(["fiber", str(fixture), "--xi", "1.0", "--eta", "2.1+0.4j"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_scan_deterministic(u2):
     a = scan_local_freeness(u2, ScanConfig(n_random=10, seed=42))
     b = scan_local_freeness(u2, ScanConfig(n_random=10, seed=42))
