@@ -1,8 +1,8 @@
 """Shared numerical conventions: residuals, rank thresholds, null spaces.
 
-Every rank decision in the package goes through `rank_decision`, so the
-thresholding convention (sigma_max * max(dim) * eps * 64) and the straddle
-rule are set in exactly one place.
+Every tolerance, cutoff and coincidence threshold of the package is defined
+here.  Every rank decision goes through `rank_decision`, so the convention
+(sigma_max * max(dim) * eps * 64) and the straddle rule are set once.
 """
 
 from __future__ import annotations
@@ -12,12 +12,23 @@ import scipy.linalg
 
 from .errors import RankIndeterminate
 
-# Default tolerance for validating the defining relations.
+# Scale-free residual below which a defining equation holds: the bow
+# relations, and the surface equation xi * psi = prod_i (eta - z_i).
 DEFAULT_TOL = 1e-9
 # Tolerance for derived invariants, which amplify rounding.
 DERIVED_TOL = 1e-6
-# Eigenvalues closer than this are treated as one candidate.
+# Tolerance for the pairing identities.
+PAIRING_TOL = 1e-8
+# Residual below which a generated datum, Sylvester solve or factorization is exact.
+GENERATION_TOL = 1e-10
+# Points of the eta plane closer than this coincide: split eigenvalues merge,
+# an eigenvalue sits on a NUT position z_i, and eta hits a resolvent pole.
 EIG_CLUSTER_TOL = 1e-8
+# Eigenvalues of two matrices closer than this are shared: a Sylvester solve
+# between them is ill posed, and a spectral projector takes them together.
+SYLVESTER_GAP = 1e-6
+# Pairing matrices with sigma_min <= K_CONDITION_FLOOR * sigma_max are degenerate.
+K_CONDITION_FLOOR = 1e-8
 # Safety factor on top of the standard numerical-rank convention.
 RANK_SAFETY = 64
 # Singular values within this factor of the cutoff (either side) make a
@@ -105,7 +116,7 @@ def eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def cluster_eigenvalues(vals, tol: float = EIG_CLUSTER_TOL) -> list[complex]:
+def cluster_eigenvalues(vals) -> list[complex]:
     """Greedy clustering of (complex) eigenvalues; returns cluster means.
 
     Avoids double-counting multiple roots that rounding has split.
@@ -114,7 +125,7 @@ def cluster_eigenvalues(vals, tol: float = EIG_CLUSTER_TOL) -> list[complex]:
     members: list[list[complex]] = []
     for v in sorted(np.asarray(vals, dtype=np.complex128), key=lambda c: (c.real, c.imag)):
         for idx, mu in enumerate(means):
-            if abs(v - mu) <= tol:
+            if abs(v - mu) <= EIG_CLUSTER_TOL:
                 members[idx].append(v)
                 means[idx] = complex(np.mean(members[idx]))
                 break
@@ -181,12 +192,12 @@ def divided_difference(roots, eta: complex, beta) -> np.ndarray:
     return polyval_matrix(quot, beta)
 
 
-def spectral_projector(m, eigenvalue: complex, tol: float = 1e-6) -> np.ndarray:
+def spectral_projector(m, eigenvalue: complex) -> np.ndarray:
     """Spectral projector of a diagonalizable matrix at one eigenvalue cluster."""
     m = cmat(m)
     vals, vecs = np.linalg.eig(m)
-    idx = np.abs(vals - complex(eigenvalue)) < tol
+    idx = np.abs(vals - complex(eigenvalue)) < SYLVESTER_GAP
     if not np.any(idx):
-        raise ValueError(f"{eigenvalue} is not an eigenvalue (tol {tol})")
+        raise ValueError(f"{eigenvalue} is not an eigenvalue (tol {SYLVESTER_GAP})")
     vinv = np.linalg.inv(vecs)
     return vecs[:, idx] @ vinv[idx, :]

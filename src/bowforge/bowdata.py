@@ -225,14 +225,13 @@ def aggregate_maps(b: BowDatum) -> tuple[np.ndarray, np.ndarray]:
     they intertwine the chain endpoints: Mpsi_hat beta_0 = beta_n Mpsi_hat
     and Mxi_hat beta_n = beta_0 Mxi_hat whenever the relations hold.
     """
-    d0, dnn = b.dims.dn[-1], b.dims.dn[0]
+    dnn = b.dims.dn[0]
     mxi_hat = np.eye(dnn, dtype=np.complex128)
     for m in b.Mxi:
         mxi_hat = m @ mxi_hat
     mpsi_hat = np.eye(dnn, dtype=np.complex128)
     for m in b.Mpsi:
         mpsi_hat = mpsi_hat @ m
-    assert mxi_hat.shape == (d0, dnn) and mpsi_hat.shape == (dnn, d0)
     return mxi_hat, mpsi_hat
 
 

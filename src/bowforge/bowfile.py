@@ -10,6 +10,7 @@ canonical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,17 @@ def complex_to_doc(value: complex) -> list:
     return [value.real, value.imag]
 
 
+def real_from_doc(doc, path: str) -> float:
+    value = float(doc)
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: non-finite number {doc!r}")
+    return value
+
+
 def complex_from_doc(doc, path: str) -> complex:
     if not (isinstance(doc, list) and len(doc) == 2):
         raise ParseError(f"{path}: complex scalar must be a [re, im] pair, got {doc!r}")
-    return complex(float(doc[0]), float(doc[1]))
+    return complex(real_from_doc(doc[0], f"{path}[0]"), real_from_doc(doc[1], f"{path}[1]"))
 
 
 def matrix_to_doc(m: np.ndarray):
@@ -134,8 +142,8 @@ def topology_from_doc(doc, path: str = "topology") -> TopologicalData:
         return TopologicalData(
             n=int(doc["n"]),
             k=int(doc["k"]),
-            ell=float(doc["ell"]),
-            lam=tuple(float(v) for v in doc["lambda"]),
+            ell=real_from_doc(doc["ell"], f"{path}.ell"),
+            lam=tuple(real_from_doc(v, f"{path}.lambda[{i}]") for i, v in enumerate(doc["lambda"])),
             m=tuple(int(v) for v in doc["m"]),
             nd=tuple(int(v) for v in doc["nd"]),
             m0=int(doc["m0"]),

@@ -7,6 +7,7 @@ or I/O error (unreadable file, shape mismatch, bad arguments).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -227,6 +228,16 @@ def cmd_export_bow(args) -> int:
     return PASS_EXIT
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bowforge", description="bow complexes and instanton monads"
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             # argparse converts a string default, so a malformed BOWFORGE_TOL exits 2
             default = os.environ.get("BOWFORGE_TOL") or DEFAULT_TOL
-            p.add_argument("--tol", type=float, default=default)
+            p.add_argument("--tol", type=_tolerance, default=default)
         p.add_argument("--format", choices=("human", "machine"), default="human")
         return p
 

@@ -36,9 +36,8 @@ from .topology import TopologicalData, compute_dimensions, validate_topology
 
 # Spectral separation enforced on freshly drawn endomorphisms.
 SPECTRAL_SEPARATION = 1e-3
-# Pairs of eigenvalues closer than this make a Sylvester solve ill posed.
-SYLVESTER_GAP = 1e-6
-GENERATION_TOL = 1e-10
+# Draws a generator makes before giving up on a topology.
+ATTEMPTS = 20
 
 
 def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -48,12 +47,12 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     ) / np.sqrt(2.0)
 
 
-def solve_sylvester(P, Q, C, gap_tol: float = SYLVESTER_GAP) -> np.ndarray:
+def solve_sylvester(P, Q, C) -> np.ndarray:
     """Unique X with P X - X Q = C, for disjoint spectra of P and Q.
 
     Raises SpectraOverlap when the smallest eigenvalue gap between P and Q
-    is at most `gap_tol`; under the precondition the solution is unique and
-    the residual is checked to be below 1e-10 (relative).
+    is at most SYLVESTER_GAP; under the precondition the solution is unique
+    and the relative residual is checked to be below GENERATION_TOL.
     """
     P, Q, C = la.cmat(P), la.cmat(Q), la.cmat(C)
     q, r = P.shape[0], Q.shape[0]
@@ -61,14 +60,12 @@ def solve_sylvester(P, Q, C, gap_tol: float = SYLVESTER_GAP) -> np.ndarray:
         raise ValueError(f"C has shape {C.shape}, expected ({q}, {r})")
     if q == 0 or r == 0:
         return np.zeros((q, r), dtype=np.complex128)
-    gaps = np.abs(la.eigenvalues(P)[:, None] - la.eigenvalues(Q)[None, :])
-    if float(np.min(gaps)) <= gap_tol:
-        raise SpectraOverlap(
-            f"spectra of P and Q are {float(np.min(gaps)):.3e} apart (need > {gap_tol})"
-        )
+    gap = float(np.min(np.abs(la.eigenvalues(P)[:, None] - la.eigenvalues(Q)[None, :])))
+    if gap <= la.SYLVESTER_GAP:
+        raise SpectraOverlap(f"spectra of P and Q are {gap:.3e} apart (need > {la.SYLVESTER_GAP})")
     X = scipy.linalg.solve_sylvester(P, -Q, C)
     res = la.fro(P @ X - X @ Q - C) / (1.0 + la.fro(C))
-    if res >= 1e-10:
+    if res >= la.GENERATION_TOL:
         raise ValidationFailure(f"sylvester solve residual {res:.3e} too large")
     return X
 
@@ -128,7 +125,7 @@ def rank_factorization(
     R = np.vstack([R, R_extra])
 
     res = la.fro(L @ R - C) / (1.0 + la.fro(C))
-    if res >= 1e-10:
+    if res >= la.GENERATION_TOL:
         raise ValidationFailure(f"rank factorization residual {res:.3e} too large")
     return L, R
 
@@ -228,7 +225,7 @@ def _lambda_maps_shared_spectrum(beta0, beta1, rng):
     w1, V1 = np.linalg.eig(beta1)
     V0inv, V1inv = np.linalg.inv(V0), np.linalg.inv(V1)
     gamma_t = ginibre(rng, 1, d0)
-    shared = np.abs(w1[:, None] - w0[None, :]) < 1e-6
+    shared = np.abs(w1[:, None] - w0[None, :]) < la.SYLVESTER_GAP
     gamma_t[0, shared.any(axis=0)] = 0.0
     alpha_t = V1inv @ alpha
     At = np.zeros((d1, d0), dtype=np.complex128)
@@ -273,7 +270,7 @@ def _attempt(t: TopologicalData, dims, rng) -> BowDatum:
 
 
 def _run_checks(datum: BowDatum):
-    rel = validate_relations(datum, tol=GENERATION_TOL)
+    rel = validate_relations(datum, tol=la.GENERATION_TOL)
     if not rel.passed:
         return f"relations failed: {rel.failures()}"
     inv = check_chain_invariants(datum, tol=la.DERIVED_TOL)
@@ -285,13 +282,13 @@ def _run_checks(datum: BowDatum):
     return None
 
 
-def generate(t: TopologicalData, seed: int, retries: int = 20) -> BowDatum:
+def generate(t: TopologicalData, seed: int) -> BowDatum:
     """Random bow datum for the given charges, passing all validators.
 
     Construction: build the NUT chain by valley-seeded rank factorizations,
     alias the chain endpoints into the lambda chain, draw the interior
     endomorphisms with separated spectra, draw the boundary vectors, and
-    solve each A_i from the Sylvester relation.  Resamples up to `retries`
+    solve each A_i from the Sylvester relation.  Resamples up to ATTEMPTS
     times if a genericity check fails.
     """
     problems = validate_topology(t)
@@ -300,7 +297,7 @@ def generate(t: TopologicalData, seed: int, retries: int = 20) -> BowDatum:
     dims = compute_dimensions(t)
     rng = np.random.default_rng(seed)
     last: object = None
-    for _ in range(retries):
+    for _ in range(ATTEMPTS):
         try:
             datum = _attempt(t, dims, rng)
         except (SpectraOverlap, ValidationFailure) as exc:
@@ -312,7 +309,7 @@ def generate(t: TopologicalData, seed: int, retries: int = 20) -> BowDatum:
         if failure is None:
             return datum
         last = failure
-    raise RetriesExhausted(f"generation failed after {retries} attempts", last)
+    raise RetriesExhausted(f"generation failed after {ATTEMPTS} attempts", last)
 
 
 def _symmetric_nd_pattern(total: int, k: int) -> tuple[int, ...]:
@@ -344,9 +341,7 @@ def _hyperbolic_block(upper, lower) -> np.ndarray:
     return out
 
 
-def generate_mirror(
-    t: TopologicalData, flavor: str, seed: int, retries: int = 20
-) -> tuple[BowDatum, PairingDatum]:
+def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatum, PairingDatum]:
     """Rank-2 bow datum with an SO/Sp structure, plus its pairing data.
 
     Hyperbolic construction: the datum splits into a rank-one datum X and
@@ -397,7 +392,7 @@ def generate_mirror(
     )
 
     last: object = None
-    for attempt in range(retries):
+    for attempt in range(ATTEMPTS):
         X = generate(t_x, seed=seed + 7919 * attempt)
         x0, x1 = X.dims.d
         b0, b1 = X.beta[0], X.beta[1]
@@ -473,12 +468,12 @@ def generate_mirror(
         pairing = PairingDatum(flavor=flavor, K=K, f=f)
         failure = _run_checks(datum)
         if failure is None:
-            rep = verify_pairing_relations(datum, pairing, tol=1e-8)
+            rep = verify_pairing_relations(datum, pairing)
             if rep.passed:
                 return datum, pairing
             failure = f"pairing relations failed: {rep.failures()}"
         last = failure
-    raise RetriesExhausted(f"mirror generation failed after {retries} attempts", last)
+    raise RetriesExhausted(f"mirror generation failed after {ATTEMPTS} attempts", last)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,7 @@ import numpy as np
 
 from . import _linalg as la
 from .bowdata import BowDatum, aggregate_maps
-from .errors import RankIndeterminate, ShapeMismatch, SurfaceViolation
-
-SURFACE_TOL = 1e-9
+from .errors import RankIndeterminate, SurfaceViolation
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def monad_dimensions(dims) -> tuple[int, int, int, int]:
     return dim_a, dim_b, dim_c, dim_c
 
 
-def assemble_monad(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> MonadAtPoint:
+def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
     """Evaluate the monad maps at a surface point.
 
     Block layout (offsets recorded in the returned block_index):
@@ -171,10 +169,10 @@ def assemble_monad(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> Mo
       B: P-blocks C^{d_i + 1}, then the R-block C^{d_0} + C^{d_n};
       C = D: Q-blocks C^{d_i}, i = 0..n.
     """
-    if x.surface_residual(b.topo.z) >= tol:
+    residual = x.surface_residual(b.topo.z)
+    if residual >= la.DEFAULT_TOL:
         raise SurfaceViolation(
-            f"point {x} violates xi*psi = prod(eta - z_i): "
-            f"residual {x.surface_residual(b.topo.z):.3e}"
+            f"point {x} violates xi*psi = prod(eta - z_i): residual {residual:.3e}"
         )
     n = b.topo.n
     d = b.dims.d
@@ -195,28 +193,22 @@ def assemble_monad(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> Mo
     eye = lambda m: np.eye(m, dtype=np.complex128)
     res = lambda i: eta * eye(d[i]) - b.beta[i]  # eta I - beta_i
 
+    # every block derives from the datum, shape-checked once when it was built
     def put(mat, table_r, row, table_c, col, block):
         r0, rs = table_r[row]
         c0, cs = table_c[col]
-        if block.shape != (rs, cs):
-            raise ShapeMismatch(
-                f"block {row}<-{col} has shape {block.shape}, expected {(rs, cs)}"
-            )
-        mat[r0 : r0 + rs, c0 : c0 + cs] += block
+        mat[r0 : r0 + rs, c0 : c0 + cs] = block
 
     alpha = np.zeros((dim_b, dim_a), dtype=np.complex128)
     for i in range(n):
         put(alpha, b_table, f"P{i}", a_table, f"P{i}", np.vstack([res(i), -b.gamma[i]]))
-    G = np.zeros((d0 + dnn, 2 * d0 + 2 * dnn), dtype=np.complex128)
+    G = alpha[b_table["R"][0] :, a_table["R0"][0] :]  # a view: the trailing R blocks
     G[:d0, :d0] = res(0)
     G[:d0, d0 + dnn : 2 * d0 + dnn] = xi * eye(d0)
     G[:d0, 2 * d0 + dnn :] = mxi_hat
     G[d0:, d0 : d0 + dnn] = res(n)
     G[d0:, d0 + dnn : 2 * d0 + dnn] = -mpsi_hat
     G[d0:, 2 * d0 + dnn :] = -psi * eye(dnn)
-    r0_a = a_table["R0"][0]
-    rb = b_table["R"][0]
-    alpha[rb : rb + d0 + dnn, r0_a : r0_a + 2 * d0 + 2 * dnn] = G
 
     S = la.divided_difference(b.topo.z, eta, b.beta[0])
     T = la.divided_difference(b.topo.z, eta, b.beta[n])
@@ -234,14 +226,7 @@ def assemble_monad(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> Mo
 
     delta = np.zeros((dim_c, dim_b), dtype=np.complex128)
     for i in range(n):
-        put(
-            delta,
-            c_table,
-            f"Q{i}",
-            b_table,
-            f"P{i}",
-            np.hstack([eye(d[i]), np.zeros((d[i], 1))]),
-        )
+        put(delta, c_table, f"Q{i}", b_table, f"P{i}", np.eye(d[i], d[i] + 1))
         put(delta, c_table, f"Q{i + 1}", b_table, f"P{i}", np.hstack([b.A[i], b.alpha[i]]))
     put(delta, c_table, "Q0", b_table, "R", np.hstack([psi * eye(d0), mxi_hat]))
     put(delta, c_table, f"Q{n}", b_table, "R", np.hstack([-mpsi_hat, -xi * eye(dnn)]))
@@ -300,25 +285,22 @@ def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, f
     return la.rel_residual(lhs0, rhs0), la.rel_residual(lhsn, rhsn)
 
 
-def fiber_at(b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL) -> np.ndarray:
+def fiber_at(b: BowDatum, x: SurfacePoint) -> np.ndarray:
     """Orthonormal basis of the monad cohomology at x (see MonadAtPoint.fiber).
 
     At locally free points its rank equals the structure-group rank n.
     """
-    return assemble_monad(b, x, tol).fiber()
+    return assemble_monad(b, x).fiber()
 
 
-def is_locally_free_at(
-    b: BowDatum, x: SurfacePoint, tol: float = SURFACE_TOL
-) -> LocalFreenessResult:
+def is_locally_free_at(b: BowDatum, x: SurfacePoint) -> LocalFreenessResult:
     """Pointwise local-freeness criterion (see MonadAtPoint.locally_free)."""
-    return assemble_monad(b, x, tol).locally_free()
+    return assemble_monad(b, x).locally_free()
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     n_random: int = 50
-    include_structured: bool = True
     seed: int = 0
 
 
@@ -368,7 +350,7 @@ def structured_points(b: BowDatum) -> list[SurfacePoint]:
     pts: list[SurfacePoint] = []
     for eta in la.cluster_eigenvalues(b.spectra()):
         near_nut = min((abs(eta - zi) for zi in z), default=np.inf)
-        if near_nut < 1e-8:
+        if near_nut < la.EIG_CLUSTER_TOL:
             eta = min(z, key=lambda zi: abs(eta - zi))
             pts.append(SurfacePoint(0.0, 1.0, eta))
             pts.append(SurfacePoint(0.0, 0.0, eta))
@@ -398,21 +380,18 @@ def random_points(b: BowDatum, n_random: int, seed: int) -> list[SurfacePoint]:
     return pts
 
 
-def scan_local_freeness(
-    b: BowDatum, config: ScanConfig = ScanConfig(), tol: float = SURFACE_TOL
-) -> ScanReport:
+def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanReport:
     """Evaluate fiber rank and the local-freeness criterion over a sample.
 
     Indeterminate rank decisions are collected separately, never coerced
     into pass or fail.
     """
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
-    if config.include_structured:
-        batches += [(pt, "structured") for pt in structured_points(b)]
+    batches += [(pt, "structured") for pt in structured_points(b)]
     reports: list[PointReport] = []
     for pt, kind in batches:
         try:
-            monad = assemble_monad(b, pt, tol)
+            monad = assemble_monad(b, pt)
             rank = monad.fiber().shape[1]
             free = monad.locally_free()
             status = "ok" if free.passed else "fail"

@@ -28,11 +28,6 @@ from .errors import (
 SO = "SO"
 SP = "Sp"
 
-# A pairing matrix whose smallest singular value falls below this multiple
-# of the largest is treated as degenerate.
-K_CONDITION_FLOOR = 1e-8
-POLE_TOL = 1e-8
-
 
 def expected_signs(flavor: str, n: int) -> tuple[int, ...]:
     """The sign constants f_0..f_{n-1}: all +1 for SO; +1 below the middle
@@ -89,7 +84,7 @@ def _check_flavor_charges(b: BowDatum, p: PairingDatum) -> None:
 
 
 def verify_pairing_relations(
-    b: BowDatum, p: PairingDatum, tol: float = 1e-8
+    b: BowDatum, p: PairingDatum, tol: float = la.PAIRING_TOL
 ) -> ValidationReport:
     """Residuals of every pairing identity.
 
@@ -111,7 +106,7 @@ def verify_pairing_relations(
         if Ki.size == 0:
             continue
         s = np.linalg.svd(Ki, compute_uv=False)
-        ok = s[-1] > K_CONDITION_FLOOR * s[0]
+        ok = s[-1] > la.K_CONDITION_FLOOR * s[0]
         checks.append(
             RelationCheck(f"K-invertible[{i}]", 0.0 if ok else 1.0, tol, "boolean")
         )
@@ -175,8 +170,8 @@ def _resolvent_column(beta, gamma, eta: complex) -> np.ndarray:
     out = np.zeros((d + 1, 1), dtype=np.complex128)
     if d > 0:
         eigs = la.eigenvalues(beta)
-        if float(np.min(np.abs(eigs - eta))) < POLE_TOL:
-            raise PoleAtEta(f"eta={eta} is within {POLE_TOL} of an eigenvalue")
+        if float(np.min(np.abs(eigs - eta))) < la.EIG_CLUSTER_TOL:
+            raise PoleAtEta(f"eta={eta} is within {la.EIG_CLUSTER_TOL} of an eigenvalue")
         res = np.linalg.solve(eta * np.eye(d, dtype=np.complex128) - beta, np.eye(d))
         out[:d, 0] = (res.T @ gamma.T)[:, 0]
     out[d, 0] = 1.0

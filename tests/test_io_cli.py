@@ -231,6 +231,52 @@ def test_cli_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BOWFORGE_TOL", "abc")
     assert main(["validate", fixture("u2-basic")]) == 2
     assert "invalid float value: 'abc'" in capsys.readouterr().err
+    # a tolerance that is not finite and positive passes or fails everything
+    for bad in ("inf", "nan", "0", "-1"):
+        monkeypatch.setenv("BOWFORGE_TOL", bad)
+        assert main(["validate", fixture("u2-basic")]) == 2, bad
+        monkeypatch.delenv("BOWFORGE_TOL")
+        for cmd in ("validate", "invariants", "pairing", "export-bow"):
+            args = [cmd, fixture("so2-mirror"), "--tol", bad]
+            if cmd == "export-bow":
+                args += ["-o", str(tmp_path / "complex.json")]
+            assert main(args) == 2, (cmd, bad)
+        assert "finite and positive" in capsys.readouterr().err
+
+
+NON_FINITE_FIELDS = {  # field path in the error -> (keys into the document, value)
+    "bow.beta[1][0][0][0]": (("bow", "beta", 1, 0, 0, 0), float("nan")),
+    "topology.z[0][0]": (("topology", "z", 0, 0), float("inf")),
+    "topology.ell": (("topology", "ell"), float("-inf")),
+    "topology.lambda[0]": (("topology", "lambda", 0), float("nan")),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["exactness"],
+        ["invariants"],
+        ["scan", "--n", "2"],
+        ["fiber", "--xi", "1.0", "--eta", "2.1+0.4j"],
+        ["export-bow", "-o", "complex.json"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_cli_non_finite_numbers_exit_2(field, command, tmp_path, capsys, monkeypatch):
+    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
+    keys, value = NON_FINITE_FIELDS[field]
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN / Infinity
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    assert f"{field}: non-finite number" in capsys.readouterr().err
 
 
 def test_cli_tol_only_on_commands_that_read_it(capsys):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,7 +81,7 @@ def test_charpoly_conventions():
 
 def test_cluster_eigenvalues():
     vals = [1.0, 1.0 + 1e-10, 5.0, 5.0 - 1e-9j]
-    clusters = la.cluster_eigenvalues(vals, tol=1e-8)
+    clusters = la.cluster_eigenvalues(vals)
     assert len(clusters) == 2
     assert min(abs(c - 1.0) for c in clusters) < 1e-9
     assert min(abs(c - 5.0) for c in clusters) < 1e-9
@@ -127,3 +130,21 @@ def test_spectral_projector():
 def test_matrix_poly_at_roots_empty():
     out = la.matrix_poly_at_roots(np.array([[4.0]]), [])
     np.testing.assert_allclose(out, [[1.0]])
+
+
+def test_thresholds_live_only_in_linalg():
+    # a float literal this small is a tolerance, cutoff or coincidence
+    # threshold; only _linalg may define one
+    package = Path(la.__file__).parent
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) < 1e-5
+            ):
+                stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert stray == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import sympy
 
 from bowforge.bowdata import gauge_transform
 from bowforge.errors import SurfaceViolation
@@ -173,15 +174,45 @@ def test_degenerate_datum_tor_criterion():
     assert is_locally_free_at(d, pt).passed
 
 
+@pytest.mark.parametrize("xi", [1.0, 10.0, 0.1])
+def test_degenerate_datum_freeness_matches_exact_oracle(xi):
+    # Criterion 5 asks this datum to fail freeness over eta = 0.  Its entries
+    # are integers, so at a rational point the maps are rational and sympy
+    # decides the criterion with no rank cutoff: beta_tilde must be
+    # injective on ker(alpha) / Im(mu).
+    t, d = degenerate_example()
+    pt = SurfacePoint.from_xi_eta(t.z, xi, 0.0)
+    numeric = assemble_monad(d, pt)
+
+    def exact(v):  # the short decimal float repr recovers 1/10, -10, ...
+        assert complex(v).imag == 0.0
+        return sympy.Rational(repr(complex(v).real))
+
+    # the rationalized point lies exactly on xi * psi = eta - z_1 = -1
+    assert exact(numeric.point.xi) * exact(numeric.point.psi) == -1
+    alpha, beta_t, mu = (
+        sympy.Matrix(m.shape[0], m.shape[1], [exact(v) for v in m.ravel()])
+        for m in (numeric.alpha, numeric.beta_tilde, numeric.mu)
+    )
+    kernel = sympy.Matrix.hstack(*alpha.nullspace())
+    assert (alpha * mu).is_zero_matrix and (beta_t * mu).is_zero_matrix
+    quotient_dim = kernel.shape[1] - mu.rank()
+    assert (kernel.shape[1], mu.rank(), quotient_dim) == (4, 2, 2)
+    # beta_tilde kills Im(mu), so it is injective on the quotient exactly
+    # when its rank on ker(alpha) equals the quotient dimension
+    exact_free = (beta_t * kernel).rank() == quotient_dim
+
+    result = is_locally_free_at(d, pt)
+    assert result.passed == exact_free
+    assert result.quotient_dim == quotient_dim
+
+
 def test_scan_report_structure(u2):
     report = scan_local_freeness(u2, ScanConfig(n_random=15, seed=1))
     kinds = {p.kind for p in report.points}
     assert kinds == {"random", "structured"}
     assert report.all_pass and report.ranks_all_expected
-    no_structured = scan_local_freeness(
-        u2, ScanConfig(n_random=4, include_structured=False, seed=1)
-    )
-    assert len(no_structured.points) == 4
+    assert sum(p.kind == "random" for p in report.points) == 15
 
 
 def test_scan_assembles_once_per_point(u2, monkeypatch):
