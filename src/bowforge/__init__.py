@@ -29,6 +29,7 @@ from .monad import (
     fiber_at,
     is_locally_free_at,
     lift_commutativity_residuals,
+    monad_assembler,
     scan_local_freeness,
 )
 from .orthosymplectic import (

@@ -8,7 +8,6 @@ here.  Every rank decision goes through `rank_decision`, so the convention
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankIndeterminate
 
@@ -105,6 +104,8 @@ def null_space(m, raise_indeterminate: bool = False) -> np.ndarray:
     except np.linalg.LinAlgError:
         # the default divide-and-conquer routine (gesdd) can fail to converge
         # on matrices that the slower QR-iteration routine (gesvd) handles
+        import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
+
         _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
     return vh[rank_decision(s, m.shape, raise_indeterminate) :].conj().T
 
@@ -173,16 +174,16 @@ def matrix_poly_at_roots(m, roots) -> np.ndarray:
     return out
 
 
-def divided_difference(roots, eta: complex, beta) -> np.ndarray:
+def divided_difference(coeffs, eta: complex, beta) -> np.ndarray:
     """The matrix divided difference (p(eta) I - p(beta)) (eta I - beta)^{-1}.
 
-    Here p(t) = prod_j (t - z_j) over `roots`.  Computed as the synthetic-
-    division quotient q(t) = (p(t) - p(eta)) / (t - eta) evaluated at beta,
-    so the result is a polynomial in beta and eta; no inversion is ever
-    performed and the formula is valid also when eta is an eigenvalue.
+    Here p has the highest-first coefficients `coeffs`; for
+    p(t) = prod_j (t - z_j) they are poly_from_roots(z).  Computed as the
+    synthetic-division quotient q(t) = (p(t) - p(eta)) / (t - eta) evaluated
+    at beta, so the result is a polynomial in beta and eta; no inversion is
+    ever performed and the formula is valid also when eta is an eigenvalue.
     """
     beta = cmat(beta)
-    coeffs = poly_from_roots(roots)
     # Horner/synthetic division of p by (t - eta); drop the remainder p(eta).
     quot = np.zeros(len(coeffs) - 1, dtype=np.complex128)
     acc = 0.0 + 0.0j

@@ -27,7 +27,6 @@ class RelationCheck:
     name: str
     residual: float
     tol: float
-    norm: str = "relative-frobenius"
 
     @property
     def passed(self) -> bool:

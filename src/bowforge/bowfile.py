@@ -79,10 +79,27 @@ def complex_to_doc(value: complex) -> list:
 
 
 def real_from_doc(doc, path: str) -> float:
-    value = float(doc)
+    try:
+        value = float(doc)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: expected a number, got {doc!r}") from exc
     if not math.isfinite(value):
         raise ParseError(f"{path}: non-finite number {doc!r}")
     return value
+
+
+def int_from_doc(doc, path: str) -> int:
+    try:
+        return int(doc)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: expected an integer, got {doc!r}") from exc
+
+
+def array_from_doc(doc, path: str, item_from_doc) -> tuple:
+    """Parse each entry of a JSON array with item_from_doc(entry, entry_path)."""
+    if not isinstance(doc, list):
+        raise ParseError(f"{path}: expected an array, got {doc!r}")
+    return tuple(item_from_doc(v, f"{path}[{i}]") for i, v in enumerate(doc))
 
 
 def complex_from_doc(doc, path: str) -> complex:
@@ -101,7 +118,8 @@ def matrix_to_doc(m: np.ndarray):
 def matrix_from_doc(doc, path: str) -> np.ndarray:
     if isinstance(doc, dict):
         try:
-            rows, cols = int(doc["rows"]), int(doc["cols"])
+            rows = int_from_doc(doc["rows"], f"{path}.rows")
+            cols = int_from_doc(doc["cols"], f"{path}.cols")
         except KeyError as exc:
             raise ParseError(f"{path}: empty matrix record needs rows/cols") from exc
         if rows < 0 or cols < 0 or rows * cols != 0:
@@ -140,14 +158,14 @@ def topology_from_doc(doc, path: str = "topology") -> TopologicalData:
         raise ParseError(f"{path}: expected an object")
     try:
         return TopologicalData(
-            n=int(doc["n"]),
-            k=int(doc["k"]),
+            n=int_from_doc(doc["n"], f"{path}.n"),
+            k=int_from_doc(doc["k"], f"{path}.k"),
             ell=real_from_doc(doc["ell"], f"{path}.ell"),
-            lam=tuple(real_from_doc(v, f"{path}.lambda[{i}]") for i, v in enumerate(doc["lambda"])),
-            m=tuple(int(v) for v in doc["m"]),
-            nd=tuple(int(v) for v in doc["nd"]),
-            m0=int(doc["m0"]),
-            z=tuple(complex_from_doc(v, f"{path}.z[{i}]") for i, v in enumerate(doc["z"])),
+            lam=array_from_doc(doc["lambda"], f"{path}.lambda", real_from_doc),
+            m=array_from_doc(doc["m"], f"{path}.m", int_from_doc),
+            nd=array_from_doc(doc["nd"], f"{path}.nd", int_from_doc),
+            m0=int_from_doc(doc["m0"], f"{path}.m0"),
+            z=array_from_doc(doc["z"], f"{path}.z", complex_from_doc),
         )
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc.args[0]!r}") from exc
@@ -168,8 +186,8 @@ def pairing_from_doc(doc, path: str = "pairing") -> PairingDatum:
     try:
         return PairingDatum(
             flavor=str(doc["flavor"]),
-            K=[matrix_from_doc(m, f"{path}.K[{i}]") for i, m in enumerate(doc["K"])],
-            f=tuple(int(v) for v in doc["f"]),
+            K=list(array_from_doc(doc["K"], f"{path}.K", matrix_from_doc)),
+            f=array_from_doc(doc["f"], f"{path}.f", int_from_doc),
             transpose_convention=bool(doc.get("transpose_convention", False)),
         )
     except KeyError as exc:

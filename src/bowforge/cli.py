@@ -166,7 +166,7 @@ def cmd_fiber(args) -> int:
         raise ParseError("--xi must be nonzero (psi is derived from the surface equation)")
     point = SurfacePoint.from_xi_eta(datum.topo.z, xi, eta)
     monad = assemble_monad(datum, point)
-    rank = monad.fiber().shape[1]
+    rank = monad.fiber_rank()
     free = monad.locally_free()
     _emit(
         {

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import block_diag
 
 from . import _linalg as la
 from .bowdata import (
@@ -63,6 +61,8 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
     gap = float(np.min(np.abs(la.eigenvalues(P)[:, None] - la.eigenvalues(Q)[None, :])))
     if gap <= la.SYLVESTER_GAP:
         raise SpectraOverlap(f"spectra of P and Q are {gap:.3e} apart (need > {la.SYLVESTER_GAP})")
+    import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
+
     X = scipy.linalg.solve_sylvester(P, -Q, C)
     res = la.fro(P @ X - X @ Q - C) / (1.0 + la.fro(C))
     if res >= la.GENERATION_TOL:
@@ -341,6 +341,15 @@ def _hyperbolic_block(upper, lower) -> np.ndarray:
     return out
 
 
+def _block_diag(first, second) -> np.ndarray:
+    """Block-diagonal matrix [[first, 0], [0, second]]."""
+    r1, c1 = first.shape
+    out = np.zeros((r1 + second.shape[0], c1 + second.shape[1]), dtype=np.complex128)
+    out[:r1, :c1] = first
+    out[r1:, c1:] = second
+    return out
+
+
 def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatum, PairingDatum]:
     """Rank-2 bow datum with an SO/Sp structure, plus its pairing data.
 
@@ -403,10 +412,10 @@ def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatu
         alpha_dual = -f[0] * gx.T
         gamma_dual = ax.T
 
-        beta = [block_diag(b1.T, b0), block_diag(b0.T, b0), block_diag(b0.T, b1)]
+        beta = [_block_diag(b1.T, b0), _block_diag(b0.T, b0), _block_diag(b0.T, b1)]
         A = [
-            block_diag(A_dual, np.eye(x0, dtype=np.complex128)),
-            block_diag(np.eye(x0, dtype=np.complex128), Ax),
+            _block_diag(A_dual, np.eye(x0, dtype=np.complex128)),
+            _block_diag(np.eye(x0, dtype=np.complex128), Ax),
         ]
         alpha = [
             np.vstack([alpha_dual, np.zeros((x0, 1))]),
@@ -452,9 +461,9 @@ def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatu
                 )
                 dual_nodes.append(nxt)
 
-        betaN = [block_diag(dual_nodes[j], X.betaN[j]) for j in range(k + 1)]
-        Mxi = [block_diag(dual_mxi[j - 1], X.Mxi[j - 1]) for j in range(1, k + 1)]
-        Mpsi = [block_diag(dual_mpsi[j - 1], X.Mpsi[j - 1]) for j in range(1, k + 1)]
+        betaN = [_block_diag(dual_nodes[j], X.betaN[j]) for j in range(k + 1)]
+        Mxi = [_block_diag(dual_mxi[j - 1], X.Mxi[j - 1]) for j in range(1, k + 1)]
+        Mpsi = [_block_diag(dual_mpsi[j - 1], X.Mpsi[j - 1]) for j in range(1, k + 1)]
 
         datum = BowDatum.assemble(
             t, beta, A, alpha, gamma, betaN[1:-1], Mxi, Mpsi, dims=dims

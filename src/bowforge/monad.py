@@ -10,6 +10,7 @@ numerically by the lift-commutativity residuals rather than trusted.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,14 @@ class LocalFreenessResult:
 
 @dataclass(frozen=True)
 class MonadAtPoint:
-    """The monad maps evaluated at one surface point.
+    """The monad maps evaluated at one surface point (see monad_assembler).
 
-    Amap stacks (alpha; -beta_tilde): (dimB + dimC) x dimA.
+    Amap stacks (alpha; -beta_tilde): (dimB + dimC) x dimA; alpha is a view
+    of its top rows.
     Bmap concatenates (delta, gamma): dimD x (dimB + dimC).
     mu maps the auxiliary space F = C^{d_0 + d_n} into the R blocks of A.
+    fiber_rank() answers the rank of the cohomology from singular values
+    alone; fiber() builds its basis; locally_free() tests the criterion.
     """
 
     point: SurfacePoint
@@ -97,26 +101,42 @@ class MonadAtPoint:
         scale = 1.0 + la.fro(self.Bmap) * la.fro(self.Amap)
         return la.fro(prod) / scale
 
+    def fiber_rank(self) -> int:
+        """Rank of the monad cohomology: dim ker(Bmap) - rank(Amap).
+
+        Needs only singular values.  Raises RankIndeterminate when a singular
+        value sits too close to the rank threshold to call, or when Im(Amap)
+        is not inside ker(Bmap) (composition_residual not below DEFAULT_TOL).
+        """
+        cols = self.Bmap.shape[1]
+        rank_b = la.svd_rank(self.Bmap, raise_indeterminate=True)
+        if rank_b == cols:
+            return 0
+        rank_a = la.svd_rank(self.Amap, raise_indeterminate=True)
+        residual = self.composition_residual()
+        if not residual < la.DEFAULT_TOL:
+            raise RankIndeterminate(
+                f"image of Amap not contained in ker(Bmap): residual {residual:.3e}"
+            )
+        return cols - rank_b - rank_a
+
     def fiber(self) -> np.ndarray:
         """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap).
 
-        Returns a (dimB + dimC) x r matrix spanning ker(Bmap) intersected
-        with Im(Amap)^perp; r = dim ker(Bmap) - rank(Amap).  Raises
-        RankIndeterminate when a singular value sits too close to the rank
-        threshold to call, or when Im(Amap) is not inside ker(Bmap).
+        Returns a (dimB + dimC) x fiber_rank() matrix spanning ker(Bmap)
+        intersected with Im(Amap)^perp.  Raises RankIndeterminate where
+        fiber_rank() does, or when the basis found has another column count.
         """
+        rank = self.fiber_rank()
         kernel = la.null_space(self.Bmap, raise_indeterminate=True)
         if kernel.shape[1] == 0:
             return kernel
-        rank_a = la.svd_rank(self.Amap, raise_indeterminate=True)
-        complement = la.null_space(self.Amap.conj().T @ kernel)
-        projected = kernel.shape[1] - complement.shape[1]
-        if projected != rank_a:
+        basis = kernel @ la.null_space(self.Amap.conj().T @ kernel)
+        if basis.shape[1] != rank:
             raise RankIndeterminate(
-                f"image of Amap not contained in ker(Bmap): rank {rank_a} vs "
-                f"projected rank {projected}"
+                f"fiber basis has {basis.shape[1]} columns, fiber rank is {rank}"
             )
-        return kernel @ complement
+        return basis
 
     def locally_free(self) -> LocalFreenessResult:
         """Pointwise local-freeness criterion.
@@ -160,25 +180,26 @@ def monad_dimensions(dims) -> tuple[int, int, int, int]:
     return dim_a, dim_b, dim_c, dim_c
 
 
-def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
-    """Evaluate the monad maps at a surface point.
+def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
+    """Evaluation of the monad maps of `b` at surface points.
 
-    Block layout (offsets recorded in the returned block_index):
+    Every block that does not depend on the point is written once, here,
+    into zero templates; the returned function checks the surface equation,
+    copies the templates and writes the blocks that do depend on the point:
+    eta I - beta_i, the xi and psi identity blocks, the divided differences
+    S and T, and the -beta_tilde rows of Amap.  Points never share arrays.
+
+    Block layout (offsets recorded in the block_index of every result):
       A: P-blocks C^{d_i}, i = 0..n-1, then R-blocks C^{d_0}, C^{d_n},
          C^{d_0}, C^{d_n} in resolution order;
       B: P-blocks C^{d_i + 1}, then the R-block C^{d_0} + C^{d_n};
       C = D: Q-blocks C^{d_i}, i = 0..n.
     """
-    residual = x.surface_residual(b.topo.z)
-    if residual >= la.DEFAULT_TOL:
-        raise SurfaceViolation(
-            f"point {x} violates xi*psi = prod(eta - z_i): residual {residual:.3e}"
-        )
     n = b.topo.n
     d = b.dims.d
     d0, dnn = d[0], d[n]
-    eta, xi, psi = x.eta, x.xi, x.psi
     mxi_hat, mpsi_hat = aggregate_maps(b)
+    coeffs = la.poly_from_roots(b.topo.z)
 
     a_table, dim_a = _offsets(
         [(f"P{i}", d[i]) for i in range(n)]
@@ -189,73 +210,118 @@ def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
     )
     c_table, dim_c = _offsets([(f"Q{i}", d[i]) for i in range(n + 1)])
     f_table, dim_f = _offsets([("F0", d0), ("F1", dnn)])
+    block_index = BlockIndex(A=a_table, B=b_table, C=c_table, D=c_table, F=f_table)
 
     eye = lambda m: np.eye(m, dtype=np.complex128)
-    res = lambda i: eta * eye(d[i]) - b.beta[i]  # eta I - beta_i
 
     # every block derives from the datum, shape-checked once when it was built
-    def put(mat, table_r, row, table_c, col, block):
+    def at(table_r, row, table_c, col, rows=None, cols=None):
+        """Slices of one block; `rows`/`cols` narrow it to a sub-range."""
         r0, rs = table_r[row]
         c0, cs = table_c[col]
-        mat[r0 : r0 + rs, c0 : c0 + cs] = block
+        r_lo, r_hi = rows or (0, rs)
+        c_lo, c_hi = cols or (0, cs)
+        return slice(r0 + r_lo, r0 + r_hi), slice(c0 + c_lo, c0 + c_hi)
 
-    alpha = np.zeros((dim_b, dim_a), dtype=np.complex128)
+    # Amap = (alpha; -beta_tilde); alpha ends in the R-block G of the resolution
+    amap0 = np.zeros((dim_b + dim_c, dim_a), dtype=np.complex128)
+    alpha_res = [at(b_table, f"P{i}", a_table, f"P{i}", rows=(0, d[i])) for i in range(n)]
     for i in range(n):
-        put(alpha, b_table, f"P{i}", a_table, f"P{i}", np.vstack([res(i), -b.gamma[i]]))
-    G = alpha[b_table["R"][0] :, a_table["R0"][0] :]  # a view: the trailing R blocks
-    G[:d0, :d0] = res(0)
-    G[:d0, d0 + dnn : 2 * d0 + dnn] = xi * eye(d0)
-    G[:d0, 2 * d0 + dnn :] = mxi_hat
-    G[d0:, d0 : d0 + dnn] = res(n)
-    G[d0:, d0 + dnn : 2 * d0 + dnn] = -mpsi_hat
-    G[d0:, 2 * d0 + dnn :] = -psi * eye(dnn)
+        amap0[at(b_table, f"P{i}", a_table, f"P{i}", rows=(d[i], d[i] + 1))] = -b.gamma[i]
+    g_res0 = at(b_table, "R", a_table, "R0", rows=(0, d0))
+    g_xi = at(b_table, "R", a_table, "R2", rows=(0, d0))
+    amap0[at(b_table, "R", a_table, "R3", rows=(0, d0))] = mxi_hat
+    g_resn = at(b_table, "R", a_table, "R1", rows=(d0, d0 + dnn))
+    amap0[at(b_table, "R", a_table, "R2", rows=(d0, d0 + dnn))] = -mpsi_hat
+    g_psi = at(b_table, "R", a_table, "R3", rows=(d0, d0 + dnn))
 
-    S = la.divided_difference(b.topo.z, eta, b.beta[0])
-    T = la.divided_difference(b.topo.z, eta, b.beta[n])
-
-    beta_t = np.zeros((dim_c, dim_a), dtype=np.complex128)
+    beta_t0 = np.zeros((dim_c, dim_a), dtype=np.complex128)
     for i in range(n):
-        put(beta_t, c_table, f"Q{i}", a_table, f"P{i}", eye(d[i]))
-        put(beta_t, c_table, f"Q{i + 1}", a_table, f"P{i}", b.A[i])
-    put(beta_t, c_table, "Q0", a_table, "R0", psi * eye(d0))
-    put(beta_t, c_table, "Q0", a_table, "R1", mxi_hat)
-    put(beta_t, c_table, "Q0", a_table, "R2", S)
-    put(beta_t, c_table, f"Q{n}", a_table, "R0", -mpsi_hat)
-    put(beta_t, c_table, f"Q{n}", a_table, "R1", -xi * eye(dnn))
-    put(beta_t, c_table, f"Q{n}", a_table, "R3", T)
+        beta_t0[at(c_table, f"Q{i}", a_table, f"P{i}")] = eye(d[i])
+        beta_t0[at(c_table, f"Q{i + 1}", a_table, f"P{i}")] = b.A[i]
+    bt_psi = at(c_table, "Q0", a_table, "R0")
+    beta_t0[at(c_table, "Q0", a_table, "R1")] = mxi_hat
+    bt_s = at(c_table, "Q0", a_table, "R2")
+    beta_t0[at(c_table, f"Q{n}", a_table, "R0")] = -mpsi_hat
+    bt_xi = at(c_table, f"Q{n}", a_table, "R1")
+    bt_t = at(c_table, f"Q{n}", a_table, "R3")
 
-    delta = np.zeros((dim_c, dim_b), dtype=np.complex128)
+    # Bmap = (delta, gamma): columns B then C; gamma is block diagonal
+    bmap_cols = {**b_table, **{q: (dim_b + off, size) for q, (off, size) in c_table.items()}}
+    bmap0 = np.zeros((dim_c, dim_b + dim_c), dtype=np.complex128)
     for i in range(n):
-        put(delta, c_table, f"Q{i}", b_table, f"P{i}", np.eye(d[i], d[i] + 1))
-        put(delta, c_table, f"Q{i + 1}", b_table, f"P{i}", np.hstack([b.A[i], b.alpha[i]]))
-    put(delta, c_table, "Q0", b_table, "R", np.hstack([psi * eye(d0), mxi_hat]))
-    put(delta, c_table, f"Q{n}", b_table, "R", np.hstack([-mpsi_hat, -xi * eye(dnn)]))
-
-    gamma = np.zeros((dim_c, dim_c), dtype=np.complex128)
-    for i in range(n + 1):
-        put(gamma, c_table, f"Q{i}", c_table, f"Q{i}", res(i))
+        bmap0[at(c_table, f"Q{i}", b_table, f"P{i}")] = np.eye(d[i], d[i] + 1)
+        bmap0[at(c_table, f"Q{i + 1}", b_table, f"P{i}")] = np.hstack([b.A[i], b.alpha[i]])
+    delta_psi = at(c_table, "Q0", b_table, "R", cols=(0, d0))
+    bmap0[at(c_table, "Q0", b_table, "R", cols=(d0, d0 + dnn))] = mxi_hat
+    bmap0[at(c_table, f"Q{n}", b_table, "R", cols=(0, d0))] = -mpsi_hat
+    delta_xi = at(c_table, f"Q{n}", b_table, "R", cols=(d0, d0 + dnn))
+    gamma_res = [at(c_table, f"Q{i}", bmap_cols, f"Q{i}") for i in range(n + 1)]
 
     # mu spans ker(alpha) at generic points: polynomial first-stage lift of
     # the R resolution (divided differences in the top blocks).
-    mu = np.zeros((dim_a, dim_f), dtype=np.complex128)
-    put(mu, a_table, "R0", f_table, "F0", -S)
-    put(mu, a_table, "R1", f_table, "F1", -T)
-    put(mu, a_table, "R2", f_table, "F0", psi * eye(d0))
-    put(mu, a_table, "R2", f_table, "F1", mxi_hat)
-    put(mu, a_table, "R3", f_table, "F0", -mpsi_hat)
-    put(mu, a_table, "R3", f_table, "F1", -xi * eye(dnn))
+    mu0 = np.zeros((dim_a, dim_f), dtype=np.complex128)
+    mu_s = at(a_table, "R0", f_table, "F0")
+    mu_t = at(a_table, "R1", f_table, "F1")
+    mu_psi = at(a_table, "R2", f_table, "F0")
+    mu0[at(a_table, "R2", f_table, "F1")] = mxi_hat
+    mu0[at(a_table, "R3", f_table, "F0")] = -mpsi_hat
+    mu_xi = at(a_table, "R3", f_table, "F1")
 
-    amap = np.vstack([alpha, -beta_t])
-    bmap = np.hstack([delta, gamma])
-    return MonadAtPoint(
-        point=x,
-        Amap=amap,
-        Bmap=bmap,
-        mu=mu,
-        alpha=alpha,
-        beta_tilde=beta_t,
-        block_index=BlockIndex(A=a_table, B=b_table, C=c_table, D=c_table, F=f_table),
-    )
+    def assemble(x: SurfacePoint) -> MonadAtPoint:
+        residual = x.surface_residual(b.topo.z)
+        if residual >= la.DEFAULT_TOL:
+            raise SurfaceViolation(
+                f"point {x} violates xi*psi = prod(eta - z_i): residual {residual:.3e}"
+            )
+        eta, xi, psi = x.eta, x.xi, x.psi
+        res = [eta * eye(d[i]) - b.beta[i] for i in range(n + 1)]  # eta I - beta_i
+        S = la.divided_difference(coeffs, eta, b.beta[0])
+        T = la.divided_difference(coeffs, eta, b.beta[n])
+        psi_0, xi_0 = psi * eye(d0), xi * eye(d0)
+        psi_n, xi_n = -psi * eye(dnn), -xi * eye(dnn)
+
+        amap = amap0.copy()
+        for i in range(n):
+            amap[alpha_res[i]] = res[i]
+        amap[g_res0] = res[0]
+        amap[g_xi] = xi_0
+        amap[g_resn] = res[n]
+        amap[g_psi] = psi_n
+        beta_t = beta_t0.copy()
+        beta_t[bt_psi] = psi_0
+        beta_t[bt_s] = S
+        beta_t[bt_xi] = xi_n
+        beta_t[bt_t] = T
+        np.negative(beta_t, out=amap[dim_b:])
+
+        bmap = bmap0.copy()
+        bmap[delta_psi] = psi_0
+        bmap[delta_xi] = xi_n
+        for i in range(n + 1):
+            bmap[gamma_res[i]] = res[i]
+
+        mu = mu0.copy()
+        mu[mu_s] = -S
+        mu[mu_t] = -T
+        mu[mu_psi] = psi_0
+        mu[mu_xi] = xi_n
+        return MonadAtPoint(
+            point=x,
+            Amap=amap,
+            Bmap=bmap,
+            mu=mu,
+            alpha=amap[:dim_b],
+            beta_tilde=beta_t,
+            block_index=block_index,
+        )
+
+    return assemble
+
+
+def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
+    """Evaluate the monad maps at a surface point (see monad_assembler)."""
+    return monad_assembler(b)(x)
 
 
 def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, float]:
@@ -388,11 +454,12 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
     """
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
     batches += [(pt, "structured") for pt in structured_points(b)]
+    assemble = monad_assembler(b)
     reports: list[PointReport] = []
     for pt, kind in batches:
         try:
-            monad = assemble_monad(b, pt)
-            rank = monad.fiber().shape[1]
+            monad = assemble(pt)
+            rank = monad.fiber_rank()
             free = monad.locally_free()
             status = "ok" if free.passed else "fail"
             reports.append(PointReport(pt, kind, rank, free.passed, status))

@@ -99,7 +99,7 @@ def verify_pairing_relations(
     checks: list[RelationCheck] = []
 
     sign_ok = tuple(p.f) == expected_signs(p.flavor, n)
-    checks.append(RelationCheck("sign-pattern", 0.0 if sign_ok else 1.0, tol, "boolean"))
+    checks.append(RelationCheck("sign-pattern", 0.0 if sign_ok else 1.0, tol))
 
     for i in range(n + 1):
         Ki = p.k_matrix(i)
@@ -107,9 +107,7 @@ def verify_pairing_relations(
             continue
         s = np.linalg.svd(Ki, compute_uv=False)
         ok = s[-1] > la.K_CONDITION_FLOOR * s[0]
-        checks.append(
-            RelationCheck(f"K-invertible[{i}]", 0.0 if ok else 1.0, tol, "boolean")
-        )
+        checks.append(RelationCheck(f"K-invertible[{i}]", 0.0 if ok else 1.0, tol))
 
     for i in range(n + 1):
         checks.append(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +280,80 @@ def test_cli_non_finite_numbers_exit_2(field, command, tmp_path, capsys, monkeyp
     monkeypatch.chdir(tmp_path)
     assert main([command[0], str(bad), *command[1:]]) == 2
     assert f"{field}: non-finite number" in capsys.readouterr().err
+
+
+MALFORMED_NUMBER_FIELDS = {  # field path in the error -> (fixture, keys into the document)
+    "topology.n": ("u2-basic", ("topology", "n")),
+    "topology.k": ("u2-basic", ("topology", "k")),
+    "topology.m[0]": ("u2-basic", ("topology", "m", 0)),
+    "topology.nd[0]": ("u2-basic", ("topology", "nd", 0)),
+    "topology.m0": ("u2-basic", ("topology", "m0")),
+    "bow.A[0].rows": ("u1-single-nut", ("bow", "A", 0, "rows")),
+    "bow.A[0].cols": ("u1-single-nut", ("bow", "A", 0, "cols")),
+    "pairing.f[0]": ("sp1-mirror", ("pairing", "f", 0)),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_NUMBER_FIELDS)
+@pytest.mark.parametrize("value", [float("inf"), [1]], ids=["Infinity", "list"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["exactness"],
+        ["invariants"],
+        ["scan", "--n", "2"],
+        ["fiber", "--xi", "1.0", "--eta", "2.1+0.4j"],
+        ["export-bow", "-o", "complex.json"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_cli_malformed_numbers_exit_2(field, value, command, tmp_path, capsys, monkeypatch):
+    fixture_name, keys = MALFORMED_NUMBER_FIELDS[field]
+    doc = json.loads((FIXTURES / f"{fixture_name}.json").read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes Infinity
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    assert f"{field}: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("topology", "m"), float("inf")),
+        (("topology", "lambda"), "0.5"),
+        (("topology", "z"), 1.0),
+        (("topology", "ell"), [1.0]),
+    ],
+    ids=["m", "lambda", "z", "ell"],
+)
+def test_cli_malformed_arrays_and_reals_exit_2(keys, value, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
+    doc[keys[0]][keys[1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert f"{'.'.join(keys)}: expected" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import bowforge
+
+    src = str(Path(bowforge.__file__).resolve().parents[1])
+    probe = "import sys, bowforge.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_tol_only_on_commands_that_read_it(capsys):

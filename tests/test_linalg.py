@@ -89,7 +89,8 @@ def test_cluster_eigenvalues():
 
 def test_divided_difference_single_root_is_identity():
     beta = np.array([[0.3, 1.0], [0.0, -0.2]], dtype=complex)
-    np.testing.assert_allclose(la.divided_difference([0.7], 2.0, beta), np.eye(2))
+    S = la.divided_difference(la.poly_from_roots([0.7]), 2.0, beta)
+    np.testing.assert_allclose(S, np.eye(2))
 
 
 def test_divided_difference_matches_resolvent_formula():
@@ -98,7 +99,7 @@ def test_divided_difference_matches_resolvent_formula():
     roots = [0.3 + 0.1j, -0.5, 1.2 - 0.4j]
     beta = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     eta = 2.5 + 1.0j
-    S = la.divided_difference(roots, eta, beta)
+    S = la.divided_difference(la.poly_from_roots(roots), eta, beta)
     p_eta = np.prod([eta - z for z in roots])
     direct = (p_eta * np.eye(4) - la.matrix_poly_at_roots(beta, roots)) @ np.linalg.inv(
         eta * np.eye(4) - beta
@@ -109,7 +110,7 @@ def test_divided_difference_matches_resolvent_formula():
 def test_divided_difference_defined_at_eigenvalues():
     # polynomial in beta and eta: no singularity when eta hits the spectrum
     beta = np.diag([0.5 + 0j, -1.0 + 0j])
-    S = la.divided_difference([0.0, 1.0], 0.5, beta)
+    S = la.divided_difference(la.poly_from_roots([0.0, 1.0]), 0.5, beta)
     assert np.all(np.isfinite(S))
     # value against the scalar divided difference on each eigenvalue
     p = lambda t: t * (t - 1.0)

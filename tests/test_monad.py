@@ -1,10 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import sympy
 
 from bowforge.bowdata import gauge_transform
-from bowforge.errors import SurfaceViolation
+from bowforge import bowfile
+from bowforge.errors import RankIndeterminate, SurfaceViolation
 from bowforge.generator import canonical_examples, degenerate_example, generate, ginibre
 from bowforge.monad import (
     ScanConfig,
@@ -13,6 +17,7 @@ from bowforge.monad import (
     fiber_at,
     is_locally_free_at,
     lift_commutativity_residuals,
+    monad_assembler,
     monad_dimensions,
     random_points,
     scan_local_freeness,
@@ -65,6 +70,20 @@ def test_u2_block_offsets_golden(u2):
     assert (m.dimA, m.dimB, m.dimC) == (10, 9, 5)
 
 
+def test_assembled_points_share_no_array(u2):
+    assemble = monad_assembler(u2)
+    p, q = random_points(u2, 2, seed=8)
+    first, second = assemble(p), assemble(q)
+    fresh = assemble_monad(u2, q)
+    maps = ("Amap", "Bmap", "mu", "alpha", "beta_tilde")
+    for name in maps:
+        getattr(first, name)[...] = 7.0
+    third = assemble(q)  # the templates are untouched too
+    for name in maps:
+        np.testing.assert_array_equal(getattr(second, name), getattr(fresh, name))
+        np.testing.assert_array_equal(getattr(third, name), getattr(fresh, name))
+
+
 def test_surface_violation_rejected(u2):
     with pytest.raises(SurfaceViolation):
         assemble_monad(u2, SurfacePoint(1.0, 1.0, 123.0))
@@ -107,6 +126,48 @@ def test_fiber_matches_rank_count_oracle(u2):
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-10)
         assert np.linalg.norm(m.Bmap @ basis) < 1e-8 * (1 + np.linalg.norm(m.Bmap))
         assert np.linalg.norm(basis.conj().T @ m.Amap) < 1e-8 * (1 + np.linalg.norm(m.Amap))
+
+
+def _fiber_rank_data():
+    data = [generate(suite_topology(3, 3, m0), seed=m0) for m0 in (3, 10)]
+    data += [e.datum for e in canonical_examples()] + [degenerate_example()[1]]
+    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
+        bf = bowfile.parse(path.read_bytes())
+        if bf.datum is not None:
+            data.append(bf.datum)
+    return data
+
+
+def test_fiber_rank_matches_fiber_basis():
+    compared = total = 0
+    for d in _fiber_rank_data():
+        assemble = monad_assembler(d)
+        for pt in random_points(d, 6, seed=13) + structured_points(d):
+            total += 1
+            m = assemble(pt)
+            try:
+                rank, basis = m.fiber_rank(), m.fiber()
+            except RankIndeterminate:
+                continue
+            assert rank == basis.shape[1]
+            compared += 1
+    assert compared >= 0.9 * total
+
+
+def test_fiber_rank_rules(u2):
+    m = assemble_monad(u2, point(u2, 1.0, 2.1 + 0.4j))
+    assert m.fiber_rank() == 2
+    # Im(Amap) outside ker(Bmap): no rank is returned
+    rng = np.random.default_rng(4)
+    stray = dataclasses.replace(m, Amap=ginibre(rng, *m.Amap.shape))
+    with pytest.raises(RankIndeterminate, match="not contained"):
+        stray.fiber_rank()
+    # an injective Bmap gives rank 0 before Amap is looked at
+    cols = m.Bmap.shape[1]
+    injective = dataclasses.replace(
+        m, Bmap=np.eye(cols, dtype=complex), Amap=np.full(m.Amap.shape, np.nan)
+    )
+    assert injective.fiber_rank() == 0
 
 
 def test_u2_fiber_rank_at_ten_points(u2):
@@ -220,11 +281,16 @@ def test_scan_assembles_once_per_point(u2, monkeypatch):
 
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return assemble_monad(*args, **kwargs)
+    def counting_assembler(b):
+        assemble = monad_assembler(b)
 
-    monkeypatch.setattr(monad, "assemble_monad", counting)
+        def counting(x):
+            calls.append(x)
+            return assemble(x)
+
+        return counting
+
+    monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
     report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
     assert calls == [p.point for p in report.points]
 
