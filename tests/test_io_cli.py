@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bowforge
 from bowforge import bowfile
 from bowforge.cli import main
 from bowforge.errors import ParseError, ShapeMismatch
@@ -247,16 +248,19 @@ def test_cli_tolerance_env_override(tmp_path, capsys, monkeypatch):
         assert "finite and positive" in capsys.readouterr().err
 
 
-NON_FINITE_FIELDS = {  # field path in the error -> (keys into the document, value)
-    "bow.beta[1][0][0][0]": (("bow", "beta", 1, 0, 0, 0), float("nan")),
-    "topology.z[0][0]": (("topology", "z", 0, 0), float("inf")),
-    "topology.ell": (("topology", "ell"), float("-inf")),
-    "topology.lambda[0]": (("topology", "lambda", 0), float("nan")),
-}
+def edited_fixture(name, keys, value, tmp_path):
+    """A copy of a fixture with the entry at `keys` replaced by `value`."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN / Infinity
+    return bad
 
 
-@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
-@pytest.mark.parametrize(
+bow_commands = pytest.mark.parametrize(
     "command",
     [
         ["validate"],
@@ -268,15 +272,20 @@ NON_FINITE_FIELDS = {  # field path in the error -> (keys into the document, val
     ],
     ids=lambda c: c[0],
 )
+
+
+NON_FINITE_FIELDS = {  # field path in the error -> (keys into the document, value)
+    "bow.beta[1][0][0][0]": (("bow", "beta", 1, 0, 0, 0), float("nan")),
+    "topology.z[0][0]": (("topology", "z", 0, 0), float("inf")),
+    "topology.ell": (("topology", "ell"), float("-inf")),
+    "topology.lambda[0]": (("topology", "lambda", 0), float("nan")),
+}
+
+
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+@bow_commands
 def test_cli_non_finite_numbers_exit_2(field, command, tmp_path, capsys, monkeypatch):
-    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
-    keys, value = NON_FINITE_FIELDS[field]
-    target = doc
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))  # json writes NaN / Infinity
+    bad = edited_fixture("u2-basic", *NON_FINITE_FIELDS[field], tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([command[0], str(bad), *command[1:]]) == 2
     assert f"{field}: non-finite number" in capsys.readouterr().err
@@ -296,54 +305,26 @@ MALFORMED_NUMBER_FIELDS = {  # field path in the error -> (fixture, keys into th
 
 @pytest.mark.parametrize("field", MALFORMED_NUMBER_FIELDS)
 @pytest.mark.parametrize("value", [float("inf"), [1]], ids=["Infinity", "list"])
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["validate"],
-        ["exactness"],
-        ["invariants"],
-        ["scan", "--n", "2"],
-        ["fiber", "--xi", "1.0", "--eta", "2.1+0.4j"],
-        ["export-bow", "-o", "complex.json"],
-    ],
-    ids=lambda c: c[0],
-)
+@bow_commands
 def test_cli_malformed_numbers_exit_2(field, value, command, tmp_path, capsys, monkeypatch):
-    fixture_name, keys = MALFORMED_NUMBER_FIELDS[field]
-    doc = json.loads((FIXTURES / f"{fixture_name}.json").read_text())
-    target = doc
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))  # json writes Infinity
+    bad = edited_fixture(*MALFORMED_NUMBER_FIELDS[field], value, tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([command[0], str(bad), *command[1:]]) == 2
     assert f"{field}: expected an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "keys, value",
-    [
-        (("topology", "m"), float("inf")),
-        (("topology", "lambda"), "0.5"),
-        (("topology", "z"), 1.0),
-        (("topology", "ell"), [1.0]),
-    ],
+    "field, value",
+    [("m", float("inf")), ("lambda", "0.5"), ("z", 1.0), ("ell", [1.0])],
     ids=["m", "lambda", "z", "ell"],
 )
-def test_cli_malformed_arrays_and_reals_exit_2(keys, value, tmp_path, capsys):
-    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
-    doc[keys[0]][keys[1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+def test_cli_malformed_arrays_and_reals_exit_2(field, value, tmp_path, capsys):
+    bad = edited_fixture("u2-basic", ("topology", field), value, tmp_path)
     assert main(["validate", str(bad)]) == 2
-    assert f"{'.'.join(keys)}: expected" in capsys.readouterr().err
+    assert f"topology.{field}: expected" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    import bowforge
-
     src = str(Path(bowforge.__file__).resolve().parents[1])
     probe = "import sys, bowforge.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run(
