@@ -2,7 +2,8 @@
 
 Every tolerance, cutoff and coincidence threshold of the package is defined
 here.  Every rank decision goes through `rank_decision`, so the convention
-(sigma_max * max(dim) * eps * 64) and the straddle rule are set once.
+(the ranked matrix's own sigma_max * max(dim) * eps * 64) and the straddle
+rule are set once.
 """
 
 from __future__ import annotations
@@ -63,16 +64,14 @@ def rank_cutoff(sigma_max: float, shape: tuple[int, int]) -> float:
     return sigma_max * max(shape + (1,)) * _EPS * RANK_SAFETY
 
 
-def rank_decision(s, shape: tuple[int, int], strict: bool, scale: float | None = None) -> int:
+def rank_decision(s, shape: tuple[int, int], strict: bool) -> int:
     """Numerical rank from the singular values `s` of a matrix of `shape`.
 
-    The cutoff is rank_cutoff(scale, shape), with scale defaulting to
-    sigma_max.  With `strict`, a singular value within STRADDLE_FACTOR of
-    the cutoff raises RankIndeterminate instead of being silently rounded.
+    The cutoff is rank_cutoff(sigma_max, shape).  With `strict`, a singular
+    value within STRADDLE_FACTOR of the cutoff raises RankIndeterminate
+    instead of being silently rounded.
     """
-    if scale is None:
-        scale = float(s[0]) if len(s) else 0.0
-    cut = rank_cutoff(scale, shape)
+    cut = rank_cutoff(float(s[0]) if len(s) else 0.0, shape)
     if strict and cut > 0.0:
         straddling = (s > cut / STRADDLE_FACTOR) & (s < cut * STRADDLE_FACTOR)
         if np.any(straddling):

@@ -79,9 +79,12 @@ def complex_to_doc(value: complex) -> list:
 
 
 def real_from_doc(doc, path: str) -> float:
+    """A finite JSON number; a bool or a string is not a number."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+        raise ParseError(f"{path}: expected a number, got {doc!r}")
     try:
         value = float(doc)
-    except (OverflowError, TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ParseError(f"{path}: expected a number, got {doc!r}") from exc
     if not math.isfinite(value):
         raise ParseError(f"{path}: non-finite number {doc!r}")
@@ -89,10 +92,10 @@ def real_from_doc(doc, path: str) -> float:
 
 
 def int_from_doc(doc, path: str) -> int:
-    try:
-        return int(doc)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: expected an integer, got {doc!r}") from exc
+    """A JSON integer; a bool, a real (even 1.0) or a string is not one."""
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise ParseError(f"{path}: expected an integer, got {doc!r}")
+    return doc
 
 
 def array_from_doc(doc, path: str, item_from_doc) -> tuple:

@@ -165,27 +165,16 @@ def _build_p_chain(t: TopologicalData, dn: tuple[int, ...], rng: np.random.Gener
         Mxi[j - 1], Mpsi[j - 1] = L, R
         betaN[j - 1] = R @ L + z * np.eye(dn[j - 1], dtype=np.complex128)
 
-    if j0 < k:  # seed with the step to the right of the valley
-        seed = j0 + 1
-        z = t.z[seed - 1]
-        mpsi = ginibre(rng, dn[j0], dn[j0 + 1])
-        mxi = ginibre(rng, dn[j0 + 1], dn[j0])
-        Mpsi[seed - 1], Mxi[seed - 1] = mpsi, mxi
-        betaN[j0] = mpsi @ mxi + z * np.eye(dn[j0], dtype=np.complex128)
-        betaN[j0 + 1] = mxi @ mpsi + z * np.eye(dn[j0 + 1], dtype=np.complex128)
-        for j in range(seed + 1, k + 1):
-            set_forward(j)
-        for j in range(j0, 0, -1):
-            set_backward(j)
-    else:  # valley at the right end: seed with step k, sweep left
-        z = t.z[k - 1]
-        mxi = ginibre(rng, dn[k], dn[k - 1])
-        mpsi = ginibre(rng, dn[k - 1], dn[k])
-        Mxi[k - 1], Mpsi[k - 1] = mxi, mpsi
-        betaN[k] = mxi @ mpsi + z * np.eye(dn[k], dtype=np.complex128)
-        betaN[k - 1] = mpsi @ mxi + z * np.eye(dn[k - 1], dtype=np.complex128)
-        for j in range(k - 1, 0, -1):
-            set_backward(j)
+    s = min(j0 + 1, k)  # seed the step right of the valley, or left of a right-end one
+    z = t.z[s - 1]
+    Mpsi[s - 1] = ginibre(rng, dn[s - 1], dn[s])
+    Mxi[s - 1] = ginibre(rng, dn[s], dn[s - 1])
+    betaN[s - 1] = Mpsi[s - 1] @ Mxi[s - 1] + z * np.eye(dn[s - 1], dtype=np.complex128)
+    betaN[s] = Mxi[s - 1] @ Mpsi[s - 1] + z * np.eye(dn[s], dtype=np.complex128)
+    for j in range(s + 1, k + 1):
+        set_forward(j)
+    for j in range(s - 1, 0, -1):
+        set_backward(j)
     return betaN, Mxi, Mpsi
 
 

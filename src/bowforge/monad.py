@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +45,11 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class BlockIndex:
-    """Named (offset, size) for every block of the four monad spaces."""
+    """Named (offset, size) for every block of the monad spaces A, B, C = D, F."""
 
     A: dict
     B: dict
     C: dict
-    D: dict
     F: dict
 
 
@@ -68,8 +68,8 @@ class MonadAtPoint:
     of its top rows.
     Bmap concatenates (delta, gamma): dimD x (dimB + dimC).
     mu maps the auxiliary space F = C^{d_0 + d_n} into the R blocks of A.
-    fiber_rank() answers the rank of the cohomology from singular values
-    alone; fiber() builds its basis; locally_free() tests the criterion.
+    fiber_rank() and locally_free() answer from singular values alone and
+    share one rank of Amap; fiber() builds a basis of the cohomology.
     """
 
     point: SurfacePoint
@@ -97,9 +97,11 @@ class MonadAtPoint:
         return self.Bmap.shape[0]
 
     def composition_residual(self) -> float:
-        prod = self.Bmap @ self.Amap
-        scale = 1.0 + la.fro(self.Bmap) * la.fro(self.Amap)
-        return la.fro(prod) / scale
+        return _product_residual(self.Bmap, self.Amap)
+
+    @cached_property
+    def _amap_rank(self) -> int:
+        return la.svd_rank(self.Amap, raise_indeterminate=True)
 
     def fiber_rank(self) -> int:
         """Rank of the monad cohomology: dim ker(Bmap) - rank(Amap).
@@ -112,13 +114,8 @@ class MonadAtPoint:
         rank_b = la.svd_rank(self.Bmap, raise_indeterminate=True)
         if rank_b == cols:
             return 0
-        rank_a = la.svd_rank(self.Amap, raise_indeterminate=True)
-        residual = self.composition_residual()
-        if not residual < la.DEFAULT_TOL:
-            raise RankIndeterminate(
-                f"image of Amap not contained in ker(Bmap): residual {residual:.3e}"
-            )
-        return cols - rank_b - rank_a
+        _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
+        return cols - rank_b - self._amap_rank
 
     def fiber(self) -> np.ndarray:
         """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap).
@@ -139,27 +136,34 @@ class MonadAtPoint:
         return basis
 
     def locally_free(self) -> LocalFreenessResult:
-        """Pointwise local-freeness criterion.
+        """Pointwise local-freeness criterion: dim ker(Amap) = rank(mu).
 
-        Quotients ker(alpha) by the column span of mu and tests injectivity
-        of beta_tilde on the quotient; a failure returns a witness vector in
-        ker(alpha) \\ Im(mu) annihilated by beta_tilde.
+        beta_tilde must be injective on ker(alpha) / Im(mu).  As Amap mu = 0,
+        Im(mu) lies in ker(Amap) = ker(alpha) & ker(beta_tilde), so injectivity
+        means the two are equal.  quotient_dim is dim ker(alpha) - rank(mu); a
+        failure returns a witness in ker(Amap) orthogonal to Im(mu).  Raises
+        RankIndeterminate on a rank too close to call or on Amap mu != 0.
         """
-        kernel = la.null_space(self.alpha, raise_indeterminate=True)
-        if kernel.shape[1] == 0:
-            return LocalFreenessResult(passed=True)
+        _require_zero_product(self.Amap, self.mu, "image of mu not contained in ker(Amap)")
+        rank_mu = la.svd_rank(self.mu, raise_indeterminate=True)
+        quotient_dim = self.dimA - la.svd_rank(self.alpha, raise_indeterminate=True) - rank_mu
+        if self.dimA - self._amap_rank == rank_mu:
+            return LocalFreenessResult(passed=True, quotient_dim=quotient_dim)
+        kernel = la.null_space(self.Amap, raise_indeterminate=True)
         reps = kernel @ la.null_space(self.mu.conj().T @ kernel)
-        q = reps.shape[1]
-        if q == 0:
-            return LocalFreenessResult(passed=True)
-        mapped = self.beta_tilde @ reps
-        _, s, vh = np.linalg.svd(mapped)
-        # reps is orthonormal, so ||beta_tilde||_2 bounds sigma_max(mapped)
-        scale = float(np.linalg.norm(self.beta_tilde, 2))
-        if la.rank_decision(s, mapped.shape, strict=True, scale=scale) == q:
-            return LocalFreenessResult(passed=True, quotient_dim=q)
-        witness = reps @ vh.conj().T[:, -1]
-        return LocalFreenessResult(passed=False, witness=witness, quotient_dim=q)
+        if reps.shape[1] == 0:
+            raise RankIndeterminate(f"dim ker(Amap) = {kernel.shape[1]} but rank(mu) = {rank_mu}")
+        return LocalFreenessResult(passed=False, witness=reps[:, 0], quotient_dim=quotient_dim)
+
+
+def _product_residual(left: np.ndarray, right: np.ndarray) -> float:
+    return la.fro(left @ right) / (1.0 + la.fro(left) * la.fro(right))
+
+
+def _require_zero_product(left: np.ndarray, right: np.ndarray, what: str) -> None:
+    residual = _product_residual(left, right)
+    if not residual < la.DEFAULT_TOL:
+        raise RankIndeterminate(f"{what}: residual {residual:.3e}")
 
 
 def _offsets(sizes: list[tuple[str, int]]) -> tuple[dict, int]:
@@ -210,7 +214,7 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
     )
     c_table, dim_c = _offsets([(f"Q{i}", d[i]) for i in range(n + 1)])
     f_table, dim_f = _offsets([("F0", d0), ("F1", dnn)])
-    block_index = BlockIndex(A=a_table, B=b_table, C=c_table, D=c_table, F=f_table)
+    block_index = BlockIndex(A=a_table, B=b_table, C=c_table, F=f_table)
 
     eye = lambda m: np.eye(m, dtype=np.complex128)
 
@@ -449,6 +453,10 @@ def random_points(b: BowDatum, n_random: int, seed: int) -> list[SurfacePoint]:
 def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanReport:
     """Evaluate fiber rank and the local-freeness criterion over a sample.
 
+    Random points cannot fail: away from the chain spectra every
+    eta I - beta_i is invertible, so mu spans ker(alpha), the quotient is
+    zero and the rank is exactly n.  They test conditioning only; the
+    structured points over the chain eigenvalues carry the information.
     Indeterminate rank decisions are collected separately, never coerced
     into pass or fail.
     """

@@ -160,6 +160,16 @@ def test_generate_valley_profile():
     assert report.passed
 
 
+def test_generate_right_end_valley():
+    # dn = (2, 1): the valley is the last node, so the seed step is step k
+    t = TopologicalData(n=1, k=1, ell=1.0, lam=(0.5,), m=(-1,), nd=(-1,), m0=1, z=(0.2,))
+    assert compute_dimensions(t).dn == (2, 1)
+    d = generate(t, seed=1)
+    assert validate_relations(d, tol=1e-10).passed
+    assert check_chain_invariants(d, tol=1e-6).passed
+    assert all(r.passed for r in check_exactness_all(d))
+
+
 # -------------------------------------------------------- canonical examples
 
 @pytest.fixture(scope="module")

@@ -304,7 +304,9 @@ MALFORMED_NUMBER_FIELDS = {  # field path in the error -> (fixture, keys into th
 
 
 @pytest.mark.parametrize("field", MALFORMED_NUMBER_FIELDS)
-@pytest.mark.parametrize("value", [float("inf"), [1]], ids=["Infinity", "list"])
+@pytest.mark.parametrize(
+    "value", [float("inf"), [1], 1.5, "1", True], ids=["Infinity", "list", "real", "string", "bool"]
+)
 @bow_commands
 def test_cli_malformed_numbers_exit_2(field, value, command, tmp_path, capsys, monkeypatch):
     bad = edited_fixture(*MALFORMED_NUMBER_FIELDS[field], value, tmp_path)
@@ -315,8 +317,9 @@ def test_cli_malformed_numbers_exit_2(field, value, command, tmp_path, capsys, m
 
 @pytest.mark.parametrize(
     "field, value",
-    [("m", float("inf")), ("lambda", "0.5"), ("z", 1.0), ("ell", [1.0])],
-    ids=["m", "lambda", "z", "ell"],
+    [("m", float("inf")), ("lambda", "0.5"), ("z", 1.0), ("ell", [1.0]), ("ell", "1.0"),
+     ("ell", True)],
+    ids=["m", "lambda", "z", "ell", "ell-string", "ell-bool"],
 )
 def test_cli_malformed_arrays_and_reals_exit_2(field, value, tmp_path, capsys):
     bad = edited_fixture("u2-basic", ("topology", field), value, tmp_path)

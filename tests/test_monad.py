@@ -7,6 +7,7 @@ import scipy.linalg
 import sympy
 
 from bowforge.bowdata import gauge_transform
+from bowforge import _linalg as la
 from bowforge import bowfile
 from bowforge.errors import RankIndeterminate, SurfaceViolation
 from bowforge.generator import canonical_examples, degenerate_example, generate, ginibre
@@ -48,6 +49,24 @@ def oracle_fiber_rank(m):
     return dim_k - np.linalg.matrix_rank(m.Amap)
 
 
+def oracle_locally_free(m):
+    """Kernel-quotient construction: is beta_tilde injective on ker(alpha) / Im(mu)?
+
+    Builds representatives of the quotient and ranks their image against
+    ||beta_tilde||_2.  Returns (passed, quotient_dim).
+    """
+    kernel = la.null_space(m.alpha, raise_indeterminate=True)
+    reps = kernel @ la.null_space(m.mu.conj().T @ kernel)
+    q = reps.shape[1]
+    if q == 0:
+        return True, 0
+    s = np.linalg.svd(m.beta_tilde @ reps, compute_uv=False)
+    cut = la.rank_cutoff(np.linalg.norm(m.beta_tilde, 2), (m.dimC, q))
+    if np.any((s > cut / la.STRADDLE_FACTOR) & (s < cut * la.STRADDLE_FACTOR)):
+        raise RankIndeterminate(f"singular values {s} straddle cutoff {cut:.3e}")
+    return bool(np.count_nonzero(s > cut) == q), q
+
+
 # ---------------------------------------------------------------- assembly
 
 def test_u1_monad_dimensions(canon):
@@ -65,7 +84,6 @@ def test_u2_block_offsets_golden(u2):
     }
     assert m.block_index.B == {"P0": (0, 3), "P1": (3, 3), "R": (6, 3)}
     assert m.block_index.C == {"Q0": (0, 2), "Q1": (2, 2), "Q2": (4, 1)}
-    assert m.block_index.D == m.block_index.C
     assert m.block_index.F == {"F0": (0, 2), "F1": (2, 1)}
     assert (m.dimA, m.dimB, m.dimC) == (10, 9, 5)
 
@@ -162,6 +180,9 @@ def test_fiber_rank_rules(u2):
     stray = dataclasses.replace(m, Amap=ginibre(rng, *m.Amap.shape))
     with pytest.raises(RankIndeterminate, match="not contained"):
         stray.fiber_rank()
+    # Im(mu) outside ker(Amap): no freeness verdict either
+    with pytest.raises(RankIndeterminate, match="not contained"):
+        stray.locally_free()
     # an injective Bmap gives rank 0 before Amap is looked at
     cols = m.Bmap.shape[1]
     injective = dataclasses.replace(
@@ -223,6 +244,39 @@ def test_locally_free_far_from_spectra(u2):
     pt = point(u2, 1.0, 40.0 + 17.0j)  # eta far from every eigenvalue
     res = is_locally_free_at(u2, pt)
     assert res.passed and res.quotient_dim == 0  # ker(alpha) = Im(mu)
+
+
+def test_locally_free_fails_with_witness(u2):
+    m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
+    assert m.locally_free().quotient_dim == 0
+    # mu vanishes on the P-block rows, so zeroing a P-block column of Amap
+    # puts e_j into ker(Amap) outside Im(mu) and keeps Amap mu = 0
+    amap = m.Amap.copy()
+    amap[:, m.block_index.A["P0"][0]] = 0.0
+    broken = dataclasses.replace(m, Amap=amap, alpha=amap[: m.dimB], beta_tilde=-amap[m.dimB :])
+    res = broken.locally_free()
+    assert not res.passed and res.quotient_dim == 1
+    assert oracle_locally_free(broken) == (False, 1)
+    w = res.witness
+    assert np.linalg.norm(w) == pytest.approx(1.0)
+    assert np.linalg.norm(amap @ w) < 1e-10
+    assert np.linalg.norm(m.mu.conj().T @ w) < 1e-10
+
+
+def test_locally_free_matches_kernel_quotient_oracle():
+    compared = total = 0
+    for d in _fiber_rank_data():
+        assemble = monad_assembler(d)
+        for pt in random_points(d, 6, seed=13) + structured_points(d):
+            total += 1
+            m = assemble(pt)
+            try:
+                res, expected = m.locally_free(), oracle_locally_free(m)
+            except RankIndeterminate:
+                continue
+            assert (res.passed, res.quotient_dim) == expected
+            compared += 1
+    assert compared >= 0.9 * total
 
 
 def test_degenerate_datum_tor_criterion():
@@ -293,6 +347,21 @@ def test_scan_assembles_once_per_point(u2, monkeypatch):
     monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
     report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
     assert calls == [p.point for p in report.points]
+
+
+def test_scan_ranks_amap_once_per_point(u2, monkeypatch):
+    dim_a, dim_b, dim_c, _ = monad_dimensions(u2.dims)
+    svd_rank = la.svd_rank
+    shapes = []
+
+    def counting(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return svd_rank(m, *args, **kwargs)
+
+    monkeypatch.setattr(la, "svd_rank", counting)
+    report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
+    # for u2, Amap (14 x 10) differs in shape from alpha, Bmap and mu
+    assert shapes.count((dim_b + dim_c, dim_a)) == len(report.points)
 
 
 def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
