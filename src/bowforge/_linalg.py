@@ -3,7 +3,8 @@
 Every tolerance, cutoff and coincidence threshold of the package is defined
 here.  Every rank decision goes through `rank_decision`, so the convention
 (the ranked matrix's own sigma_max * max(dim) * eps * 64) and the straddle
-rule are set once.
+rule are set once.  There is one rule: a singular value too close to the
+cutoff to call raises RankIndeterminate and is never rounded.
 """
 
 from __future__ import annotations
@@ -64,34 +65,35 @@ def rank_cutoff(sigma_max: float, shape: tuple[int, int]) -> float:
     return sigma_max * max(shape + (1,)) * _EPS * RANK_SAFETY
 
 
-def rank_decision(s, shape: tuple[int, int], strict: bool) -> int:
+def rank_decision(s, shape: tuple[int, int]) -> int:
     """Numerical rank from the singular values `s` of a matrix of `shape`.
 
-    The cutoff is rank_cutoff(sigma_max, shape).  With `strict`, a singular
-    value within STRADDLE_FACTOR of the cutoff raises RankIndeterminate
-    instead of being silently rounded.
+    `s` is sorted in descending order, as an SVD returns it.  The rank is
+    the count of singular values above rank_cutoff(sigma_max, shape); a
+    singular value within STRADDLE_FACTOR of the cutoff, on either side,
+    raises RankIndeterminate.  By the ordering, some value straddles the
+    cutoff exactly when one of the two values next to it does.
     """
     cut = rank_cutoff(float(s[0]) if len(s) else 0.0, shape)
-    if strict and cut > 0.0:
-        straddling = (s > cut / STRADDLE_FACTOR) & (s < cut * STRADDLE_FACTOR)
-        if np.any(straddling):
-            raise RankIndeterminate(
-                f"singular values {s[straddling]} straddle cutoff {cut:.3e}"
-            )
-    return int(np.count_nonzero(s > cut))
+    rank = int(np.count_nonzero(s > cut))
+    if (rank > 0 and s[rank - 1] < cut * STRADDLE_FACTOR) or (
+        rank < len(s) and s[rank] > cut / STRADDLE_FACTOR
+    ):
+        straddling = s[(s > cut / STRADDLE_FACTOR) & (s < cut * STRADDLE_FACTOR)]
+        raise RankIndeterminate(f"singular values {straddling} straddle cutoff {cut:.3e}")
+    return rank
 
 
-def svd_rank(m, raise_indeterminate: bool = False) -> int:
+def svd_rank(m) -> int:
     """Numerical rank by SVD thresholding (see rank_decision)."""
     m = cmat(m)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return rank_decision(s, m.shape, raise_indeterminate)
+    return rank_decision(np.linalg.svd(m, compute_uv=False), m.shape)
 
 
-def null_space(m, raise_indeterminate: bool = False) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m."""
+def null_space(m) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of m (see rank_decision)."""
     m = cmat(m)
     rows, cols = m.shape
     if cols == 0:
@@ -106,7 +108,7 @@ def null_space(m, raise_indeterminate: bool = False) -> np.ndarray:
         import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
 
         _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
-    return vh[rank_decision(s, m.shape, raise_indeterminate) :].conj().T
+    return vh[rank_decision(s, m.shape) :].conj().T
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .errors import ShapeMismatch
+from .errors import RankIndeterminate, ShapeMismatch
 from .topology import DimensionVector, TopologicalData, compute_dimensions
 
 PASS = "pass"
@@ -337,40 +337,42 @@ def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
     (b) at each eigenvalue eta* of beta_{i+1} there is no left eigenvector
         annihilated by both A_i and alpha_i.
     Eigenvalues closer than the clustering tolerance are merged and tested
-    at the cluster mean.  Eigensolver failures are reported as indeterminate,
-    never silently passed.
+    at the cluster mean.  Any witness makes the step fail; otherwise a rank
+    too close to call (see rank_decision) or an eigensolver failure makes it
+    indeterminate, never silently passed.
     """
     if not 0 <= i < b.topo.n:
         raise IndexError(f"exactness index {i} out of range 0..{b.topo.n - 1}")
     lo, hi = b.beta[i], b.beta[i + 1]
     witnesses: list[ExactnessWitness] = []
+    straddles: list[str] = []
     try:
         lo_eigs = la.cluster_eigenvalues(la.eigenvalues(lo))
         hi_eigs = la.cluster_eigenvalues(la.eigenvalues(hi))
     except np.linalg.LinAlgError as exc:
         return ExactnessResult(i, INDETERMINATE, detail=f"eigensolver failed: {exc}")
 
-    d_lo = lo.shape[0]
-    eye_lo = np.eye(d_lo, dtype=np.complex128)
-    for eta in lo_eigs:
-        stack = np.vstack([eta * eye_lo - lo, b.gamma[i], b.A[i]])
-        kernel = la.null_space(stack)
+    eye_lo = np.eye(lo.shape[0], dtype=np.complex128)
+    eye_hi = np.eye(hi.shape[0], dtype=np.complex128)
+    a_h, alpha_h = b.A[i].conj().T, b.alpha[i].conj().T
+    stacks = [("kernel", eta, [eta * eye_lo - lo, b.gamma[i], b.A[i]]) for eta in lo_eigs]
+    stacks += [("cokernel", eta, [(eta * eye_hi - hi).conj().T, a_h, alpha_h]) for eta in hi_eigs]
+    for side, eta, stack in stacks:
+        try:
+            kernel = la.null_space(np.vstack(stack))
+        except RankIndeterminate as exc:
+            straddles.append(f"{side} side at eta={eta:.6g}: {exc}")
+            continue
         if kernel.shape[1] > 0:
-            witnesses.append(ExactnessWitness("kernel", eta, kernel[:, 0]))
+            # a cokernel kernel holds conjugated row vectors; report the row vector itself
+            vector = kernel[:, 0] if side == "kernel" else kernel[:, 0].conj()
+            witnesses.append(ExactnessWitness(side, eta, vector))
 
-    d_hi = hi.shape[0]
-    eye_hi = np.eye(d_hi, dtype=np.complex128)
-    for eta in hi_eigs:
-        stack = np.vstack(
-            [(eta * eye_hi - hi).conj().T, b.A[i].conj().T, b.alpha[i].conj().T]
-        )
-        kernel = la.null_space(stack)
-        if kernel.shape[1] > 0:
-            # kernel holds conjugated row vectors; report the row vector itself
-            witnesses.append(ExactnessWitness("cokernel", eta, kernel[:, 0].conj()))
-
-    status = PASS if not witnesses else FAIL
-    return ExactnessResult(i, status, tuple(witnesses))
+    if witnesses:
+        return ExactnessResult(i, FAIL, tuple(witnesses))
+    if straddles:
+        return ExactnessResult(i, INDETERMINATE, detail="; ".join(straddles))
+    return ExactnessResult(i, PASS)
 
 
 def check_exactness_all(b: BowDatum) -> list[ExactnessResult]:

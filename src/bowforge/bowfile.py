@@ -17,7 +17,7 @@ import numpy as np
 
 from .bowdata import BowDatum
 from .errors import ParseError, ShapeMismatch
-from .orthosymplectic import PairingDatum
+from .orthosymplectic import PairingDatum, check_pairing_shapes
 from .topology import TopologicalData, compute_dimensions
 
 FORMAT_BOWFILE = "bowforge.bowfile"
@@ -301,15 +301,8 @@ def parse(data) -> BowFile:
     pairing = None
     if doc.get("pairing") is not None:
         pairing = pairing_from_doc(doc["pairing"], "pairing")
-        dims = compute_dimensions(topo)
-        if len(pairing.K) != topo.n + 1:
-            raise ShapeMismatch(
-                f"pairing.K: expected {topo.n + 1} matrices, got {len(pairing.K)}"
-            )
-        for i, kmat in enumerate(pairing.K):
-            want = (dims.d[i], dims.d[topo.n - i])
-            if kmat.shape != want:
-                raise ShapeMismatch(
-                    f"pairing.K[{i}] has shape {kmat.shape}, expected {want}"
-                )
+        try:
+            check_pairing_shapes(pairing, compute_dimensions(topo).d)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(f"pairing: {exc}") from exc
     return BowFile(topo=topo, datum=datum, pairing=pairing, metadata=metadata, version=version)

@@ -66,6 +66,11 @@ def _short(value):
     return value
 
 
+def _verdict(failed: bool, indeterminate: bool) -> str:
+    """Any failure fails; otherwise a call too close to make is indeterminate."""
+    return "fail" if failed else "indeterminate" if indeterminate else "pass"
+
+
 def _report_doc(report: ValidationReport) -> dict:
     return {
         "verdict": report.verdict,
@@ -123,8 +128,9 @@ def cmd_validate(args) -> int:
 def cmd_exactness(args) -> int:
     _, datum = _load_bow(args.file)
     results = check_exactness_all(datum)
+    statuses = {r.status for r in results}
     doc = {
-        "verdict": "pass" if all(r.passed for r in results) else "fail",
+        "verdict": _verdict("fail" in statuses, "indeterminate" in statuses),
         "steps": [
             {
                 "index": r.index,
@@ -137,7 +143,7 @@ def cmd_exactness(args) -> int:
         ],
     }
     _emit(doc, args.format)
-    return PASS_EXIT if all(r.passed for r in results) else FAIL_EXIT
+    return PASS_EXIT if doc["verdict"] == "pass" else FAIL_EXIT
 
 
 def cmd_invariants(args) -> int:
@@ -194,7 +200,9 @@ def cmd_scan(args) -> int:
         "indeterminate": len(report.indeterminate),
         "expected_rank": report.expected_rank,
         "ranks_all_expected": report.ranks_all_expected,
-        "verdict": "pass" if report.all_pass and report.ranks_all_expected else "fail",
+        "verdict": _verdict(
+            bool(report.failures) or not report.ranks_all_expected, bool(report.indeterminate)
+        ),
         "failed_points": [
             {
                 "eta": bowfile.complex_to_doc(p.point.eta),

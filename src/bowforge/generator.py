@@ -24,6 +24,7 @@ from .bowdata import (
 from .errors import (
     ChainInfeasible,
     FlavorChargeMismatch,
+    RankIndeterminate,
     RankTooLarge,
     RetriesExhausted,
     SpectraOverlap,
@@ -79,7 +80,8 @@ def rank_factorization(
     L are random unit-norm combinations of the left null directions; extra
     rows of R live in ker(L_extra) composed with the right null directions,
     so the product is unchanged and both factors have the largest rank the
-    exact reconstruction allows.
+    exact reconstruction allows.  Raises RankIndeterminate when rank(C) is
+    too close to call (see rank_decision).
     """
     C = la.cmat(C)
     if C.shape[0] != C.shape[1]:
@@ -94,7 +96,7 @@ def rank_factorization(
             (inner, 0), dtype=np.complex128
         )
     u, s, vh = np.linalg.svd(C)
-    r0 = la.rank_decision(s, C.shape, strict=False)
+    r0 = la.rank_decision(s, C.shape)
     if r0 > inner:
         raise RankTooLarge(f"rank(C) = {r0} exceeds inner dimension {inner}")
 
@@ -278,7 +280,7 @@ def generate(t: TopologicalData, seed: int) -> BowDatum:
     alias the chain endpoints into the lambda chain, draw the interior
     endomorphisms with separated spectra, draw the boundary vectors, and
     solve each A_i from the Sylvester relation.  Resamples up to ATTEMPTS
-    times if a genericity check fails.
+    times if a genericity check fails or a rank is too close to call.
     """
     problems = validate_topology(t)
     if problems:
@@ -289,9 +291,9 @@ def generate(t: TopologicalData, seed: int) -> BowDatum:
     for _ in range(ATTEMPTS):
         try:
             datum = _attempt(t, dims, rng)
-        except (SpectraOverlap, ValidationFailure) as exc:
-            if isinstance(exc, (ChainInfeasible, RankTooLarge)):
-                raise
+        except (ChainInfeasible, RankTooLarge):
+            raise
+        except (ValidationFailure, RankIndeterminate) as exc:
             last = exc
             continue
         failure = _run_checks(datum)

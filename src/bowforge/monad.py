@@ -101,7 +101,7 @@ class MonadAtPoint:
 
     @cached_property
     def _amap_rank(self) -> int:
-        return la.svd_rank(self.Amap, raise_indeterminate=True)
+        return la.svd_rank(self.Amap)
 
     def fiber_rank(self) -> int:
         """Rank of the monad cohomology: dim ker(Bmap) - rank(Amap).
@@ -111,7 +111,7 @@ class MonadAtPoint:
         is not inside ker(Bmap) (composition_residual not below DEFAULT_TOL).
         """
         cols = self.Bmap.shape[1]
-        rank_b = la.svd_rank(self.Bmap, raise_indeterminate=True)
+        rank_b = la.svd_rank(self.Bmap)
         if rank_b == cols:
             return 0
         _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
@@ -124,10 +124,11 @@ class MonadAtPoint:
         intersected with Im(Amap)^perp.  Raises RankIndeterminate where
         fiber_rank() does, or when the basis found has another column count.
         """
-        rank = self.fiber_rank()
-        kernel = la.null_space(self.Bmap, raise_indeterminate=True)
+        kernel = la.null_space(self.Bmap)
         if kernel.shape[1] == 0:
             return kernel
+        _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
+        rank = kernel.shape[1] - self._amap_rank
         basis = kernel @ la.null_space(self.Amap.conj().T @ kernel)
         if basis.shape[1] != rank:
             raise RankIndeterminate(
@@ -145,11 +146,11 @@ class MonadAtPoint:
         RankIndeterminate on a rank too close to call or on Amap mu != 0.
         """
         _require_zero_product(self.Amap, self.mu, "image of mu not contained in ker(Amap)")
-        rank_mu = la.svd_rank(self.mu, raise_indeterminate=True)
-        quotient_dim = self.dimA - la.svd_rank(self.alpha, raise_indeterminate=True) - rank_mu
+        rank_mu = la.svd_rank(self.mu)
+        quotient_dim = self.dimA - la.svd_rank(self.alpha) - rank_mu
         if self.dimA - self._amap_rank == rank_mu:
             return LocalFreenessResult(passed=True, quotient_dim=quotient_dim)
-        kernel = la.null_space(self.Amap, raise_indeterminate=True)
+        kernel = la.null_space(self.Amap)
         reps = kernel @ la.null_space(self.mu.conj().T @ kernel)
         if reps.shape[1] == 0:
             raise RankIndeterminate(f"dim ker(Amap) = {kernel.shape[1]} but rank(mu) = {rank_mu}")

@@ -73,10 +73,16 @@ def _check_flavor_charges(b: BowDatum, p: PairingDatum) -> None:
         )
     if any(b.dims.d[i] != b.dims.d[n - i] for i in range(n + 1)):
         raise FlavorChargeMismatch(f"asymmetric dimension vector {b.dims.d}")
+    check_pairing_shapes(p, b.dims.d)
+
+
+def check_pairing_shapes(p: PairingDatum, d: tuple[int, ...]) -> None:
+    """K_i is d_i x d_{n-i} in the orientation p declares; f has n signs."""
+    n = len(d) - 1
     if len(p.K) != n + 1:
         raise ShapeMismatch(f"K must have n+1={n + 1} blocks, got {len(p.K)}")
     for i in range(n + 1):
-        want = (b.dims.d[i], b.dims.d[n - i])
+        want = (d[i], d[n - i])
         if p.k_matrix(i).shape != want:
             raise ShapeMismatch(f"K[{i}] has shape {p.k_matrix(i).shape}, expected {want}")
     if len(p.f) != n:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bowforge import _linalg as la
 from bowforge.bowdata import (
     BowDatum,
     aggregate_maps,
@@ -124,6 +125,40 @@ def test_exactness_fails_on_zero_matrices_with_witness():
     kernel_side = [w for w in res.witnesses if w.side == "kernel"]
     assert kernel_side and abs(kernel_side[0].eta) < 1e-12
     np.testing.assert_allclose(np.abs(kernel_side[0].vector), [1.0])
+
+
+def straddle_datum(alpha0):
+    """d = (2, 2) with beta_0 = 0, gamma_0 = [1, 0], A_0 = diag(0, c): the
+    kernel-side stack at eta = 0 has singular values (1, c), c the cutoff.
+    beta_1 = diag(1, 2) keeps the cokernel side well clear of it unless
+    alpha0 leaves a left eigenvector of beta_1 in ker A_0^T."""
+    t = TopologicalData(n=1, k=1, ell=1.0, lam=(0.5,), m=(0,), nd=(0,), m0=2, z=(0.25,))
+    c = la.rank_cutoff(1.0, (5, 2))
+    return BowDatum.assemble(
+        t,
+        beta=[np.zeros((2, 2), dtype=complex), np.diag([1.0, 2.0]).astype(complex)],
+        A=[np.diag([0.0, c]).astype(complex)],
+        alpha=[np.array(alpha0, dtype=complex).reshape(2, 1)],
+        gamma=[np.array([[1.0, 0.0]], dtype=complex)],
+        betaN_interior=[],
+        Mxi=[np.eye(2, dtype=complex)],
+        Mpsi=[np.eye(2, dtype=complex)],
+    )
+
+
+def test_exactness_straddle_is_indeterminate():
+    res = check_exactness(straddle_datum([1.0, 1.0]), 0)
+    assert res.status == "indeterminate" and not res.passed
+    assert res.witnesses == ()
+    assert "kernel side at eta=0" in res.detail and "straddle cutoff" in res.detail
+
+
+def test_exactness_witness_outranks_straddle():
+    # alpha0 = (0, 1) leaves the left eigenvector (1, 0) of beta_1 = diag(1, 2)
+    # at eta = 1 annihilated by A_0 and alpha_0: a real witness
+    res = check_exactness(straddle_datum([0.0, 1.0]), 0)
+    assert res.status == "fail"
+    assert [(w.side, w.eta) for w in res.witnesses] == [("cokernel", 1.0)]
 
 
 def test_exactness_vacuous_for_empty_blocks():

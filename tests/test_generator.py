@@ -6,10 +6,13 @@ from bowforge.bowdata import (
     check_exactness_all,
     validate_relations,
 )
+from bowforge import generator
 from bowforge.errors import (
     ChainInfeasible,
     FlavorChargeMismatch,
+    RankIndeterminate,
     RankTooLarge,
+    RetriesExhausted,
     SpectraOverlap,
     ValidationFailure,
 )
@@ -125,6 +128,34 @@ def test_generate_deterministic():
     a, b = generate(t, seed=5), generate(t, seed=5)
     for name, m in a.all_matrices().items():
         np.testing.assert_array_equal(m, b.all_matrices()[name])
+
+
+def test_generate_retries_after_indeterminate_rank(monkeypatch):
+    real_attempt = generator._attempt
+    calls = []
+
+    def straddle_once(t, dims, rng):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RankIndeterminate("singular value straddles the cutoff")
+        return real_attempt(t, dims, rng)
+
+    monkeypatch.setattr(generator, "_attempt", straddle_once)
+    d = generate(suite_topology(2, 1, 1), seed=7)
+    assert len(calls) == 2
+    assert validate_relations(d, tol=1e-10).passed
+
+
+def test_generate_retries_exhausted_keeps_last_failure(monkeypatch):
+    failure = RankIndeterminate("singular value straddles the cutoff")
+
+    def always_straddle(t, dims, rng):
+        raise failure
+
+    monkeypatch.setattr(generator, "_attempt", always_straddle)
+    with pytest.raises(RetriesExhausted) as info:
+        generate(suite_topology(2, 1, 1), seed=7)
+    assert info.value.last_failure is failure
 
 
 def test_generate_negative_dimension_propagates():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 
 import bowforge
-from bowforge import bowfile
+from bowforge import bowfile, cli
+from bowforge.bowdata import ExactnessResult
 from bowforge.cli import main
 from bowforge.errors import ParseError, ShapeMismatch
 from bowforge.export import export_bow_complex
 from bowforge.generator import canonical_examples, degenerate_example, generate
+from bowforge.monad import PointReport, ScanReport, SurfacePoint
+from bowforge.orthosymplectic import PairingDatum
 from bowforge.topology import TopologicalData
 
 from _suites import suite_topology
@@ -91,6 +95,25 @@ def test_pairing_round_trip(canon):
     assert parsed.pairing is not None
     assert parsed.pairing.flavor == "Sp" and parsed.pairing.f == (1, -1)
     np.testing.assert_array_equal(parsed.pairing.K[1], canon["sp1-mirror"].pairing.K[1])
+
+
+def pairing_file(ex, K, f=(1, 1), transpose=False):
+    pairing = PairingDatum(flavor="SO", K=K, f=f, transpose_convention=transpose)
+    return bowfile.serialize(bowfile.BowFile(topo=ex.topo, datum=ex.datum, pairing=pairing))
+
+
+def test_pairing_shapes_checked_in_declared_orientation(canon):
+    ex = canon["u2-basic"]  # d = (2, 2, 1): K_0 is 2 x 1 and K_2 is 1 x 2
+    K = [np.ones((2, 1)), np.eye(2), np.ones((1, 2))]
+    flipped = [k.T for k in K]
+    assert not bowfile.parse(pairing_file(ex, K)).pairing.transpose_convention
+    assert bowfile.parse(pairing_file(ex, flipped, transpose=True)).pairing.transpose_convention
+    with pytest.raises(ShapeMismatch, match=r"pairing: K\[0\] has shape \(1, 2\), expected"):
+        bowfile.parse(pairing_file(ex, flipped))
+    with pytest.raises(ShapeMismatch, match=r"pairing: K must have n\+1=3 blocks, got 2"):
+        bowfile.parse(pairing_file(ex, K[:2]))
+    with pytest.raises(ShapeMismatch, match=r"pairing: f must have n=2 signs, got 1"):
+        bowfile.parse(pairing_file(ex, K, f=(1,)))
 
 
 # ----------------------------------------------------------------- exporter
@@ -209,6 +232,54 @@ def test_cli_scan(capsys):
                  "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "pass" and doc["failures"] == 0
+
+
+def document_verdict(out, fmt):
+    if fmt == "machine":
+        return json.loads(out)["verdict"]
+    return re.search(r"^verdict: (\w+)$", out, re.MULTILINE).group(1)
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize(
+    "statuses, verdict",
+    [
+        (("pass", "pass"), "pass"),
+        (("pass", "indeterminate"), "indeterminate"),
+        (("fail", "indeterminate"), "fail"),
+    ],
+)
+def test_cli_exactness_verdict_has_three_states(statuses, verdict, fmt, capsys, monkeypatch):
+    results = [ExactnessResult(i, status) for i, status in enumerate(statuses)]
+    monkeypatch.setattr(cli, "check_exactness_all", lambda datum: results)
+    code = main(["exactness", fixture("u2-basic"), "--format", fmt])
+    assert document_verdict(capsys.readouterr().out, fmt) == verdict
+    assert code == (0 if verdict == "pass" else 1)
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize(
+    "points, verdict",
+    [
+        ((("ok", 2),), "pass"),
+        ((("ok", 2), ("indeterminate", None)), "indeterminate"),
+        ((("fail", 2), ("indeterminate", None)), "fail"),
+        ((("ok", 1), ("indeterminate", None)), "fail"),  # a determinate rank off n = 2
+    ],
+)
+def test_cli_scan_verdict_has_three_states(points, verdict, fmt, capsys, monkeypatch):
+    x = SurfacePoint(1.0, 1.0, 0.5)
+    report = ScanReport(
+        points=tuple(
+            PointReport(x, "random", rank, None if rank is None else status == "ok", status)
+            for status, rank in points
+        ),
+        expected_rank=2,
+    )
+    monkeypatch.setattr(cli, "scan_local_freeness", lambda datum, config: report)
+    code = main(["scan", fixture("u2-basic"), "--format", fmt])
+    assert document_verdict(capsys.readouterr().out, fmt) == verdict
+    assert code == (0 if verdict == "pass" else 1)
 
 
 def test_cli_pairing(capsys):

@@ -47,20 +47,36 @@ def test_svd_rank_and_straddle_detection():
     cutoff = la.rank_cutoff(1.0, (2, 2))
     m = np.diag([1.0, cutoff])
     with pytest.raises(RankIndeterminate):
-        la.svd_rank(m, raise_indeterminate=True)
-    assert la.svd_rank(m) in (1, 2)  # silent mode still answers
+        la.svd_rank(m)
+    with pytest.raises(RankIndeterminate):
+        la.null_space(m)
 
 
 def test_rank_decision_straddle_and_scale():
     cutoff = la.rank_cutoff(1.0, (2, 2))
     s = np.array([1.0, cutoff])
     with pytest.raises(RankIndeterminate):
-        la.rank_decision(s, (2, 2), strict=True)
-    assert la.rank_decision(s, (2, 2), strict=False) in (1, 2)
+        la.rank_decision(s, (2, 2))
     # the cutoff scales with sigma_max: small values of a small matrix count
     s = np.array([1e-6, 1e-7])
-    assert la.rank_decision(s, (2, 2), strict=True) == 2
-    assert la.rank_decision(np.zeros(0), (0, 3), strict=True) == 0
+    assert la.rank_decision(s, (2, 2)) == 2
+    assert la.rank_decision(np.zeros(0), (0, 3)) == 0
+
+
+def test_rank_decision_matches_straddle_mask():
+    # reference: the straddle rule as a mask over every singular value
+    rng = np.random.default_rng(3)
+    shape = (6, 6)
+    cut = la.rank_cutoff(1.0, shape)
+    for _ in range(2000):
+        tail = cut * 10.0 ** rng.uniform(-2.0, 2.0, size=5)
+        s = np.sort(np.concatenate([[1.0], tail]))[::-1]
+        straddling = (s > cut / la.STRADDLE_FACTOR) & (s < cut * la.STRADDLE_FACTOR)
+        if np.any(straddling):
+            with pytest.raises(RankIndeterminate):
+                la.rank_decision(s, shape)
+        else:
+            assert la.rank_decision(s, shape) == np.count_nonzero(s > cut)
 
 
 def test_complement_by_null_space_of_adjoint():

@@ -55,7 +55,7 @@ def oracle_locally_free(m):
     Builds representatives of the quotient and ranks their image against
     ||beta_tilde||_2.  Returns (passed, quotient_dim).
     """
-    kernel = la.null_space(m.alpha, raise_indeterminate=True)
+    kernel = la.null_space(m.alpha)
     reps = kernel @ la.null_space(m.mu.conj().T @ kernel)
     q = reps.shape[1]
     if q == 0:
@@ -180,6 +180,8 @@ def test_fiber_rank_rules(u2):
     stray = dataclasses.replace(m, Amap=ginibre(rng, *m.Amap.shape))
     with pytest.raises(RankIndeterminate, match="not contained"):
         stray.fiber_rank()
+    with pytest.raises(RankIndeterminate, match="not contained"):
+        stray.fiber()
     # Im(mu) outside ker(Amap): no freeness verdict either
     with pytest.raises(RankIndeterminate, match="not contained"):
         stray.locally_free()
@@ -189,6 +191,7 @@ def test_fiber_rank_rules(u2):
         m, Bmap=np.eye(cols, dtype=complex), Amap=np.full(m.Amap.shape, np.nan)
     )
     assert injective.fiber_rank() == 0
+    assert injective.fiber().shape[1] == 0
 
 
 def test_u2_fiber_rank_at_ten_points(u2):
