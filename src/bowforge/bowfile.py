@@ -127,7 +127,10 @@ def matrix_from_doc(doc, path: str) -> np.ndarray:
             raise ParseError(f"{path}: empty matrix record needs rows/cols") from exc
         if rows < 0 or cols < 0 or rows * cols != 0:
             raise ParseError(f"{path}: shape record {doc} must describe a zero-size matrix")
-        return np.zeros((rows, cols), dtype=np.complex128)
+        try:
+            return np.zeros((rows, cols), dtype=np.complex128)
+        except ValueError as exc:  # a side too large to index
+            raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, list) or not doc:
         raise ParseError(f"{path}: matrix must be a nested array or a shape record")
     width = None
@@ -156,22 +159,22 @@ def topology_to_doc(t: TopologicalData) -> dict:
     }
 
 
-def topology_from_doc(doc, path: str = "topology") -> TopologicalData:
+def topology_from_doc(doc) -> TopologicalData:
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
+        raise ParseError("topology: expected an object")
     try:
         return TopologicalData(
-            n=int_from_doc(doc["n"], f"{path}.n"),
-            k=int_from_doc(doc["k"], f"{path}.k"),
-            ell=real_from_doc(doc["ell"], f"{path}.ell"),
-            lam=array_from_doc(doc["lambda"], f"{path}.lambda", real_from_doc),
-            m=array_from_doc(doc["m"], f"{path}.m", int_from_doc),
-            nd=array_from_doc(doc["nd"], f"{path}.nd", int_from_doc),
-            m0=int_from_doc(doc["m0"], f"{path}.m0"),
-            z=array_from_doc(doc["z"], f"{path}.z", complex_from_doc),
+            n=int_from_doc(doc["n"], "topology.n"),
+            k=int_from_doc(doc["k"], "topology.k"),
+            ell=real_from_doc(doc["ell"], "topology.ell"),
+            lam=array_from_doc(doc["lambda"], "topology.lambda", real_from_doc),
+            m=array_from_doc(doc["m"], "topology.m", int_from_doc),
+            nd=array_from_doc(doc["nd"], "topology.nd", int_from_doc),
+            m0=int_from_doc(doc["m0"], "topology.m0"),
+            z=array_from_doc(doc["z"], "topology.z", complex_from_doc),
         )
     except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from exc
+        raise ParseError(f"topology: missing field {exc.args[0]!r}") from exc
 
 
 def pairing_to_doc(p: PairingDatum) -> dict:
@@ -183,18 +186,23 @@ def pairing_to_doc(p: PairingDatum) -> dict:
     }
 
 
-def pairing_from_doc(doc, path: str = "pairing") -> PairingDatum:
+def pairing_from_doc(doc) -> PairingDatum:
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected an object")
+        raise ParseError("pairing: expected an object")
     try:
+        flavor, transpose = doc["flavor"], doc.get("transpose_convention", False)
+        if not isinstance(flavor, str):
+            raise ParseError(f"pairing.flavor: expected a string, got {flavor!r}")
+        if not isinstance(transpose, bool):
+            raise ParseError(f"pairing.transpose_convention: expected a boolean, got {transpose!r}")
         return PairingDatum(
-            flavor=str(doc["flavor"]),
-            K=list(array_from_doc(doc["K"], f"{path}.K", matrix_from_doc)),
-            f=array_from_doc(doc["f"], f"{path}.f", int_from_doc),
-            transpose_convention=bool(doc.get("transpose_convention", False)),
+            flavor=flavor,
+            K=list(array_from_doc(doc["K"], "pairing.K", matrix_from_doc)),
+            f=array_from_doc(doc["f"], "pairing.f", int_from_doc),
+            transpose_convention=transpose,
         )
     except KeyError as exc:
-        raise ParseError(f"{path}: missing field {exc.args[0]!r}") from exc
+        raise ParseError(f"pairing: missing field {exc.args[0]!r}") from exc
 
 
 @dataclass
@@ -205,7 +213,6 @@ class BowFile:
     datum: BowDatum | None = None
     pairing: PairingDatum | None = None
     metadata: dict | None = None
-    version: int = VERSION
 
     def require_datum(self) -> BowDatum:
         if self.datum is None:
@@ -215,7 +222,7 @@ class BowFile:
     def to_document(self) -> dict:
         doc = {
             "format": FORMAT_BOWFILE if self.datum is not None else FORMAT_TOPOLOGY,
-            "version": self.version,
+            "version": VERSION,
             "topology": topology_to_doc(self.topo),
             "metadata": self.metadata,
         }
@@ -254,7 +261,7 @@ def parse_topology(data) -> TopologicalData:
     doc = _load_json(data)
     if doc.get("format") not in (FORMAT_TOPOLOGY, FORMAT_BOWFILE):
         raise ParseError(f"unexpected format marker {doc.get('format')!r}")
-    return topology_from_doc(doc.get("topology"), "topology")
+    return topology_from_doc(doc.get("topology"))
 
 
 def parse(data) -> BowFile:
@@ -263,13 +270,17 @@ def parse(data) -> BowFile:
     fmt = doc.get("format")
     if fmt not in (FORMAT_BOWFILE, FORMAT_TOPOLOGY):
         raise ParseError(f"unexpected format marker {fmt!r}")
-    version = doc.get("version")
+    version = int_from_doc(doc.get("version"), "version")
     if version != VERSION:
         raise ParseError(f"unsupported version {version!r}")
-    topo = topology_from_doc(doc.get("topology"), "topology")
+    topo = topology_from_doc(doc.get("topology"))
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object or null")
+    try:
+        canonical_dumps(metadata)  # what cannot be written back is not read
+    except ValueError as exc:
+        raise ParseError(f"metadata: {exc}") from exc
 
     datum = None
     bow = doc.get("bow")
@@ -300,9 +311,9 @@ def parse(data) -> BowFile:
 
     pairing = None
     if doc.get("pairing") is not None:
-        pairing = pairing_from_doc(doc["pairing"], "pairing")
+        pairing = pairing_from_doc(doc["pairing"])
         try:
             check_pairing_shapes(pairing, compute_dimensions(topo).d)
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"pairing: {exc}") from exc
-    return BowFile(topo=topo, datum=datum, pairing=pairing, metadata=metadata, version=version)
+    return BowFile(topo=topo, datum=datum, pairing=pairing, metadata=metadata)

@@ -168,8 +168,6 @@ def cmd_fiber(args) -> int:
     _, datum = _load_bow(args.file)
     xi = complex(args.xi)
     eta = complex(args.eta)
-    if xi == 0:
-        raise ParseError("--xi must be nonzero (psi is derived from the surface equation)")
     point = SurfacePoint.from_xi_eta(datum.topo.z, xi, eta)
     monad = assemble_monad(datum, point)
     rank = monad.fiber_rank()

@@ -180,11 +180,11 @@ def _build_p_chain(t: TopologicalData, dn: tuple[int, ...], rng: np.random.Gener
     return betaN, Mxi, Mpsi
 
 
-def _draw_separated(rng, count, avoid, sep=SPECTRAL_SEPARATION, radius=1.5):
+def _draw_separated(rng, count, avoid):
     vals: list[complex] = []
     while len(vals) < count:
-        c = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if all(abs(c - o) > sep for o in list(avoid) + vals):
+        c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        if all(abs(c - o) > SPECTRAL_SEPARATION for o in list(avoid) + vals):
             vals.append(c)
     return vals
 
@@ -303,25 +303,6 @@ def generate(t: TopologicalData, seed: int) -> BowDatum:
     raise RetriesExhausted(f"generation failed after {ATTEMPTS} attempts", last)
 
 
-def _symmetric_nd_pattern(total: int, k: int) -> tuple[int, ...]:
-    """0/1 multiplicities summing to `total`, symmetric under i -> k+1-i."""
-    if total < 0 or total > k:
-        raise ChainInfeasible(f"cannot place {total} unit charges on {k} NUTs")
-    nd = [0] * k
-    if total % 2 == 1:
-        if k % 2 == 0:
-            raise ChainInfeasible(
-                f"odd charge {total} needs an odd NUT count for a symmetric pattern"
-            )
-        nd[k // 2] = 1
-        total -= 1
-    for step in range(total // 2):
-        if nd[step] or step >= k - 1 - step:
-            raise ChainInfeasible(f"no symmetric unit pattern for charge on {k} NUTs")
-        nd[step] = nd[k - 1 - step] = 1
-    return tuple(nd)
-
-
 def _hyperbolic_block(upper, lower) -> np.ndarray:
     """Anti-diagonal 2x2 block matrix [[0, upper], [lower, 0]]."""
     ru, cu = upper.shape
@@ -379,14 +360,15 @@ def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatu
             "dual chains with rank-changing steps over several NUTs are not "
             "implemented; use k = 1 or m = (0, 0)"
         )
-    nd_x = _symmetric_nd_pattern(m_top, k)
+    if m_top > 1:
+        raise ChainInfeasible(f"cannot place {m_top} unit charges on {k} NUTs")
     t_x = TopologicalData(
         n=1,
         k=k,
         ell=t.ell,
         lam=(t.ell * 0.5,),
         m=(m_top,),
-        nd=nd_x,
+        nd=(m_top,) + (0,) * (k - 1),
         m0=(t.m0 - m_top) // 2,
         z=t.z,
     )

@@ -38,7 +38,7 @@ class SurfacePoint:
     def from_xi_eta(z, xi: complex, eta: complex) -> "SurfacePoint":
         """Point with psi derived from the surface equation (xi != 0)."""
         if xi == 0:
-            raise ValueError("psi is not determined by xi = 0; construct directly")
+            raise ValueError("xi must be nonzero: psi is derived from xi*psi = prod(eta - z_i)")
         prod = complex(np.prod([eta - zi for zi in z])) if len(z) else 1.0 + 0j
         return SurfacePoint(xi=complex(xi), psi=prod / complex(xi), eta=complex(eta))
 
@@ -64,10 +64,10 @@ class LocalFreenessResult:
 class MonadAtPoint:
     """The monad maps evaluated at one surface point (see monad_assembler).
 
-    Amap stacks (alpha; -beta_tilde): (dimB + dimC) x dimA; alpha is a view
-    of its top rows.
-    Bmap concatenates (delta, gamma): dimD x (dimB + dimC).
+    Amap stacks (alpha; -beta_tilde): (dimB + dimC) x dimA.
+    Bmap concatenates (delta, gamma): dimD x (dimB + dimC), with D = C.
     mu maps the auxiliary space F = C^{d_0 + d_n} into the R blocks of A.
+    alpha, beta_tilde and the dimensions are read off these three maps.
     fiber_rank() and locally_free() answer from singular values alone and
     share one rank of Amap; fiber() builds a basis of the cohomology.
     """
@@ -76,8 +76,6 @@ class MonadAtPoint:
     Amap: np.ndarray
     Bmap: np.ndarray
     mu: np.ndarray
-    alpha: np.ndarray  # dimB x dimA block of Amap
-    beta_tilde: np.ndarray  # dimC x dimA block (unsigned)
     block_index: BlockIndex
 
     @property
@@ -86,15 +84,23 @@ class MonadAtPoint:
 
     @property
     def dimB(self) -> int:
-        return self.alpha.shape[0]
+        return self.Bmap.shape[1] - self.dimC
 
     @property
     def dimC(self) -> int:
-        return self.beta_tilde.shape[0]
+        return self.Bmap.shape[0]
 
     @property
     def dimD(self) -> int:
         return self.Bmap.shape[0]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.Amap[: self.dimB]
+
+    @property
+    def beta_tilde(self) -> np.ndarray:
+        return -self.Amap[self.dimB :]
 
     def composition_residual(self) -> float:
         return _product_residual(self.Bmap, self.Amap)
@@ -110,12 +116,8 @@ class MonadAtPoint:
         value sits too close to the rank threshold to call, or when Im(Amap)
         is not inside ker(Bmap) (composition_residual not below DEFAULT_TOL).
         """
-        cols = self.Bmap.shape[1]
-        rank_b = la.svd_rank(self.Bmap)
-        if rank_b == cols:
-            return 0
         _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
-        return cols - rank_b - self._amap_rank
+        return self.Bmap.shape[1] - la.svd_rank(self.Bmap) - self._amap_rank
 
     def fiber(self) -> np.ndarray:
         """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap).
@@ -124,17 +126,8 @@ class MonadAtPoint:
         intersected with Im(Amap)^perp.  Raises RankIndeterminate where
         fiber_rank() does, or when the basis found has another column count.
         """
-        kernel = la.null_space(self.Bmap)
-        if kernel.shape[1] == 0:
-            return kernel
         _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
-        rank = kernel.shape[1] - self._amap_rank
-        basis = kernel @ la.null_space(self.Amap.conj().T @ kernel)
-        if basis.shape[1] != rank:
-            raise RankIndeterminate(
-                f"fiber basis has {basis.shape[1]} columns, fiber rank is {rank}"
-            )
-        return basis
+        return _cohomology(self.Bmap, self.Amap, self._amap_rank)
 
     def locally_free(self) -> LocalFreenessResult:
         """Pointwise local-freeness criterion: dim ker(Amap) = rank(mu).
@@ -143,18 +136,16 @@ class MonadAtPoint:
         Im(mu) lies in ker(Amap) = ker(alpha) & ker(beta_tilde), so injectivity
         means the two are equal.  quotient_dim is dim ker(alpha) - rank(mu); a
         failure returns a witness in ker(Amap) orthogonal to Im(mu).  Raises
-        RankIndeterminate on a rank too close to call or on Amap mu != 0.
+        RankIndeterminate on a rank too close to call, on Amap mu != 0, or
+        when the witnesses found number other than dim ker(Amap) - rank(mu).
         """
         _require_zero_product(self.Amap, self.mu, "image of mu not contained in ker(Amap)")
         rank_mu = la.svd_rank(self.mu)
         quotient_dim = self.dimA - la.svd_rank(self.alpha) - rank_mu
         if self.dimA - self._amap_rank == rank_mu:
             return LocalFreenessResult(passed=True, quotient_dim=quotient_dim)
-        kernel = la.null_space(self.Amap)
-        reps = kernel @ la.null_space(self.mu.conj().T @ kernel)
-        if reps.shape[1] == 0:
-            raise RankIndeterminate(f"dim ker(Amap) = {kernel.shape[1]} but rank(mu) = {rank_mu}")
-        return LocalFreenessResult(passed=False, witness=reps[:, 0], quotient_dim=quotient_dim)
+        witnesses = _cohomology(self.Amap, self.mu, rank_mu)
+        return LocalFreenessResult(passed=False, witness=witnesses[:, 0], quotient_dim=quotient_dim)
 
 
 def _product_residual(left: np.ndarray, right: np.ndarray) -> float:
@@ -165,6 +156,20 @@ def _require_zero_product(left: np.ndarray, right: np.ndarray, what: str) -> Non
     residual = _product_residual(left, right)
     if not residual < la.DEFAULT_TOL:
         raise RankIndeterminate(f"{what}: residual {residual:.3e}")
+
+
+def _cohomology(left: np.ndarray, right: np.ndarray, rank_right: int) -> np.ndarray:
+    """Orthonormal basis of ker(left) & Im(right)^perp, for left @ right = 0.
+
+    Raises RankIndeterminate on a rank too close to call, or when the basis
+    found has other than dim ker(left) - rank_right columns.
+    """
+    kernel = la.null_space(left)
+    basis = kernel @ la.null_space(right.conj().T @ kernel)
+    expected = kernel.shape[1] - rank_right
+    if basis.shape[1] != expected:
+        raise RankIndeterminate(f"cohomology basis has {basis.shape[1]} columns, expected {expected}")
+    return basis
 
 
 def _offsets(sizes: list[tuple[str, int]]) -> tuple[dict, int]:
@@ -191,8 +196,8 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
     Every block that does not depend on the point is written once, here,
     into zero templates; the returned function checks the surface equation,
     copies the templates and writes the blocks that do depend on the point:
-    eta I - beta_i, the xi and psi identity blocks, the divided differences
-    S and T, and the -beta_tilde rows of Amap.  Points never share arrays.
+    eta I - beta_i, the xi and psi identity blocks and the divided
+    differences S and T.  Points never share arrays.
 
     Block layout (offsets recorded in the block_index of every result):
       A: P-blocks C^{d_i}, i = 0..n-1, then R-blocks C^{d_0}, C^{d_n},
@@ -228,7 +233,9 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
         c_lo, c_hi = cols or (0, cs)
         return slice(r0 + r_lo, r0 + r_hi), slice(c0 + c_lo, c0 + c_hi)
 
-    # Amap = (alpha; -beta_tilde); alpha ends in the R-block G of the resolution
+    # Amap = (alpha; -beta_tilde); alpha ends in the R-block G of the resolution.
+    # C-blocks shifted past B: the -beta_tilde rows of Amap, the gamma columns of Bmap
+    cb_table = {q: (dim_b + off, size) for q, (off, size) in c_table.items()}
     amap0 = np.zeros((dim_b + dim_c, dim_a), dtype=np.complex128)
     alpha_res = [at(b_table, f"P{i}", a_table, f"P{i}", rows=(0, d[i])) for i in range(n)]
     for i in range(n):
@@ -240,19 +247,17 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
     amap0[at(b_table, "R", a_table, "R2", rows=(d0, d0 + dnn))] = -mpsi_hat
     g_psi = at(b_table, "R", a_table, "R3", rows=(d0, d0 + dnn))
 
-    beta_t0 = np.zeros((dim_c, dim_a), dtype=np.complex128)
     for i in range(n):
-        beta_t0[at(c_table, f"Q{i}", a_table, f"P{i}")] = eye(d[i])
-        beta_t0[at(c_table, f"Q{i + 1}", a_table, f"P{i}")] = b.A[i]
-    bt_psi = at(c_table, "Q0", a_table, "R0")
-    beta_t0[at(c_table, "Q0", a_table, "R1")] = mxi_hat
-    bt_s = at(c_table, "Q0", a_table, "R2")
-    beta_t0[at(c_table, f"Q{n}", a_table, "R0")] = -mpsi_hat
-    bt_xi = at(c_table, f"Q{n}", a_table, "R1")
-    bt_t = at(c_table, f"Q{n}", a_table, "R3")
+        amap0[at(cb_table, f"Q{i}", a_table, f"P{i}")] = -eye(d[i])
+        amap0[at(cb_table, f"Q{i + 1}", a_table, f"P{i}")] = -b.A[i]
+    bt_psi = at(cb_table, "Q0", a_table, "R0")
+    amap0[at(cb_table, "Q0", a_table, "R1")] = -mxi_hat
+    bt_s = at(cb_table, "Q0", a_table, "R2")
+    amap0[at(cb_table, f"Q{n}", a_table, "R0")] = mpsi_hat
+    bt_xi = at(cb_table, f"Q{n}", a_table, "R1")
+    bt_t = at(cb_table, f"Q{n}", a_table, "R3")
 
     # Bmap = (delta, gamma): columns B then C; gamma is block diagonal
-    bmap_cols = {**b_table, **{q: (dim_b + off, size) for q, (off, size) in c_table.items()}}
     bmap0 = np.zeros((dim_c, dim_b + dim_c), dtype=np.complex128)
     for i in range(n):
         bmap0[at(c_table, f"Q{i}", b_table, f"P{i}")] = np.eye(d[i], d[i] + 1)
@@ -261,7 +266,7 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
     bmap0[at(c_table, "Q0", b_table, "R", cols=(d0, d0 + dnn))] = mxi_hat
     bmap0[at(c_table, f"Q{n}", b_table, "R", cols=(0, d0))] = -mpsi_hat
     delta_xi = at(c_table, f"Q{n}", b_table, "R", cols=(d0, d0 + dnn))
-    gamma_res = [at(c_table, f"Q{i}", bmap_cols, f"Q{i}") for i in range(n + 1)]
+    gamma_res = [at(c_table, f"Q{i}", cb_table, f"Q{i}") for i in range(n + 1)]
 
     # mu spans ker(alpha) at generic points: polynomial first-stage lift of
     # the R resolution (divided differences in the top blocks).
@@ -293,12 +298,10 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
         amap[g_xi] = xi_0
         amap[g_resn] = res[n]
         amap[g_psi] = psi_n
-        beta_t = beta_t0.copy()
-        beta_t[bt_psi] = psi_0
-        beta_t[bt_s] = S
-        beta_t[bt_xi] = xi_n
-        beta_t[bt_t] = T
-        np.negative(beta_t, out=amap[dim_b:])
+        amap[bt_psi] = -psi_0
+        amap[bt_s] = -S
+        amap[bt_xi] = -xi_n
+        amap[bt_t] = -T
 
         bmap = bmap0.copy()
         bmap[delta_psi] = psi_0
@@ -316,8 +319,6 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
             Amap=amap,
             Bmap=bmap,
             mu=mu,
-            alpha=amap[:dim_b],
-            beta_tilde=beta_t,
             block_index=block_index,
         )
 

@@ -158,6 +158,27 @@ def test_generate_retries_exhausted_keeps_last_failure(monkeypatch):
     assert info.value.last_failure is failure
 
 
+def test_generate_retries_after_failed_check(monkeypatch):
+    real_checks = generator._run_checks
+    checked = []
+
+    def fail_once(datum):
+        checked.append(datum)
+        return "relations failed: injected" if len(checked) == 1 else real_checks(datum)
+
+    monkeypatch.setattr(generator, "_run_checks", fail_once)
+    d = generate(suite_topology(2, 1, 1), seed=7)
+    assert len(checked) == 2 and d is checked[1]
+    assert validate_relations(d, tol=1e-10).passed
+
+
+def test_generate_failed_checks_exhaust_retries(monkeypatch):
+    monkeypatch.setattr(generator, "_run_checks", lambda datum: "relations failed: injected")
+    with pytest.raises(RetriesExhausted, match=f"after {generator.ATTEMPTS} attempts") as info:
+        generate(suite_topology(2, 1, 1), seed=7)
+    assert info.value.last_failure == "relations failed: injected"
+
+
 def test_generate_negative_dimension_propagates():
     bad = TopologicalData(
         n=2, k=1, ell=1.0, lam=(0.3, 0.7), m=(3, -2), nd=(1,), m0=0, z=(0.0,)
@@ -274,6 +295,51 @@ def test_mirror_sp_with_charge():
     assert pairing.f == (1, -1)
     assert verify_pairing_relations(datum, pairing, tol=1e-8).passed
     assert all(r.passed for r in check_exactness_all(datum))
+
+
+SO2_MIRROR = TopologicalData(
+    n=2, k=1, ell=1.0, lam=(0.25, 0.75), m=(0, 0), nd=(0,), m0=2, z=(0.3 - 0.2j,)
+)
+
+
+def pairing_check_failing_first(count, reports):
+    """verify_pairing_relations whose first `count` calls run at tolerance 0,
+    where every identity fails; each report is appended to `reports`."""
+    real_verify = generator.verify_pairing_relations
+
+    def verify(datum, pairing):
+        tol = {"tol": 0.0} if len(reports) < count else {}
+        reports.append(real_verify(datum, pairing, **tol))
+        return reports[-1]
+
+    return verify
+
+
+def test_mirror_retries_after_failed_pairing_check(monkeypatch):
+    reports = []
+    monkeypatch.setattr(generator, "verify_pairing_relations", pairing_check_failing_first(1, reports))
+    datum, pairing = generate_mirror(SO2_MIRROR, "SO", seed=11)
+    assert [r.passed for r in reports] == [False, True]
+    assert verify_pairing_relations(datum, pairing, tol=1e-8).passed
+
+
+def test_mirror_failed_pairing_checks_exhaust_retries(monkeypatch):
+    reports = []
+    monkeypatch.setattr(
+        generator, "verify_pairing_relations", pairing_check_failing_first(generator.ATTEMPTS, reports)
+    )
+    with pytest.raises(RetriesExhausted, match=f"after {generator.ATTEMPTS} attempts") as info:
+        generate_mirror(SO2_MIRROR, "SO", seed=11)
+    assert len(reports) == generator.ATTEMPTS
+    assert info.value.last_failure == f"pairing relations failed: {reports[-1].failures()}"
+
+
+def test_mirror_rejects_two_charges_on_one_nut():
+    t = TopologicalData(
+        n=2, k=1, ell=1.0, lam=(0.2, 0.8), m=(-2, 2), nd=(0,), m0=2, z=(0.1j,)
+    )
+    with pytest.raises(ChainInfeasible, match="cannot place 2 unit charges on 1 NUTs"):
+        generate_mirror(t, "SO", seed=0)
 
 
 def test_mirror_rejects_unsplittable_instanton_number():

@@ -12,10 +12,10 @@ import bowforge
 from bowforge import bowfile, cli
 from bowforge.bowdata import ExactnessResult
 from bowforge.cli import main
-from bowforge.errors import ParseError, ShapeMismatch
+from bowforge.errors import ParseError, RankIndeterminate, ShapeMismatch
 from bowforge.export import export_bow_complex
 from bowforge.generator import canonical_examples, degenerate_example, generate
-from bowforge.monad import PointReport, ScanReport, SurfacePoint
+from bowforge.monad import MonadAtPoint, PointReport, ScanReport, SurfacePoint
 from bowforge.orthosymplectic import PairingDatum
 from bowforge.topology import TopologicalData
 
@@ -224,7 +224,16 @@ def test_cli_fiber(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rank"] == 2 and doc["locally_free"] is True
     assert main(["fiber", fixture("u2-basic"), "--xi", "0", "--eta", "1.0"]) == 2
-    capsys.readouterr()
+    assert "error: xi must be nonzero" in capsys.readouterr().err
+
+
+def test_cli_fiber_indeterminate_exit_1(capsys, monkeypatch):
+    def straddle(monad):
+        raise RankIndeterminate("singular value straddles the cutoff")
+
+    monkeypatch.setattr(MonadAtPoint, "fiber_rank", straddle)
+    assert main(["fiber", fixture("u2-basic"), "--xi", "1.0", "--eta", "2.1+0.4j"]) == 1
+    assert capsys.readouterr().err == "indeterminate: singular value straddles the cutoff\n"
 
 
 def test_cli_scan(capsys):

@@ -12,6 +12,7 @@ from bowforge import bowfile
 from bowforge.errors import RankIndeterminate, SurfaceViolation
 from bowforge.generator import canonical_examples, degenerate_example, generate, ginibre
 from bowforge.monad import (
+    MonadAtPoint,
     ScanConfig,
     SurfacePoint,
     assemble_monad,
@@ -185,13 +186,6 @@ def test_fiber_rank_rules(u2):
     # Im(mu) outside ker(Amap): no freeness verdict either
     with pytest.raises(RankIndeterminate, match="not contained"):
         stray.locally_free()
-    # an injective Bmap gives rank 0 before Amap is looked at
-    cols = m.Bmap.shape[1]
-    injective = dataclasses.replace(
-        m, Bmap=np.eye(cols, dtype=complex), Amap=np.full(m.Amap.shape, np.nan)
-    )
-    assert injective.fiber_rank() == 0
-    assert injective.fiber().shape[1] == 0
 
 
 def test_u2_fiber_rank_at_ten_points(u2):
@@ -256,7 +250,7 @@ def test_locally_free_fails_with_witness(u2):
     # puts e_j into ker(Amap) outside Im(mu) and keeps Amap mu = 0
     amap = m.Amap.copy()
     amap[:, m.block_index.A["P0"][0]] = 0.0
-    broken = dataclasses.replace(m, Amap=amap, alpha=amap[: m.dimB], beta_tilde=-amap[m.dimB :])
+    broken = dataclasses.replace(m, Amap=amap)
     res = broken.locally_free()
     assert not res.passed and res.quotient_dim == 1
     assert oracle_locally_free(broken) == (False, 1)
@@ -331,6 +325,23 @@ def test_scan_report_structure(u2):
     assert kinds == {"random", "structured"}
     assert report.all_pass and report.ranks_all_expected
     assert sum(p.kind == "random" for p in report.points) == 15
+
+
+def test_scan_reports_raising_points_indeterminate(u2, monkeypatch):
+    structured = set(structured_points(u2))
+    real_locally_free = MonadAtPoint.locally_free
+
+    def straddle_at_structured(self):
+        if self.point in structured:
+            raise RankIndeterminate("singular value straddles the cutoff")
+        return real_locally_free(self)
+
+    monkeypatch.setattr(MonadAtPoint, "locally_free", straddle_at_structured)
+    report = scan_local_freeness(u2, ScanConfig(n_random=5, seed=1))
+    assert report.indeterminate == tuple(p for p in report.points if p.kind == "structured")
+    assert report.indeterminate and not report.failures and not report.all_pass
+    assert all((p.fiber_rank, p.locally_free) == (None, None) for p in report.indeterminate)
+    assert all(p.status == "ok" for p in report.points if p.kind == "random")
 
 
 def test_scan_assembles_once_per_point(u2, monkeypatch):
