@@ -5,6 +5,13 @@ here.  Every rank decision goes through `rank_decision`, so the convention
 (the ranked matrix's own sigma_max * max(dim) * eps * 64) and the straddle
 rule are set once.  There is one rule: a singular value too close to the
 cutoff to call raises RankIndeterminate and is never rounded.
+
+A block-diagonal matrix is ranked from the union of its blocks' singular
+values, which is its own spectrum.  One product is ranked against its
+parent's scale instead of its own: the monad's W^H delta (the cokernel of
+gamma applied to delta) sits at rounding level when it should be zero, so
+it is ranked at fro(Bmap) and Bmap's shape, as a rank of the whole Bmap
+would see it (see monad.MonadAtPoint).
 """
 
 from __future__ import annotations
@@ -65,16 +72,20 @@ def rank_cutoff(sigma_max: float, shape: tuple[int, int]) -> float:
     return sigma_max * max(shape + (1,)) * _EPS * RANK_SAFETY
 
 
-def rank_decision(s, shape: tuple[int, int]) -> int:
+def rank_decision(s, shape: tuple[int, int], sigma_max: float | None = None) -> int:
     """Numerical rank from the singular values `s` of a matrix of `shape`.
 
     `s` is sorted in descending order, as an SVD returns it.  The rank is
     the count of singular values above rank_cutoff(sigma_max, shape); a
     singular value within STRADDLE_FACTOR of the cutoff, on either side,
     raises RankIndeterminate.  By the ordering, some value straddles the
-    cutoff exactly when one of the two values next to it does.
+    cutoff exactly when one of the two values next to it does.  sigma_max
+    defaults to s[0]; the one product ranked at its parent's scale passes
+    the parent's scale and shape (see the module docstring).
     """
-    cut = rank_cutoff(float(s[0]) if len(s) else 0.0, shape)
+    if sigma_max is None:
+        sigma_max = float(s[0]) if len(s) else 0.0
+    cut = rank_cutoff(sigma_max, shape)
     rank = int(np.count_nonzero(s > cut))
     if (rank > 0 and s[rank - 1] < cut * STRADDLE_FACTOR) or (
         rank < len(s) and s[rank] > cut / STRADDLE_FACTOR
@@ -84,16 +95,12 @@ def rank_decision(s, shape: tuple[int, int]) -> int:
     return rank
 
 
-def svd_rank(m) -> int:
-    """Numerical rank by SVD thresholding (see rank_decision)."""
-    m = cmat(m)
-    if m.size == 0:
-        return 0
-    return rank_decision(np.linalg.svd(m, compute_uv=False), m.shape)
+def null_space(m, rank: int | None = None) -> np.ndarray:
+    """Orthonormal basis (columns) of the kernel of m.
 
-
-def null_space(m) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m (see rank_decision)."""
+    The rank of m is decided by rank_decision unless the caller has already
+    decided it (a block ranked within its whole matrix) and passes it.
+    """
     m = cmat(m)
     rows, cols = m.shape
     if cols == 0:
@@ -108,7 +115,9 @@ def null_space(m) -> np.ndarray:
         import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
 
         _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
-    return vh[rank_decision(s, m.shape) :].conj().T
+    if rank is None:
+        rank = rank_decision(s, m.shape)
+    return vh[rank:].conj().T
 
 
 def eigenvalues(m) -> np.ndarray:

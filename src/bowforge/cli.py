@@ -165,26 +165,32 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fiber(args) -> int:
+    """Fiber rank and local freeness at one point.  A rank too close to call
+    prints the document with both null and the reason, then exits 1."""
     _, datum = _load_bow(args.file)
     xi = complex(args.xi)
     eta = complex(args.eta)
     point = SurfacePoint.from_xi_eta(datum.topo.z, xi, eta)
     monad = assemble_monad(datum, point)
-    rank = monad.fiber_rank()
-    free = monad.locally_free()
-    _emit(
-        {
-            "point": {
-                "xi": bowfile.complex_to_doc(point.xi),
-                "psi": bowfile.complex_to_doc(point.psi),
-                "eta": bowfile.complex_to_doc(point.eta),
-            },
-            "rank": rank,
-            "locally_free": free.passed,
-            "expected_rank": datum.topo.n,
+    doc = {
+        "point": {
+            "xi": bowfile.complex_to_doc(point.xi),
+            "psi": bowfile.complex_to_doc(point.psi),
+            "eta": bowfile.complex_to_doc(point.eta),
         },
-        args.format,
-    )
+        "rank": None,
+        "locally_free": None,
+        "expected_rank": datum.topo.n,
+    }
+    try:
+        rank = monad.fiber_rank()
+        free = monad.locally_free()
+    except RankIndeterminate as exc:
+        doc["reason"] = str(exc)
+        _emit(doc, args.format)
+        raise  # main reports it on stderr and exits 1
+    doc["rank"], doc["locally_free"] = rank, free.passed
+    _emit(doc, args.format)
     ok = free.passed and rank == datum.topo.n
     return PASS_EXIT if ok else FAIL_EXIT
 

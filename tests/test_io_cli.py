@@ -227,6 +227,19 @@ def test_cli_fiber(capsys):
     assert "error: xi must be nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "xi, eta",
+    [("nan", "1"), ("1", "nan"), ("inf", "1"), ("1", "inf"), ("1e-320", "1")],
+    ids=["xi-nan", "eta-nan", "xi-inf", "eta-inf", "psi-overflow"],
+)
+def test_cli_fiber_non_finite_point_exit_2(capsys, xi, eta):
+    # a subnormal xi makes psi = prod(eta - z_i) / xi overflow
+    assert main(["fiber", fixture("u2-basic"), "--xi", xi, "--eta", eta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: xi, eta and psi = prod(eta - z_i) / xi must be finite")
+
+
 def test_cli_fiber_indeterminate_exit_1(capsys, monkeypatch):
     def straddle(monad):
         raise RankIndeterminate("singular value straddles the cutoff")
@@ -234,6 +247,31 @@ def test_cli_fiber_indeterminate_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(MonadAtPoint, "fiber_rank", straddle)
     assert main(["fiber", fixture("u2-basic"), "--xi", "1.0", "--eta", "2.1+0.4j"]) == 1
     assert capsys.readouterr().err == "indeterminate: singular value straddles the cutoff\n"
+
+
+@pytest.mark.parametrize("method", ["fiber_rank", "locally_free"])
+def test_cli_fiber_indeterminate_explains_itself(capsys, monkeypatch, method):
+    args = ["fiber", fixture("u2-basic"), "--xi", "1.0", "--eta", "2.1+0.4j", "--format", "machine"]
+    assert main(args) == 0
+    normal = json.loads(capsys.readouterr().out)
+
+    def straddle(monad):
+        raise RankIndeterminate("singular value straddles the cutoff")
+
+    monkeypatch.setattr(MonadAtPoint, method, straddle)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc == {
+        **normal,
+        "rank": None,
+        "locally_free": None,
+        "reason": "singular value straddles the cutoff",
+    }
+    assert captured.err == "indeterminate: singular value straddles the cutoff\n"
+    assert main(args[:-2]) == 1
+    human = capsys.readouterr().out
+    assert "rank: None\n" in human and "reason: singular value straddles the cutoff\n" in human
 
 
 def test_cli_scan(capsys):

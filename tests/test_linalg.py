@@ -40,16 +40,22 @@ def test_null_space_survives_svd_nonconvergence(monkeypatch):
     assert np.linalg.norm(m @ basis) < 1e-14
 
 
+def svd_rank(m):
+    return la.rank_decision(np.linalg.svd(m, compute_uv=False), m.shape)
+
+
 def test_svd_rank_and_straddle_detection():
-    assert la.svd_rank(np.diag([1.0, 1e-3])) == 2
-    assert la.svd_rank(np.diag([1.0, 0.0])) == 1
+    assert svd_rank(np.diag([1.0, 1e-3])) == 2
+    assert svd_rank(np.diag([1.0, 0.0])) == 1
     # a singular value sitting right at the cutoff is indeterminate
     cutoff = la.rank_cutoff(1.0, (2, 2))
     m = np.diag([1.0, cutoff])
     with pytest.raises(RankIndeterminate):
-        la.svd_rank(m)
+        svd_rank(m)
     with pytest.raises(RankIndeterminate):
         la.null_space(m)
+    # a rank decided elsewhere is taken as given
+    assert la.null_space(m, rank=1).shape == (2, 1)
 
 
 def test_rank_decision_straddle_and_scale():
@@ -61,6 +67,10 @@ def test_rank_decision_straddle_and_scale():
     s = np.array([1e-6, 1e-7])
     assert la.rank_decision(s, (2, 2)) == 2
     assert la.rank_decision(np.zeros(0), (0, 3)) == 0
+    # ranked at a parent's scale, the same values are rounding noise
+    assert la.rank_decision(s, (2, 2), sigma_max=1e9) == 0
+    with pytest.raises(RankIndeterminate):
+        la.rank_decision(s, (2, 2), sigma_max=1e-6 / cutoff)
 
 
 def test_rank_decision_matches_straddle_mask():

@@ -68,6 +68,40 @@ def oracle_locally_free(m):
     return bool(np.count_nonzero(s > cut) == q), q
 
 
+def dense_rank(m):
+    """Rank of a whole map, as the block ranks of MonadAtPoint replace it."""
+    return la.rank_decision(np.linalg.svd(m, compute_uv=False), m.shape) if m.size else 0
+
+
+def dense_verdict(m):
+    """(status, fiber rank, passed, quotient_dim) from dense ranks of the whole
+    maps, with both zero-product checks; every field None when indeterminate."""
+    try:
+        for left, right in ((m.Bmap, m.Amap), (m.Amap, m.mu)):
+            residual = la.fro(left @ right) / (1.0 + la.fro(left) * la.fro(right))
+            if not residual < la.DEFAULT_TOL:
+                raise RankIndeterminate("nonzero product")
+        rank_amap, rank_mu = dense_rank(m.Amap), dense_rank(m.mu)
+        passed = m.dimA - rank_amap == rank_mu
+        return (
+            "ok" if passed else "fail",
+            m.Bmap.shape[1] - dense_rank(m.Bmap) - rank_amap,
+            passed,
+            m.dimA - dense_rank(m.alpha) - rank_mu,
+        )
+    except RankIndeterminate:
+        return ("indeterminate", None, None, None)
+
+
+def block_verdict(m):
+    """The same four fields from fiber_rank() and locally_free()."""
+    try:
+        rank, free = m.fiber_rank(), m.locally_free()
+    except RankIndeterminate:
+        return ("indeterminate", None, None, None)
+    return ("ok" if free.passed else "fail", rank, free.passed, free.quotient_dim)
+
+
 # ---------------------------------------------------------------- assembly
 
 def test_u1_monad_dimensions(canon):
@@ -106,6 +140,14 @@ def test_assembled_points_share_no_array(u2):
 def test_surface_violation_rejected(u2):
     with pytest.raises(SurfaceViolation):
         assemble_monad(u2, SurfacePoint(1.0, 1.0, 123.0))
+    # a NaN residual is no pass: the check asks for residual < tol
+    for bad in (SurfacePoint(float("nan"), 1.0, 1.0), SurfacePoint(1.0, 1.0, float("nan"))):
+        with pytest.raises(SurfaceViolation, match="residual nan"):
+            assemble_monad(u2, bad)
+    # from_xi_eta builds no non-finite point in the first place
+    for xi, eta in [(float("nan"), 1.0), (1.0, float("inf")), (1e-320, 1.0)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            point(u2, xi, eta)
 
 
 def test_composition_zero_on_generated_data():
@@ -248,9 +290,8 @@ def test_locally_free_fails_with_witness(u2):
     assert m.locally_free().quotient_dim == 0
     # mu vanishes on the P-block rows, so zeroing a P-block column of Amap
     # puts e_j into ker(Amap) outside Im(mu) and keeps Amap mu = 0
-    amap = m.Amap.copy()
-    amap[:, m.block_index.A["P0"][0]] = 0.0
-    broken = dataclasses.replace(m, Amap=amap)
+    broken = zeroed_p_column(m)
+    amap = broken.Amap
     res = broken.locally_free()
     assert not res.passed and res.quotient_dim == 1
     assert oracle_locally_free(broken) == (False, 1)
@@ -258,6 +299,44 @@ def test_locally_free_fails_with_witness(u2):
     assert np.linalg.norm(w) == pytest.approx(1.0)
     assert np.linalg.norm(amap @ w) < 1e-10
     assert np.linalg.norm(m.mu.conj().T @ w) < 1e-10
+
+
+def zeroed_p_column(m):
+    """m with a zeroed P-block column of Amap: a real freeness failure."""
+    amap = m.Amap.copy()
+    amap[:, m.block_index.A["P0"][0]] = 0.0
+    return dataclasses.replace(m, Amap=amap)
+
+
+def test_block_ranks_match_dense_oracle(u2):
+    data = [generate(suite_topology(3, 3, m0), seed=s) for m0 in (3, 10) for s in (101, 202)]
+    data += [e.datum for e in canonical_examples()] + [degenerate_example()[1]]
+    monads = []
+    for d in data:
+        assemble = monad_assembler(d)
+        monads += [assemble(pt) for pt in random_points(d, 5, seed=1) + structured_points(d)]
+    monads.append(zeroed_p_column(assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))))
+    verdicts = [block_verdict(m) for m in monads]
+    assert verdicts == [dense_verdict(m) for m in monads]
+    statuses = [v[0] for v in verdicts]
+    assert statuses.count("fail") == 1 and statuses.count("indeterminate") == 0
+
+
+def test_cokernel_of_gamma_ranked_at_bmap_scale(u2):
+    # Zero one Q-row of Bmap and refill it with noise at 1e-16 fro(Bmap).
+    # gamma's block loses a rank, and W^H delta is that row's delta part.
+    m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
+    bmap = m.Bmap.copy()
+    row = m.block_index.C["Q1"][0]
+    noise = 1e-16 * la.fro(m.Bmap) * ginibre(np.random.default_rng(5), 1, bmap.shape[1])
+    bmap[row] = noise[0]
+    noisy = dataclasses.replace(m, Bmap=bmap)
+    # ranked at its own sigma_max the noise would count as rank 1 ...
+    w_delta = noise[:, : m.dimB]
+    assert la.rank_decision(np.linalg.svd(w_delta, compute_uv=False), w_delta.shape) == 1
+    # ... at Bmap's scale it counts as 0, so Bmap loses a rank and the fiber gains one
+    assert noisy.fiber_rank() == m.fiber_rank() + 1 == 3
+    assert block_verdict(noisy) == dense_verdict(noisy) == ("ok", 3, True, 0)
 
 
 def test_locally_free_matches_kernel_quotient_oracle():
@@ -363,19 +442,26 @@ def test_scan_assembles_once_per_point(u2, monkeypatch):
     assert calls == [p.point for p in report.points]
 
 
-def test_scan_ranks_amap_once_per_point(u2, monkeypatch):
-    dim_a, dim_b, dim_c, _ = monad_dimensions(u2.dims)
-    svd_rank = la.svd_rank
+@pytest.mark.parametrize("which", ["u2-basic", "ladder-m0-3"])
+def test_scan_takes_no_dense_svd(canon, monkeypatch, which):
+    # the scan ranks blocks: no SVD is taken of a whole Amap, Bmap or alpha
+    if which == "u2-basic":
+        d = canon["u2-basic"].datum
+    else:
+        d = generate(suite_topology(3, 3, 3), seed=101)
+    dim_a, dim_b, dim_c, _ = monad_dimensions(d.dims)
+    svd = np.linalg.svd
     shapes = []
 
-    def counting(m, *args, **kwargs):
-        shapes.append(np.shape(m))
-        return svd_rank(m, *args, **kwargs)
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(la, "svd_rank", counting)
-    report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
-    # for u2, Amap (14 x 10) differs in shape from alpha, Bmap and mu
-    assert shapes.count((dim_b + dim_c, dim_a)) == len(report.points)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    report = scan_local_freeness(d, ScanConfig(n_random=6, seed=3))
+    assert report.all_pass and not report.indeterminate and shapes
+    whole = {(dim_b + dim_c, dim_a), (dim_c, dim_b + dim_c), (dim_b, dim_a)}
+    assert len(whole) == 3 and whole.isdisjoint(shapes)
 
 
 def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
