@@ -23,6 +23,7 @@ from .bowdata import (
 )
 from .monad import (
     MonadAtPoint,
+    MonadStack,
     ScanConfig,
     SurfacePoint,
     assemble_monad,

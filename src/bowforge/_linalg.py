@@ -164,13 +164,18 @@ def poly_from_roots(roots) -> np.ndarray:
 
 
 def polyval_matrix(coeffs, m) -> np.ndarray:
-    """Evaluate a polynomial (highest-first coefficients) at a square matrix."""
+    """Evaluate a polynomial (highest-first coefficients) at a square matrix.
+
+    `coeffs` may carry trailing axes, one polynomial per index; the result
+    then has those axes in front of m's.
+    """
     m = cmat(m)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     d = m.shape[0]
-    out = np.zeros((d, d), dtype=np.complex128)
+    out = np.zeros(coeffs.shape[1:] + (d, d), dtype=np.complex128)
     eye = np.eye(d, dtype=np.complex128)
-    for c in np.asarray(coeffs, dtype=np.complex128):
-        out = out @ m + c * eye
+    for c in coeffs:
+        out = out @ m + c[..., None, None] * eye
     return out
 
 
@@ -184,7 +189,7 @@ def matrix_poly_at_roots(m, roots) -> np.ndarray:
     return out
 
 
-def divided_difference(coeffs, eta: complex, beta) -> np.ndarray:
+def divided_difference(coeffs, eta, beta) -> np.ndarray:
     """The matrix divided difference (p(eta) I - p(beta)) (eta I - beta)^{-1}.
 
     Here p has the highest-first coefficients `coeffs`; for
@@ -192,15 +197,19 @@ def divided_difference(coeffs, eta: complex, beta) -> np.ndarray:
     synthetic-division quotient q(t) = (p(t) - p(eta)) / (t - eta) evaluated
     at beta, so the result is a polynomial in beta and eta; no inversion is
     ever performed and the formula is valid also when eta is an eigenvalue.
+    `eta` may be an array of points; the result then has eta's shape in
+    front of beta's.
     """
     beta = cmat(beta)
-    # Horner/synthetic division of p by (t - eta); drop the remainder p(eta).
-    quot = np.zeros(len(coeffs) - 1, dtype=np.complex128)
-    acc = 0.0 + 0.0j
-    for i in range(len(coeffs) - 1):
-        acc = coeffs[i] + complex(eta) * acc
-        quot[i] = acc
-    return polyval_matrix(quot, beta)
+    etas = np.asarray(eta, dtype=np.complex128)
+    quot = np.zeros((len(coeffs) - 1, etas.size), dtype=np.complex128)
+    for col, e in enumerate(etas.ravel().tolist()):
+        # Horner/synthetic division of p by (t - e); drop the remainder p(e).
+        acc = 0.0 + 0.0j
+        for i in range(len(coeffs) - 1):
+            acc = coeffs[i] + e * acc
+            quot[i, col] = acc
+    return polyval_matrix(quot.reshape(quot.shape[:1] + etas.shape), beta)
 
 
 def spectral_projector(m, eigenvalue: complex) -> np.ndarray:

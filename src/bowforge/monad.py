@@ -10,7 +10,7 @@ numerically by the lift-commutativity residuals rather than trusted.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +19,15 @@ import numpy as np
 from . import _linalg as la
 from .bowdata import BowDatum, aggregate_maps
 from .errors import RankIndeterminate, SurfaceViolation
+
+# Bytes that one chunk of scan_local_freeness may hold, every array of its
+# evaluation counted (MonadStack.point_bytes).  A chunk pays numpy's per-call
+# overhead once for all its points.  2 MiB is one core's L2 cache on current
+# x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
+# this much more memory than a point-at-a-time scan.  On the benchmark ladder
+# suite_topology(3, 3, m0) that is 45 points a chunk at m0 = 3, 5 at m0 = 10,
+# and at m0 = 20 (1.4 MB a point) one.
+CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class SurfacePoint:
 @dataclass(frozen=True)
 class BlockIndex:
     """Named (offset, size) for every block of the monad spaces A, B, C = D, F,
-    and the slices of the maps that the block ranks of MonadAtPoint read."""
+    and the slices of the maps that the block ranks of MonadStack read."""
 
     A: dict
     B: dict
@@ -85,9 +94,11 @@ class MonadAtPoint:
     mu maps the auxiliary space F = C^{d_0 + d_n} into the R blocks of A.
     alpha, beta_tilde and the dimensions are read off these three maps.
 
-    fiber_rank() and locally_free() rank blocks of the maps, never a whole
-    map, and answer from singular values; only a rank-deficient block has
-    its singular vectors computed.  Block by block:
+    fiber_rank(), fiber() and locally_free() evaluate this point as a
+    MonadStack of one, so a single point and a scan run the same code.
+    They rank blocks of the maps, never a whole map, and answer from
+    singular values; only a rank-deficient block has its singular vectors
+    computed.  Block by block:
       rank(alpha): alpha is block diagonal in its P-blocks
         [(eta - beta_i); -gamma_i] and its R-block G, each ranked at
         alpha's sigma_max and shape;
@@ -135,68 +146,15 @@ class MonadAtPoint:
     def beta_tilde(self) -> np.ndarray:
         return -self.Amap[self.dimB :]
 
-    def composition_residual(self) -> float:
-        return _product_residual(self.Bmap, self.Amap)
-
     @cached_property
-    def _spectra(self) -> tuple[list, list, np.ndarray, np.ndarray]:
-        """Singular values of alpha's P-blocks, of gamma's blocks, of G and of
-        mu's R rows, from two batched SVDs (see _batched_spectra)."""
-        ix = self.block_index
-        n = len(ix.alpha_p)
-        chain = _batched_spectra(
-            [self.Amap[s] for s in ix.alpha_p] + [self.Bmap[s] for s in ix.gamma]
+    def _stack(self) -> MonadStack:
+        """This point as a stack of one, which every rank below is read from."""
+        return MonadStack(
+            (self.point,), self.Amap[None], self.Bmap[None], self.mu[None], self.block_index
         )
-        g, mu_r = _batched_spectra([self.Amap[ix.alpha_g], self.mu[ix.alpha_g[1]].T])
-        return chain[:n], chain[n:], g, mu_r
 
-    @cached_property
-    def _alpha(self) -> tuple[int, list]:
-        """rank(alpha), and (i, K_i) for each rank-deficient P-block i."""
-        ix = self.block_index
-        p, _, g, _ = self._spectra
-        ranks = _block_ranks(p + [g], (self.dimB, self.dimA))
-        kernels = [
-            (i, la.null_space(self.Amap[ix.alpha_p[i]], r))
-            for i, (s, r) in enumerate(zip(p, ranks))
-            if r < len(s)
-        ]
-        return sum(ranks), kernels
-
-    def _m(self) -> np.ndarray:
-        """M (see the class) without the rows that are zero on its columns.
-
-        Off the deficient P-blocks' columns only G and the Q0 and Qn rows of
-        beta_tilde reach the R columns, so the other Q rows are left out.
-        """
-        ix = self.block_index
-        g_rows, r_cols = ix.alpha_g
-        kernels = self._alpha[1]
-        rows = self.Amap[g_rows.start :] if kernels else self.Amap[ix.r_rows]
-        return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in kernels] + [rows[:, r_cols]])
-
-    @cached_property
-    def _amap_nullity(self) -> int:
-        """dim ker(Amap) = dim ker M, ranked at M's own sigma_max and shape."""
-        m = self._m()
-        shape = (self.Amap.shape[0] - self.block_index.alpha_g[0].start, m.shape[1])
-        return m.shape[1] - la.rank_decision(np.linalg.svd(m, compute_uv=False), shape)
-
-    @cached_property
-    def _bmap_rank(self) -> int:
-        """rank(gamma) + rank(W^H delta) (see the class)."""
-        ix = self.block_index
-        spectra = self._spectra[1]
-        ranks = _block_ranks(spectra, (self.dimC, self.dimC))
-        cokernel = [
-            la.null_space(self.Bmap[block].conj().T, r).conj().T @ self.Bmap[block[0], : self.dimB]
-            for block, s, r in zip(ix.gamma, spectra, ranks)
-            if r < len(s)
-        ]
-        if not cokernel:
-            return sum(ranks)
-        s = np.linalg.svd(np.vstack(cokernel), compute_uv=False)
-        return sum(ranks) + la.rank_decision(s, self.Bmap.shape, la.fro(self.Bmap))
+    def composition_residual(self) -> float:
+        return float(self._stack.composition_residuals[0])
 
     def fiber_rank(self) -> int:
         """Rank of the monad cohomology: dim ker(Bmap) - rank(Amap).
@@ -208,8 +166,7 @@ class MonadAtPoint:
         close to its rank cutoff to call, or when Im(Amap) is not inside
         ker(Bmap) (composition_residual not below DEFAULT_TOL).
         """
-        _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
-        return self.Bmap.shape[1] - self._bmap_rank - (self.dimA - self._amap_nullity)
+        return self._stack.fiber_rank(0)
 
     def fiber(self) -> np.ndarray:
         """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap).
@@ -219,9 +176,7 @@ class MonadAtPoint:
         fiber_rank() does, or when the basis found has other than
         dim ker(Bmap) - rank(Amap) columns, with rank(Amap) from the blocks.
         """
-        _require_zero_product(self.Bmap, self.Amap, "image of Amap not contained in ker(Bmap)")
-        rank_amap = self.dimA - self._amap_nullity
-        return _quotient(la.null_space(self.Bmap), self.Amap, rank_amap)
+        return self._stack.fiber(0)
 
     def locally_free(self) -> LocalFreenessResult:
         """Pointwise local-freeness criterion: dim ker(Amap) = rank(mu).
@@ -238,62 +193,273 @@ class MonadAtPoint:
         RankIndeterminate on a rank too close to call, on Amap mu != 0, or
         when the witnesses found number other than dim ker(Amap) - rank(mu).
         """
-        _require_zero_product(self.Amap, self.mu, "image of mu not contained in ker(Amap)")
-        rank_mu = la.rank_decision(self._spectra[3], self.mu.shape)
-        quotient_dim = self.dimA - self._alpha[0] - rank_mu
-        if self._amap_nullity == rank_mu:
+        return self._stack.locally_free(0)
+
+
+@dataclass(frozen=True)
+class MonadStack:
+    """The monad maps at k surface points, each map with a leading point axis.
+
+    Amap is k x (dimB + dimC) x dimA, Bmap k x dimD x (dimB + dimC) and mu
+    k x dimA x dimF; stack[j] is point j as a MonadAtPoint.  fiber_rank(j),
+    fiber(j) and locally_free(j) answer for point j as MonadAtPoint does
+    (see there for the block ranks).  What they read is evaluated for the
+    whole stack on first use: each zero product is one batched matmul and
+    one norm; alpha's P-blocks and gamma's blocks are one zero-padded SVD,
+    G and mu's R rows another, and M one more for the points where no
+    P-block is deficient.  Only what is truly per point runs in a loop:
+    each rank_decision, the kernels of deficient blocks and W^H delta.
+    Each per-point result holds a value or the RankIndeterminate its point
+    raised, which is raised when that point is asked.
+    """
+
+    points: tuple[SurfacePoint, ...]
+    Amap: np.ndarray
+    Bmap: np.ndarray
+    mu: np.ndarray
+    block_index: BlockIndex
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, j: int) -> MonadAtPoint:
+        return MonadAtPoint(self.points[j], self.Amap[j], self.Bmap[j], self.mu[j], self.block_index)
+
+    @property
+    def point_bytes(self) -> int:
+        """Bytes one point holds while its stack is evaluated, counted whole
+        (see CHUNK_BYTES): its three maps, S and T, both zero products, its
+        share of the two padded block stacks, and M as it is where no
+        P-block is deficient."""
+        ix = self.block_index
+        dim_bc, dim_a = self.Amap.shape[1:]
+        dim_c, dim_f = self.Bmap.shape[1], self.mu.shape[2]
+        chain = ix.alpha_p + ix.gamma
+        g_rows, r_cols = map(_len, ix.alpha_g)
+        entries = (
+            dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
+            + ix.A["R0"][1] ** 2 + ix.A["R1"][1] ** 2  # S, T
+            + dim_c * dim_a + dim_bc * dim_f  # Bmap Amap, Amap mu
+            + len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain)
+            + 2 * g_rows * r_cols  # G, mu's R rows
+            + len(ix.r_rows) * r_cols  # M
+        )
+        return max(entries, 1) * np.dtype(np.complex128).itemsize
+
+    @cached_property
+    def composition_residuals(self) -> np.ndarray:
+        """Per point: fro(Bmap Amap) / (1 + fro(Bmap) fro(Amap))."""
+        return _fro(self.Bmap @ self.Amap) / (1.0 + _fro(self.Bmap) * self._fro_amap)
+
+    @cached_property
+    def _mu_residuals(self) -> np.ndarray:
+        """Per point: fro(Amap mu) / (1 + fro(Amap) fro(mu))."""
+        return _fro(self.Amap @ self.mu) / (1.0 + self._fro_amap * _fro(self.mu))
+
+    @cached_property
+    def _fro_amap(self) -> np.ndarray:
+        return _fro(self.Amap)
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values of alpha's P-blocks then gamma's blocks, and of G
+        and mu's R rows, from two padded SVDs (see _padded_spectra)."""
+        ix = self.block_index
+        g_rows, r_cols = ix.alpha_g
+        chain = [self.Amap[:, r, c] for r, c in ix.alpha_p] + [self.Bmap[:, r, c] for r, c in ix.gamma]
+        g_mu = [self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)]
+        return _padded_spectra(chain), _padded_spectra(g_mu)
+
+    @cached_property
+    def _alpha(self) -> list:
+        """Per point: rank(alpha), and (i, K_i) for each rank-deficient P-block i."""
+        ix = self.block_index
+        chain, g_mu = self._spectra
+        sizes = [min(map(_len, s)) for s in ix.alpha_p]
+        spectra = [chain[:, i, :size] for i, size in enumerate(sizes)]
+        spectra.append(g_mu[:, 0, : min(map(_len, ix.alpha_g))])
+        ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
+
+        def alpha(j):
+            blocks = _value(ranks[j])
+            kernels = [
+                (i, la.null_space(self.Amap[j][ix.alpha_p[i]], r))
+                for i, (size, r) in enumerate(zip(sizes, blocks))
+                if r < size
+            ]
+            return sum(blocks), kernels
+
+        return _each(alpha, len(self))
+
+    def _m(self, j: int) -> np.ndarray:
+        """M of point j (see MonadAtPoint) without the rows that are zero on
+        its columns.
+
+        Off the deficient P-blocks' columns only G and the Q0 and Qn rows of
+        beta_tilde reach the R columns, so the other Q rows are left out.
+        """
+        ix = self.block_index
+        g_rows, r_cols = ix.alpha_g
+        kernels = self._alpha[j][1]
+        amap = self.Amap[j]
+        rows = amap[g_rows.start :] if kernels else amap[ix.r_rows]
+        return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in kernels] + [rows[:, r_cols]])
+
+    @cached_property
+    def _amap_nullity(self) -> list:
+        """Per point: dim ker(Amap) = dim ker M, ranked at M's own sigma_max
+        and shape.  The Ms of the points with no deficient P-block share one
+        shape and are one batched SVD."""
+        ix = self.block_index
+        plain = [j for j, a in enumerate(self._alpha) if not isinstance(a, RankIndeterminate) and not a[1]]
+        spectra = {}
+        if plain:
+            m = self.Amap[np.array(plain)[:, None], ix.r_rows, ix.alpha_g[1]]
+            spectra = dict(zip(plain, np.linalg.svd(m, compute_uv=False)))
+        m_rows = self.Amap.shape[1] - ix.alpha_g[0].start
+
+        def nullity(j):
+            cols = _len(ix.alpha_g[1]) + sum(k.shape[1] for _, k in _value(self._alpha[j])[1])
+            s = spectra[j] if j in spectra else np.linalg.svd(self._m(j), compute_uv=False)
+            return cols - la.rank_decision(s, (m_rows, cols))
+
+        return _each(nullity, len(self))
+
+    @cached_property
+    def _bmap_rank(self) -> list:
+        """Per point: rank(gamma) + rank(W^H delta) (see MonadAtPoint)."""
+        ix = self.block_index
+        n = len(ix.alpha_p)
+        dim_c = self.Bmap.shape[1]
+        dim_b = self.Bmap.shape[2] - dim_c
+        sizes = [_len(r) for r, _ in ix.gamma]
+        ranks = _block_ranks(
+            [self._spectra[0][:, n + i, :size] for i, size in enumerate(sizes)], (dim_c, dim_c)
+        )
+
+        def bmap_rank(j):
+            blocks = _value(ranks[j])
+            bmap = self.Bmap[j]
+            cokernel = [
+                la.null_space(bmap[block].conj().T, r).conj().T @ bmap[block[0], :dim_b]
+                for block, size, r in zip(ix.gamma, sizes, blocks)
+                if r < size
+            ]
+            if not cokernel:
+                return sum(blocks)
+            s = np.linalg.svd(np.vstack(cokernel), compute_uv=False)
+            return sum(blocks) + la.rank_decision(s, bmap.shape, la.fro(bmap))
+
+        return _each(bmap_rank, len(self))
+
+    @cached_property
+    def _mu_rank(self) -> list:
+        """Per point: rank(mu), from its R rows at mu's shape."""
+        spectra = self._spectra[1][:, 1, : self.mu.shape[2]]
+        return _each(lambda j: la.rank_decision(spectra[j], self.mu.shape[1:]), len(self))
+
+    def _amap_rank(self, j: int) -> int:
+        """rank(Amap) at point j: dimA - dim ker M."""
+        return self.Amap.shape[2] - _value(self._amap_nullity[j])
+
+    def fiber_rank(self, j: int) -> int:
+        """MonadAtPoint.fiber_rank at point j."""
+        _require_zero(self.composition_residuals[j], "image of Amap not contained in ker(Bmap)")
+        return self.Bmap.shape[2] - _value(self._bmap_rank[j]) - self._amap_rank(j)
+
+    def fiber(self, j: int) -> np.ndarray:
+        """MonadAtPoint.fiber at point j."""
+        _require_zero(self.composition_residuals[j], "image of Amap not contained in ker(Bmap)")
+        return _quotient(la.null_space(self.Bmap[j]), self.Amap[j], self._amap_rank(j))
+
+    def locally_free(self, j: int) -> LocalFreenessResult:
+        """MonadAtPoint.locally_free at point j."""
+        _require_zero(self._mu_residuals[j], "image of mu not contained in ker(Amap)")
+        rank_mu = _value(self._mu_rank[j])
+        quotient_dim = self.Amap.shape[2] - _value(self._alpha[j])[0] - rank_mu
+        if _value(self._amap_nullity[j]) == rank_mu:
             return LocalFreenessResult(passed=True, quotient_dim=quotient_dim)
-        witnesses = _quotient(self._amap_kernel(), self.mu, rank_mu)
+        witnesses = _quotient(self._amap_kernel(j), self.mu[j], rank_mu)
         return LocalFreenessResult(passed=False, witness=witnesses[:, 0], quotient_dim=quotient_dim)
 
-    def _amap_kernel(self) -> np.ndarray:
-        """Orthonormal basis of ker(Amap): ker M with each K_i put back."""
+    def _amap_kernel(self, j: int) -> np.ndarray:
+        """Orthonormal basis of ker(Amap) at point j: ker M with each K_i put back."""
         ix = self.block_index
-        y = la.null_space(self._m())
-        kernel = np.zeros((self.dimA, y.shape[1]), dtype=np.complex128)
+        y = la.null_space(self._m(j))
+        kernel = np.zeros((self.Amap.shape[2], y.shape[1]), dtype=np.complex128)
         off = 0
-        for i, k in self._alpha[1]:
+        for i, k in self._alpha[j][1]:
             kernel[ix.alpha_p[i][1]] = k @ y[off : off + k.shape[1]]
             off += k.shape[1]
         kernel[ix.alpha_g[1]] = y[off:]
         return kernel
 
 
-def _batched_spectra(blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Singular values of each block, from one SVD of the blocks stacked and
-    zero-padded to a common shape.  Padding adds only zero singular values,
-    which sort last and are cut off at min(block shape)."""
-    rows = max((b.shape[0] for b in blocks), default=0)
-    cols = max((b.shape[1] for b in blocks), default=0)
-    stack = np.zeros((len(blocks), rows, cols), dtype=np.complex128)
+def _len(s: slice) -> int:
+    return s.stop - s.start
+
+
+def _each(result: Callable[[int], object], k: int) -> list:
+    """result(j) for each point j of a stack, or the RankIndeterminate it raised."""
+    out = []
+    for j in range(k):
+        try:
+            out.append(result(j))
+        except RankIndeterminate as exc:
+            out.append(exc)
+    return out
+
+
+def _value(result):
+    """A per-point result of MonadStack: raise it if it is a RankIndeterminate."""
+    if isinstance(result, RankIndeterminate):
+        raise result
+    return result
+
+
+def _padded_spectra(blocks: list[np.ndarray]) -> np.ndarray:
+    """Singular values of stacks of blocks (each k x rows x cols), from one
+    SVD of all of them zero-padded to a common shape.  The result is
+    k x len(blocks) x min(padded shape); padding adds only zero singular
+    values, which sort last, so block b's are [:, b, :min(its shape)]."""
+    rows = max((b.shape[1] for b in blocks), default=0)
+    cols = max((b.shape[2] for b in blocks), default=0)
+    stack = np.zeros((len(blocks[0]), len(blocks), rows, cols), dtype=np.complex128)
     for j, b in enumerate(blocks):
-        stack[j, : b.shape[0], : b.shape[1]] = b
-    spectra = np.linalg.svd(stack, compute_uv=False)
-    return [s[: min(b.shape)] for s, b in zip(spectra, blocks)]
+        stack[:, j, : b.shape[1], : b.shape[2]] = b
+    return np.linalg.svd(stack, compute_uv=False)
 
 
-def _block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list[int]:
-    """Ranks of the blocks of a block-diagonal matrix of `shape`, from their
-    singular values `spectra`.
+def _block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
+    """Per point, the ranks of the blocks of a block-diagonal matrix of
+    `shape`, from their singular values (spectra[b][point]), or the
+    RankIndeterminate its decision raised.
 
-    Their union is the spectrum of the whole, ranked in one decision; a
-    block's rank is the count of its values among the union's top `rank`.
+    A point's union of block spectra is the spectrum of its whole matrix,
+    ranked in one decision; a block's rank is the count of its values among
+    the union's top `rank`.
     """
-    union = np.concatenate(spectra)
-    order = np.argsort(union)[::-1]
-    rank = la.rank_decision(union[order], shape)
-    if rank == len(union):
-        return [len(s) for s in spectra]
-    owner = np.repeat(np.arange(len(spectra)), [len(s) for s in spectra])
-    return np.bincount(owner[order[:rank]], minlength=len(spectra)).tolist()
+    sizes = [s.shape[1] for s in spectra]
+    union = np.concatenate(spectra, axis=1)
+    ranked = np.sort(union, axis=1)[:, ::-1]
+
+    def ranks(j):
+        rank = la.rank_decision(ranked[j], shape)
+        if rank == union.shape[1]:
+            return sizes
+        owner = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(union[j])[::-1]]
+        return np.bincount(owner[:rank], minlength=len(sizes)).tolist()
+
+    return _each(ranks, len(union))
 
 
-def _product_residual(left: np.ndarray, right: np.ndarray) -> float:
-    return la.fro(left @ right) / (1.0 + la.fro(left) * la.fro(right))
+def _fro(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex stack."""
+    rows = np.ascontiguousarray(stack).reshape(len(stack), 1, -1).view(np.float64)
+    return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(stack))
 
 
-def _require_zero_product(left: np.ndarray, right: np.ndarray, what: str) -> None:
-    residual = _product_residual(left, right)
+def _require_zero(residual: float, what: str) -> None:
     if not residual < la.DEFAULT_TOL:
         raise RankIndeterminate(f"{what}: residual {residual:.3e}")
 
@@ -330,15 +496,19 @@ def monad_dimensions(dims) -> tuple[int, int, int, int]:
     return dim_a, dim_b, dim_c, dim_c
 
 
-def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
-    """Evaluation of the monad maps of `b` at surface points.
+def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStack]:
+    """Evaluation of the monad maps of `b` at a stack of surface points.
 
     Every entry that does not depend on the point is written once, here,
-    into templates, -beta_i included.  The returned function checks the
-    surface equation, copies the templates, adds eta on the diagonals of
-    the eta I - beta_i blocks, writes xi and psi on the diagonals of their
-    identity blocks and writes the divided differences S and T.  Points
-    never share arrays.
+    into templates, -beta_i included.  The returned function takes a
+    sequence of k points and returns their MonadStack: it checks the
+    surface equation at each point, copies each template once into a
+    k x ... array, adds eta on the diagonals of the eta I - beta_i blocks,
+    writes xi and psi on the diagonals of their identity blocks (all on
+    precomputed flat indices, for all k points at once) and writes the
+    divided differences S and T.  Points never share entries, and stacks
+    never share arrays.  scan_local_freeness sizes its stacks by
+    CHUNK_BYTES; assemble_monad is a stack of one.
 
     Block layout (offsets recorded in the block_index of every result):
       A: P-blocks C^{d_i}, i = 0..n-1, then R-blocks C^{d_0}, C^{d_n},
@@ -413,9 +583,9 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
         amap0[at(cb_table, f"Q{i}", a_table, f"P{i}")] = -np.eye(d[i])
         amap0[at(cb_table, f"Q{i + 1}", a_table, f"P{i}")] = -b.A[i]
     amap0[at(cb_table, "Q0", a_table, "R1")] = -mxi_hat
-    bt_s = at(cb_table, "Q0", a_table, "R2")
+    bt_s = (slice(None), *at(cb_table, "Q0", a_table, "R2"))
     amap0[at(cb_table, f"Q{n}", a_table, "R0")] = mpsi_hat
-    bt_t = at(cb_table, f"Q{n}", a_table, "R3")
+    bt_t = (slice(None), *at(cb_table, f"Q{n}", a_table, "R3"))
     a_eta = diagonal(amap_shape, *alpha_res, g_res0, g_resn)
     a_xi = diagonal(  # xi I in G and in -beta_tilde
         amap_shape,
@@ -446,51 +616,57 @@ def monad_assembler(b: BowDatum) -> Callable[[SurfacePoint], MonadAtPoint]:
     # the R resolution (divided differences in the top blocks).
     mu_shape = (dim_a, dim_f)
     mu0 = np.zeros(mu_shape, dtype=np.complex128)
-    mu_s = at(a_table, "R0", f_table, "F0")
-    mu_t = at(a_table, "R1", f_table, "F1")
+    mu_s = (slice(None), *at(a_table, "R0", f_table, "F0"))
+    mu_t = (slice(None), *at(a_table, "R1", f_table, "F1"))
     mu0[at(a_table, "R2", f_table, "F1")] = mxi_hat
     mu0[at(a_table, "R3", f_table, "F0")] = -mpsi_hat
     mu_psi = diagonal(mu_shape, at(a_table, "R2", f_table, "F0"))
     mu_mxi = diagonal(mu_shape, at(a_table, "R3", f_table, "F1"))
 
-    def assemble(x: SurfacePoint) -> MonadAtPoint:
-        residual = x.surface_residual(b.topo.z)
-        if not residual < la.DEFAULT_TOL:
-            raise SurfaceViolation(
-                f"point {x} violates xi*psi = prod(eta - z_i): residual {residual:.3e}"
-            )
-        eta, xi, psi = x.eta, x.xi, x.psi
+    def assemble(points: Sequence[SurfacePoint]) -> MonadStack:
+        for x in points:
+            residual = x.surface_residual(b.topo.z)
+            if not residual < la.DEFAULT_TOL:
+                raise SurfaceViolation(
+                    f"point {x} violates xi*psi = prod(eta - z_i): residual {residual:.3e}"
+                )
+        k = len(points)
+        eta, xi, psi = np.array(
+            [(x.eta, x.xi, x.psi) for x in points], dtype=np.complex128
+        ).reshape(k, 3).T
         minus_s = -la.divided_difference(coeffs, eta, b.beta[0])
         minus_t = -la.divided_difference(coeffs, eta, b.beta[n])
 
-        amap = amap0.copy()
-        flat = amap.reshape(-1)
-        flat[a_eta] += eta
-        flat[a_xi] = xi
-        flat[a_mpsi] = -psi
+        # each map is written through a view with one row per entry and one
+        # column per point, so the diagonals are 1-d index writes
+        amap = np.repeat(amap0[None], k, axis=0)
+        entries = amap.reshape(k, amap0.size).T
+        entries[a_eta] += eta
+        entries[a_xi] = xi
+        entries[a_mpsi] = -psi
         amap[bt_s] = minus_s
         amap[bt_t] = minus_t
 
-        bmap = bmap0.copy()
-        flat = bmap.reshape(-1)
-        flat[b_eta] += eta
-        flat[b_psi] = psi
-        flat[b_mxi] = -xi
+        bmap = np.repeat(bmap0[None], k, axis=0)
+        entries = bmap.reshape(k, bmap0.size).T
+        entries[b_eta] += eta
+        entries[b_psi] = psi
+        entries[b_mxi] = -xi
 
-        mu = mu0.copy()
-        flat = mu.reshape(-1)
-        flat[mu_psi] = psi
-        flat[mu_mxi] = -xi
+        mu = np.repeat(mu0[None], k, axis=0)
+        entries = mu.reshape(k, mu0.size).T
+        entries[mu_psi] = psi
+        entries[mu_mxi] = -xi
         mu[mu_s] = minus_s
         mu[mu_t] = minus_t
-        return MonadAtPoint(point=x, Amap=amap, Bmap=bmap, mu=mu, block_index=block_index)
+        return MonadStack(tuple(points), amap, bmap, mu, block_index)
 
     return assemble
 
 
 def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
     """Evaluate the monad maps at a surface point (see monad_assembler)."""
-    return monad_assembler(b)(x)
+    return monad_assembler(b)([x])[0]
 
 
 def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, float]:
@@ -538,6 +714,10 @@ class ScanConfig:
     n_random: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_random < 0:
+            raise ValueError(f"the number of random points must be >= 0, got {self.n_random}")
+
 
 @dataclass(frozen=True)
 class PointReport:
@@ -546,6 +726,7 @@ class PointReport:
     fiber_rank: int | None
     locally_free: bool | None
     status: str  # "ok" | "fail" | "indeterminate"
+    reason: str = ""  # what made an indeterminate point indeterminate
 
 
 @dataclass(frozen=True)
@@ -623,27 +804,34 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
     zero and the rank is exactly n.  They test conditioning only; the
     structured points over the chain eigenvalues carry the information.
     Indeterminate rank decisions are collected separately, never coerced
-    into pass or fail.
+    into pass or fail; the report keeps each one's reason.
 
-    Each point is assembled once and ranked from blocks, never from a whole
-    Amap, Bmap or alpha (see MonadAtPoint): one batched SVD of alpha's
-    P-blocks and gamma's blocks, one of G and mu's R rows, one of M.  Only
-    where some block is deficient, which in practice means the structured
-    points, are its singular vectors computed and W^H delta ranked, at
-    fro(Bmap); every other decision uses the ranked matrix's own sigma_max.
+    The points are assembled and ranked in chunks, each one MonadStack
+    (see there): per chunk, one assembly, one batched matmul per zero
+    product, one padded SVD of alpha's P-blocks and gamma's blocks, one of
+    G and mu's R rows, and one of M where no P-block is deficient.  Each
+    point is ranked from blocks, never from a whole Amap, Bmap or alpha.
+    Only where some block is deficient, which in practice means the
+    structured points, are its singular vectors computed and W^H delta
+    ranked, at fro(Bmap); every other decision uses the ranked matrix's own
+    sigma_max.  A chunk holds as many points as fit in CHUNK_BYTES, and at
+    least one.
     """
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
     batches += [(pt, "structured") for pt in structured_points(b)]
     assemble = monad_assembler(b)
-    # each monad is dropped with its report, before the next point's is built
-    reports = tuple(_point_report(assemble(pt), kind) for pt, kind in batches)
-    return ScanReport(points=reports, expected_rank=b.topo.n)
-
-
-def _point_report(monad: MonadAtPoint, kind: str) -> PointReport:
-    try:
-        rank = monad.fiber_rank()
-        free = monad.locally_free()
-    except RankIndeterminate:
-        return PointReport(monad.point, kind, None, None, "indeterminate")
-    return PointReport(monad.point, kind, rank, free.passed, "ok" if free.passed else "fail")
+    size = max(1, CHUNK_BYTES // assemble([]).point_bytes)
+    reports = []
+    for start in range(0, len(batches), size):
+        chunk = batches[start : start + size]
+        stack = assemble([x for x, _ in chunk])
+        for j, (x, kind) in enumerate(chunk):
+            try:
+                rank, free = stack.fiber_rank(j), stack.locally_free(j)
+            except RankIndeterminate as exc:
+                reports.append(PointReport(x, kind, None, None, "indeterminate", str(exc)))
+            else:
+                status = "ok" if free.passed else "fail"
+                reports.append(PointReport(x, kind, rank, free.passed, status))
+        del stack  # freed before the next chunk is assembled
+    return ScanReport(points=tuple(reports), expected_rank=b.topo.n)

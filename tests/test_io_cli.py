@@ -281,6 +281,14 @@ def test_cli_scan(capsys):
     assert doc["verdict"] == "pass" and doc["failures"] == 0
 
 
+def test_cli_scan_negative_count_exit_2(capsys):
+    assert main(["scan", fixture("u2-basic"), "--n", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "number of random points must be >= 0" in captured.err
+    assert main(["scan", fixture("u2-basic"), "--n", "0", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] > 0  # the structured points only
+
+
 def document_verdict(out, fmt):
     if fmt == "machine":
         return json.loads(out)["verdict"]

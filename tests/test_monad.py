@@ -12,7 +12,6 @@ from bowforge import bowfile
 from bowforge.errors import RankIndeterminate, SurfaceViolation
 from bowforge.generator import canonical_examples, degenerate_example, generate, ginibre
 from bowforge.monad import (
-    MonadAtPoint,
     ScanConfig,
     SurfacePoint,
     assemble_monad,
@@ -126,12 +125,13 @@ def test_u2_block_offsets_golden(u2):
 def test_assembled_points_share_no_array(u2):
     assemble = monad_assembler(u2)
     p, q = random_points(u2, 2, seed=8)
-    first, second = assemble(p), assemble(q)
+    stack = assemble([p, q])
+    first, second = stack[0], stack[1]
     fresh = assemble_monad(u2, q)
     maps = ("Amap", "Bmap", "mu", "alpha", "beta_tilde")
     for name in maps:
         getattr(first, name)[...] = 7.0
-    third = assemble(q)  # the templates are untouched too
+    third = assemble([q])[0]  # the templates are untouched too
     for name in maps:
         np.testing.assert_array_equal(getattr(second, name), getattr(fresh, name))
         np.testing.assert_array_equal(getattr(third, name), getattr(fresh, name))
@@ -202,10 +202,10 @@ def _fiber_rank_data():
 def test_fiber_rank_matches_fiber_basis():
     compared = total = 0
     for d in _fiber_rank_data():
-        assemble = monad_assembler(d)
-        for pt in random_points(d, 6, seed=13) + structured_points(d):
+        stack = monad_assembler(d)(random_points(d, 6, seed=13) + structured_points(d))
+        for j in range(len(stack)):
             total += 1
-            m = assemble(pt)
+            m = stack[j]
             try:
                 rank, basis = m.fiber_rank(), m.fiber()
             except RankIndeterminate:
@@ -311,13 +311,19 @@ def zeroed_p_column(m):
 def test_block_ranks_match_dense_oracle(u2):
     data = [generate(suite_topology(3, 3, m0), seed=s) for m0 in (3, 10) for s in (101, 202)]
     data += [e.datum for e in canonical_examples()] + [degenerate_example()[1]]
-    monads = []
+    monads, scanned = [], []
     for d in data:
-        assemble = monad_assembler(d)
-        monads += [assemble(pt) for pt in random_points(d, 5, seed=1) + structured_points(d)]
+        report = scan_local_freeness(d, ScanConfig(n_random=5, seed=1))
+        stack = monad_assembler(d)([p.point for p in report.points])
+        monads += [stack[j] for j in range(len(stack))]
+        scanned += [(p.status, p.fiber_rank, p.locally_free) for p in report.points]
     monads.append(zeroed_p_column(assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))))
+    dense = [dense_verdict(m) for m in monads]
+    # the scan itself, chunked as it runs, agrees with the dense ranks ...
+    assert scanned == [v[:3] for v in dense[:-1]]
+    # ... and so does each point evaluated on its own
     verdicts = [block_verdict(m) for m in monads]
-    assert verdicts == [dense_verdict(m) for m in monads]
+    assert verdicts == dense
     statuses = [v[0] for v in verdicts]
     assert statuses.count("fail") == 1 and statuses.count("indeterminate") == 0
 
@@ -342,10 +348,10 @@ def test_cokernel_of_gamma_ranked_at_bmap_scale(u2):
 def test_locally_free_matches_kernel_quotient_oracle():
     compared = total = 0
     for d in _fiber_rank_data():
-        assemble = monad_assembler(d)
-        for pt in random_points(d, 6, seed=13) + structured_points(d):
+        stack = monad_assembler(d)(random_points(d, 6, seed=13) + structured_points(d))
+        for j in range(len(stack)):
             total += 1
-            m = assemble(pt)
+            m = stack[j]
             try:
                 res, expected = m.locally_free(), oracle_locally_free(m)
             except RankIndeterminate:
@@ -407,20 +413,22 @@ def test_scan_report_structure(u2):
 
 
 def test_scan_reports_raising_points_indeterminate(u2, monkeypatch):
-    structured = set(structured_points(u2))
-    real_locally_free = MonadAtPoint.locally_free
+    # W^H delta, the one decision at its parent's scale, is taken only where a
+    # block of gamma is deficient: at every structured point, at no random one
+    real_rank_decision = la.rank_decision
 
-    def straddle_at_structured(self):
-        if self.point in structured:
+    def straddle_at_parent_scale(s, shape, sigma_max=None):
+        if sigma_max is not None:
             raise RankIndeterminate("singular value straddles the cutoff")
-        return real_locally_free(self)
+        return real_rank_decision(s, shape)
 
-    monkeypatch.setattr(MonadAtPoint, "locally_free", straddle_at_structured)
+    monkeypatch.setattr(la, "rank_decision", straddle_at_parent_scale)
     report = scan_local_freeness(u2, ScanConfig(n_random=5, seed=1))
     assert report.indeterminate == tuple(p for p in report.points if p.kind == "structured")
     assert report.indeterminate and not report.failures and not report.all_pass
     assert all((p.fiber_rank, p.locally_free) == (None, None) for p in report.indeterminate)
-    assert all(p.status == "ok" for p in report.points if p.kind == "random")
+    assert all(p.reason == "singular value straddles the cutoff" for p in report.indeterminate)
+    assert all((p.status, p.reason) == ("ok", "") for p in report.points if p.kind == "random")
 
 
 def test_scan_assembles_once_per_point(u2, monkeypatch):
@@ -431,15 +439,68 @@ def test_scan_assembles_once_per_point(u2, monkeypatch):
     def counting_assembler(b):
         assemble = monad_assembler(b)
 
-        def counting(x):
-            calls.append(x)
-            return assemble(x)
+        def counting(points):
+            calls.append(list(points))
+            return assemble(points)
 
         return counting
 
     monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
     report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
-    assert calls == [p.point for p in report.points]
+    assert [x for chunk in calls for x in chunk] == [p.point for p in report.points]
+    assert [len(chunk) for chunk in calls if chunk] == [len(report.points)]  # one chunk fits all
+    assert all((p.status, p.reason) == ("ok", "") for p in report.points)
+
+
+def _chunking_data(canon):
+    return {
+        "u2-basic": canon["u2-basic"].datum,
+        "u1-charge": canon["u1-charge"].datum,
+        "degenerate": degenerate_example()[1],
+        "ladder-m0-3": generate(suite_topology(3, 3, 3), seed=101),
+    }
+
+
+@pytest.mark.parametrize("name", ["u2-basic", "u1-charge", "degenerate", "ladder-m0-3"])
+def test_scan_report_independent_of_chunking(canon, monkeypatch, name):
+    from bowforge import monad
+
+    d = _chunking_data(canon)[name]
+    config = ScanConfig(n_random=8, seed=4)
+    points = random_points(d, config.n_random, config.seed) + structured_points(d)
+    stack = monad_assembler(d)(points)
+    for j, x in enumerate(points):
+        single = assemble_monad(d, x)
+        for field in ("Amap", "Bmap", "mu"):
+            assert np.array_equal(getattr(stack[j], field), getattr(single, field))
+
+    chunks = []
+
+    def recording_assembler(b):
+        assemble = monad_assembler(b)
+
+        def recording(pts):
+            chunks.append(len(pts))
+            return assemble(pts)
+
+        return recording
+
+    monkeypatch.setattr(monad, "monad_assembler", recording_assembler)
+    reports = []
+    for size in (1, 2, 7, len(points)):
+        chunks.clear()
+        monkeypatch.setattr(monad, "CHUNK_BYTES", size * stack.point_bytes)
+        reports.append(scan_local_freeness(d, config).points)
+        assert [c for c in chunks if c] == [min(size, len(points) - i) for i in range(0, len(points), size)]
+    assert all(r == reports[0] for r in reports[1:])
+    assert [p.point for p in reports[0]] == points
+
+
+def test_scan_rejects_a_negative_count(u2):
+    with pytest.raises(ValueError, match="number of random points"):
+        ScanConfig(n_random=-1)
+    report = scan_local_freeness(u2, ScanConfig(n_random=0))
+    assert report.points and {p.kind for p in report.points} == {"structured"}
 
 
 @pytest.mark.parametrize("which", ["u2-basic", "ladder-m0-3"])
