@@ -174,8 +174,8 @@ def polyval_matrix(coeffs, m) -> np.ndarray:
     d = m.shape[0]
     out = np.zeros(coeffs.shape[1:] + (d, d), dtype=np.complex128)
     eye = np.eye(d, dtype=np.complex128)
-    for c in coeffs:
-        out = out @ m + c[..., None, None] * eye
+    for c in coeffs[..., None, None]:
+        out = out @ m + c * eye
     return out
 
 

@@ -10,6 +10,7 @@ betaN[k] is beta[0] (the same array objects, never copies).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,6 +168,15 @@ class BowDatum:
         for j, m in enumerate(self.Mpsi):
             out[f"Mpsi[{j}]"] = m
         return out
+
+    @cached_property
+    def monad_assembler(self):
+        """monad.monad_assembler of this datum, built on first use and kept
+        with the datum, so that points evaluated one at a time (fiber_form,
+        assemble_monad) share its templates."""
+        from .monad import monad_assembler  # deferred: monad imports this module
+
+        return monad_assembler(self)
 
     def spectra(self) -> list[complex]:
         """All eigenvalues of all chain endomorphisms (lambda and p chain)."""

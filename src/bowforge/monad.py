@@ -249,7 +249,7 @@ class MonadStack:
     @cached_property
     def composition_residuals(self) -> np.ndarray:
         """Per point: fro(Bmap Amap) / (1 + fro(Bmap) fro(Amap))."""
-        return _fro(self.Bmap @ self.Amap) / (1.0 + _fro(self.Bmap) * self._fro_amap)
+        return _fro(self.Bmap @ self.Amap) / (1.0 + self._fro_bmap * self._fro_amap)
 
     @cached_property
     def _mu_residuals(self) -> np.ndarray:
@@ -259,6 +259,10 @@ class MonadStack:
     @cached_property
     def _fro_amap(self) -> np.ndarray:
         return _fro(self.Amap)
+
+    @cached_property
+    def _fro_bmap(self) -> np.ndarray:
+        return _fro(self.Bmap)
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +318,8 @@ class MonadStack:
         plain = [j for j, a in enumerate(self._alpha) if not isinstance(a, RankIndeterminate) and not a[1]]
         spectra = {}
         if plain:
-            m = self.Amap[np.array(plain)[:, None], ix.r_rows, ix.alpha_g[1]]
+            at = slice(None) if len(plain) == len(self) else np.array(plain)[:, None]
+            m = self.Amap[at, ix.r_rows, ix.alpha_g[1]]
             spectra = dict(zip(plain, np.linalg.svd(m, compute_uv=False)))
         m_rows = self.Amap.shape[1] - ix.alpha_g[0].start
 
@@ -348,7 +353,7 @@ class MonadStack:
             if not cokernel:
                 return sum(blocks)
             s = np.linalg.svd(np.vstack(cokernel), compute_uv=False)
-            return sum(blocks) + la.rank_decision(s, bmap.shape, la.fro(bmap))
+            return sum(blocks) + la.rank_decision(s, bmap.shape, self._fro_bmap[j])
 
         return _each(bmap_rank, len(self))
 
@@ -622,6 +627,9 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     mu0[at(a_table, "R3", f_table, "F0")] = -mpsi_hat
     mu_psi = diagonal(mu_shape, at(a_table, "R2", f_table, "F0"))
     mu_mxi = diagonal(mu_shape, at(a_table, "R3", f_table, "F1"))
+    # the templates' -beta_i diagonals, to which each point adds its eta
+    a_eta0 = amap0.reshape(-1)[a_eta, None]
+    b_eta0 = bmap0.reshape(-1)[b_eta, None]
 
     def assemble(points: Sequence[SurfacePoint]) -> MonadStack:
         for x in points:
@@ -637,23 +645,22 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
         minus_s = -la.divided_difference(coeffs, eta, b.beta[0])
         minus_t = -la.divided_difference(coeffs, eta, b.beta[n])
 
+        amap, bmap, mu = (np.empty((k,) + t.shape, dtype=np.complex128) for t in (amap0, bmap0, mu0))
+        amap[:], bmap[:], mu[:] = amap0, bmap0, mu0
         # each map is written through a view with one row per entry and one
         # column per point, so the diagonals are 1-d index writes
-        amap = np.repeat(amap0[None], k, axis=0)
         entries = amap.reshape(k, amap0.size).T
-        entries[a_eta] += eta
+        entries[a_eta] = a_eta0 + eta
         entries[a_xi] = xi
         entries[a_mpsi] = -psi
         amap[bt_s] = minus_s
         amap[bt_t] = minus_t
 
-        bmap = np.repeat(bmap0[None], k, axis=0)
         entries = bmap.reshape(k, bmap0.size).T
-        entries[b_eta] += eta
+        entries[b_eta] = b_eta0 + eta
         entries[b_psi] = psi
         entries[b_mxi] = -xi
 
-        mu = np.repeat(mu0[None], k, axis=0)
         entries = mu.reshape(k, mu0.size).T
         entries[mu_psi] = psi
         entries[mu_mxi] = -xi
@@ -665,8 +672,9 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
 
 
 def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
-    """Evaluate the monad maps at a surface point (see monad_assembler)."""
-    return monad_assembler(b)([x])[0]
+    """Evaluate the monad maps at a surface point, with the datum's own
+    assembler (see monad_assembler and BowDatum.monad_assembler)."""
+    return b.monad_assembler([x])[0]
 
 
 def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from bowforge import bowfile
 from bowforge.errors import RankIndeterminate, SurfaceViolation
 from bowforge.generator import canonical_examples, degenerate_example, generate, ginibre
 from bowforge.monad import (
+    MonadStack,
     ScanConfig,
     SurfacePoint,
     assemble_monad,
@@ -92,10 +93,11 @@ def dense_verdict(m):
         return ("indeterminate", None, None, None)
 
 
-def block_verdict(m):
-    """The same four fields from fiber_rank() and locally_free()."""
+def block_verdict(m, *point):
+    """The same four fields from fiber_rank() and locally_free() of a
+    MonadAtPoint, or of the point of a MonadStack given as the index."""
     try:
-        rank, free = m.fiber_rank(), m.locally_free()
+        rank, free = m.fiber_rank(*point), m.locally_free(*point)
     except RankIndeterminate:
         return ("indeterminate", None, None, None)
     return ("ok" if free.passed else "fail", rank, free.passed, free.quotient_dim)
@@ -311,17 +313,19 @@ def zeroed_p_column(m):
 def test_block_ranks_match_dense_oracle(u2):
     data = [generate(suite_topology(3, 3, m0), seed=s) for m0 in (3, 10) for s in (101, 202)]
     data += [e.datum for e in canonical_examples()] + [degenerate_example()[1]]
-    monads, scanned = [], []
+    monads, scanned, stacked = [], [], []
     for d in data:
         report = scan_local_freeness(d, ScanConfig(n_random=5, seed=1))
         stack = monad_assembler(d)([p.point for p in report.points])
         monads += [stack[j] for j in range(len(stack))]
         scanned += [(p.status, p.fiber_rank, p.locally_free) for p in report.points]
+        stacked += [block_verdict(stack, j) for j in range(len(stack))]
     monads.append(zeroed_p_column(assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))))
     dense = [dense_verdict(m) for m in monads]
-    # the scan itself, chunked as it runs, agrees with the dense ranks ...
+    # the scan itself, chunked as it runs, agrees with the dense ranks; so
+    # does a stack of all of a datum's points, and each point on its own
     assert scanned == [v[:3] for v in dense[:-1]]
-    # ... and so does each point evaluated on its own
+    assert stacked == dense[:-1]
     verdicts = [block_verdict(m) for m in monads]
     assert verdicts == dense
     statuses = [v[0] for v in verdicts]
@@ -332,17 +336,47 @@ def test_cokernel_of_gamma_ranked_at_bmap_scale(u2):
     # Zero one Q-row of Bmap and refill it with noise at 1e-16 fro(Bmap).
     # gamma's block loses a rank, and W^H delta is that row's delta part.
     m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
-    bmap = m.Bmap.copy()
-    row = m.block_index.C["Q1"][0]
-    noise = 1e-16 * la.fro(m.Bmap) * ginibre(np.random.default_rng(5), 1, bmap.shape[1])
-    bmap[row] = noise[0]
-    noisy = dataclasses.replace(m, Bmap=bmap)
+    noisy = noisy_q_row(m)
     # ranked at its own sigma_max the noise would count as rank 1 ...
-    w_delta = noise[:, : m.dimB]
+    w_delta = noisy.Bmap[m.block_index.C["Q1"][0], None, : m.dimB]
     assert la.rank_decision(np.linalg.svd(w_delta, compute_uv=False), w_delta.shape) == 1
     # ... at Bmap's scale it counts as 0, so Bmap loses a rank and the fiber gains one
     assert noisy.fiber_rank() == m.fiber_rank() + 1 == 3
     assert block_verdict(noisy) == dense_verdict(noisy) == ("ok", 3, True, 0)
+
+
+def noisy_q_row(m):
+    """m with one Q-row of Bmap replaced by noise at 1e-16 fro(Bmap)."""
+    bmap = m.Bmap.copy()
+    noise = 1e-16 * la.fro(m.Bmap) * ginibre(np.random.default_rng(5), 1, bmap.shape[1])
+    bmap[m.block_index.C["Q1"][0]] = noise[0]
+    return dataclasses.replace(m, Bmap=bmap)
+
+
+def test_stack_answers_each_point_as_alone(u2):
+    # points that differ in every per-point result, stacked: each must get
+    # its own zero products, block ranks, W^H delta and rank(mu)
+    m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
+    thin_mu = m.mu.copy()
+    thin_mu[:, 0] = 0.0  # rank(mu) drops by one, Amap mu stays zero
+    rng = np.random.default_rng(4)
+    changes = [
+        {"mu": thin_mu},
+        {"Bmap": ginibre(rng, *m.Bmap.shape)},  # Bmap Amap != 0, Amap mu = 0
+        {"mu": ginibre(rng, *m.mu.shape)},  # Amap mu != 0, Bmap Amap = 0
+        {"Amap": zeroed_p_column(m).Amap},
+    ]
+    monads = [m] + [dataclasses.replace(m, **change) for change in changes]
+    monads += [noisy_q_row(m)] + [assemble_monad(u2, x) for x in structured_points(u2)[:2]]
+    stack = MonadStack(
+        tuple(x.point for x in monads),
+        *(np.stack([getattr(x, name) for x in monads]) for name in ("Amap", "Bmap", "mu")),
+        m.block_index,
+    )
+    alone = [block_verdict(x) for x in monads]
+    assert [block_verdict(stack, j) for j in range(len(stack))] == alone
+    assert alone == [dense_verdict(x) for x in monads]
+    assert len(set(alone)) >= 4
 
 
 def test_locally_free_matches_kernel_quotient_oracle():
@@ -548,6 +582,22 @@ def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
     assert cli.main(["fiber", str(fixture), "--xi", "1.0", "--eta", "2.1+0.4j"]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_assemble_monad_builds_one_assembler_per_datum(monkeypatch):
+    from bowforge import monad
+
+    built = []
+
+    def counting_assembler(b):
+        built.append(b)
+        return monad_assembler(b)
+
+    monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
+    d = generate(suite_topology(2, 1, 1), seed=3)  # fresh, so nothing is kept yet
+    for pt in random_points(d, 3, seed=2):
+        assert assemble_monad(d, pt).fiber_rank() == 2
+    assert built == [d]
 
 
 def test_scan_deterministic(u2):
