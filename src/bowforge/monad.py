@@ -95,7 +95,8 @@ class MonadAtPoint:
     alpha, beta_tilde and the dimensions are read off these three maps.
 
     fiber_rank(), fiber() and locally_free() evaluate this point as a
-    MonadStack of one, so a single point and a scan run the same code.
+    MonadStack of one, so a single point runs the code that
+    scan_local_freeness runs on its stacks of up to CHUNK_BYTES.
     They rank blocks of the maps, never a whole map, and answer from
     singular values; only a rank-deficient block has its singular vectors
     computed.  Block by block:
@@ -828,7 +829,7 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
     batches += [(pt, "structured") for pt in structured_points(b)]
     assemble = monad_assembler(b)
-    size = max(1, CHUNK_BYTES // assemble([]).point_bytes)
+    size = max(1, CHUNK_BYTES // assemble([]).point_bytes)  # an empty stack has every shape
     reports = []
     for start in range(0, len(batches), size):
         chunk = batches[start : start + size]
