@@ -71,7 +71,14 @@ def _freeze(m: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class BowDatum:
     """All matrices of a bow complex, shape-checked against the dimension
-    vector once, when the datum is built; the datum is immutable."""
+    vector once, when the datum is built; the datum is immutable.
+
+    So it keeps, each computed on first use, its chain spectra, its
+    tolerance-free reports (the validators apply each caller's tol to them)
+    and its monad_assembler; none can go stale, since with_perturbed_entry
+    and gauge_transform build new data.  Kept arrays are read-only and kept
+    sequences tuples, so no caller can change another caller's answer.
+    """
 
     topo: TopologicalData
     dims: DimensionVector
@@ -178,14 +185,34 @@ class BowDatum:
 
         return monad_assembler(self)
 
+    @cached_property
+    def eigenvalues(self) -> tuple[np.ndarray, ...]:
+        """Read-only eigenvalues of each beta_i, then of each interior betaN_j."""
+        return tuple(_freeze(la.eigenvalues(m)) for m in (*self.beta, *self.betaN[1:-1]))
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[complex, ...], ...]:
+        """Cluster means (la.cluster_eigenvalues) of each beta_i's eigenvalues."""
+        return tuple(tuple(la.cluster_eigenvalues(e)) for e in self.eigenvalues[: self.topo.n + 1])
+
+    @cached_property
+    def relation_residuals(self) -> tuple[tuple[str, float], ...]:
+        """Named residuals of the bow relations (see validate_relations)."""
+        return tuple(sylvester_residuals(self) + p_step_residuals(self))
+
+    @cached_property
+    def invariant_residuals(self) -> tuple[tuple[str, float], ...]:
+        """Named residuals of the chain invariants (see check_chain_invariants)."""
+        return tuple(chain_invariant_residuals(self))
+
+    @cached_property
+    def exactness(self) -> tuple[ExactnessResult, ...]:
+        """One ExactnessResult per step (see step_exactness)."""
+        return tuple(step_exactness(self, i) for i in range(self.topo.n))
+
     def spectra(self) -> list[complex]:
         """All eigenvalues of all chain endomorphisms (lambda and p chain)."""
-        vals: list[complex] = []
-        for b in self.beta:
-            vals.extend(la.eigenvalues(b))
-        for b in self.betaN[1:-1]:
-            vals.extend(la.eigenvalues(b))
-        return vals
+        return [v for vals in self.eigenvalues for v in vals]
 
 
 def sylvester_residuals(b: BowDatum) -> list[tuple[str, float]]:
@@ -219,12 +246,14 @@ def p_step_residuals(b: BowDatum) -> list[tuple[str, float]]:
     return out
 
 
+def _report(named, tol: float) -> ValidationReport:
+    return ValidationReport(checks=tuple(RelationCheck(nm, r, tol) for nm, r in named), tol=tol)
+
+
 def validate_relations(b: BowDatum, tol: float = la.DEFAULT_TOL) -> ValidationReport:
-    """Check the n Sylvester relations and the 2k chain relations."""
-    named = sylvester_residuals(b) + p_step_residuals(b)
-    return ValidationReport(
-        checks=tuple(RelationCheck(nm, r, tol) for nm, r in named), tol=tol
-    )
+    """Check the n Sylvester relations and the 2k chain relations at tol,
+    on the residuals the datum keeps (BowDatum.relation_residuals)."""
+    return _report(b.relation_residuals, tol)
 
 
 def aggregate_maps(b: BowDatum) -> tuple[np.ndarray, np.ndarray]:
@@ -256,10 +285,14 @@ def _telescoping_residual(big, small, z: complex, exponent: int) -> float:
     return num / den
 
 
-def check_chain_invariants(
-    b: BowDatum, tol: float = la.DERIVED_TOL
-) -> ValidationReport:
-    """Derived consequences of the chain relations.
+def check_chain_invariants(b: BowDatum, tol: float = la.DERIVED_TOL) -> ValidationReport:
+    """Check the derived consequences of the chain relations at tol, on the
+    residuals the datum keeps (BowDatum.invariant_residuals)."""
+    return _report(b.invariant_residuals, tol)
+
+
+def chain_invariant_residuals(b: BowDatum) -> list[tuple[str, float]]:
+    """Residuals of the derived consequences of the chain relations.
 
     (a) per-step intertwinings, (b) characteristic-polynomial telescoping
     charpoly(betaN_j - z_j)(t) = t^{nd_j} charpoly(betaN_{j-1} - z_j)(t)
@@ -314,9 +347,7 @@ def check_chain_invariants(
             la.rel_residual(mxi_hat @ b.beta[b.topo.n], b.beta[0] @ mxi_hat),
         )
     )
-    return ValidationReport(
-        checks=tuple(RelationCheck(nm, r, tol) for nm, r in named), tol=tol
-    )
+    return named
 
 
 @dataclass(frozen=True)
@@ -339,7 +370,20 @@ class ExactnessResult:
 
 
 def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
-    """Pointwise exactness of the i-th three-term complex, i in 0..n-1.
+    """Pointwise exactness of the i-th three-term complex, i in 0..n-1, as the
+    datum keeps it (see step_exactness).  An eigensolver failure on any chain
+    endomorphism makes it indeterminate and is not kept."""
+    if not 0 <= i < b.topo.n:
+        raise IndexError(f"exactness index {i} out of range 0..{b.topo.n - 1}")
+    try:
+        b.clusters  # the eigensolver runs here, once per datum
+    except np.linalg.LinAlgError as exc:
+        return ExactnessResult(i, INDETERMINATE, detail=f"eigensolver failed: {exc}")
+    return b.exactness[i]
+
+
+def step_exactness(b: BowDatum, i: int) -> ExactnessResult:
+    """Pointwise exactness of the i-th three-term complex.
 
     Failure is only possible at eigenvalues, so two finite checks suffice:
     (a) at each eigenvalue eta* of beta_i there is no common kernel vector of
@@ -348,20 +392,13 @@ def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
         annihilated by both A_i and alpha_i.
     Eigenvalues closer than the clustering tolerance are merged and tested
     at the cluster mean.  Any witness makes the step fail; otherwise a rank
-    too close to call (see rank_decision) or an eigensolver failure makes it
-    indeterminate, never silently passed.
+    too close to call (see rank_decision) makes it indeterminate, never
+    silently passed; an eigensolver failure raises.  Witnesses are read-only.
     """
-    if not 0 <= i < b.topo.n:
-        raise IndexError(f"exactness index {i} out of range 0..{b.topo.n - 1}")
     lo, hi = b.beta[i], b.beta[i + 1]
     witnesses: list[ExactnessWitness] = []
     straddles: list[str] = []
-    try:
-        lo_eigs = la.cluster_eigenvalues(la.eigenvalues(lo))
-        hi_eigs = la.cluster_eigenvalues(la.eigenvalues(hi))
-    except np.linalg.LinAlgError as exc:
-        return ExactnessResult(i, INDETERMINATE, detail=f"eigensolver failed: {exc}")
-
+    lo_eigs, hi_eigs = b.clusters[i], b.clusters[i + 1]
     eye_lo = np.eye(lo.shape[0], dtype=np.complex128)
     eye_hi = np.eye(hi.shape[0], dtype=np.complex128)
     a_h, alpha_h = b.A[i].conj().T, b.alpha[i].conj().T
@@ -376,7 +413,7 @@ def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
         if kernel.shape[1] > 0:
             # a cokernel kernel holds conjugated row vectors; report the row vector itself
             vector = kernel[:, 0] if side == "kernel" else kernel[:, 0].conj()
-            witnesses.append(ExactnessWitness(side, eta, vector))
+            witnesses.append(ExactnessWitness(side, eta, _freeze(vector)))
 
     if witnesses:
         return ExactnessResult(i, FAIL, tuple(witnesses))

@@ -281,6 +281,9 @@ def generate(t: TopologicalData, seed: int) -> BowDatum:
     endomorphisms with separated spectra, draw the boundary vectors, and
     solve each A_i from the Sylvester relation.  Resamples up to ATTEMPTS
     times if a genericity check fails or a rank is too close to call.
+
+    The datum has passed the three validators and keeps their reports (see
+    BowDatum), so validating it again only applies the caller's tol.
     """
     problems = validate_topology(t)
     if problems:

@@ -38,11 +38,6 @@ class SurfacePoint:
     psi: complex
     eta: complex
 
-    def surface_residual(self, z) -> float:
-        prod = np.prod([self.eta - zi for zi in z]) if len(z) else 1.0
-        lhs = self.xi * self.psi
-        return abs(lhs - prod) / (1.0 + abs(lhs) + abs(prod))
-
     @staticmethod
     def from_xi_eta(z, xi: complex, eta: complex) -> "SurfacePoint":
         """Point with psi derived from the surface equation (xi != 0).
@@ -508,7 +503,7 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     Every entry that does not depend on the point is written once, here,
     into templates, -beta_i included.  The returned function takes a
     sequence of k points and returns their MonadStack: it checks the
-    surface equation at each point, copies each template once into a
+    surface equation at all k points at once, copies each template once into a
     k x ... array, adds eta on the diagonals of the eta I - beta_i blocks,
     writes xi and psi on the diagonals of their identity blocks (all on
     precomputed flat indices, for all k points at once) and writes the
@@ -527,6 +522,7 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     d0, dnn = d[0], d[n]
     mxi_hat, mpsi_hat = aggregate_maps(b)
     coeffs = la.poly_from_roots(b.topo.z)
+    z = np.asarray(b.topo.z, dtype=np.complex128)
 
     a_table, dim_a = _offsets(
         [(f"P{i}", d[i]) for i in range(n)]
@@ -633,16 +629,16 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     b_eta0 = bmap0.reshape(-1)[b_eta, None]
 
     def assemble(points: Sequence[SurfacePoint]) -> MonadStack:
-        for x in points:
-            residual = x.surface_residual(b.topo.z)
-            if not residual < la.DEFAULT_TOL:
-                raise SurfaceViolation(
-                    f"point {x} violates xi*psi = prod(eta - z_i): residual {residual:.3e}"
-                )
         k = len(points)
         eta, xi, psi = np.array(
             [(x.eta, x.xi, x.psi) for x in points], dtype=np.complex128
         ).reshape(k, 3).T
+        lhs, rhs = xi * psi, np.prod(eta[:, None] - z, axis=1)
+        residual = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+        off = np.flatnonzero(~(residual < la.DEFAULT_TOL))  # a NaN residual is off too
+        if off.size:
+            x, r = points[off[0]], residual[off[0]]
+            raise SurfaceViolation(f"point {x} violates xi*psi = prod(eta - z_i): residual {r:.3e}")
         minus_s = -la.divided_difference(coeffs, eta, b.beta[0])
         minus_t = -la.divided_difference(coeffs, eta, b.beta[n])
 

@@ -168,13 +168,13 @@ def verify_pairing_relations(
     return ValidationReport(checks=tuple(checks), tol=tol)
 
 
-def _resolvent_column(beta, gamma, eta: complex) -> np.ndarray:
-    """[((eta - beta)^{-1})^T gamma^T ; 1], the section pairing profile."""
+def _resolvent_column(b: BowDatum, i: int, eta: complex) -> np.ndarray:
+    """[((eta - beta_i)^{-1})^T gamma_i^T ; 1], the section pairing profile."""
+    beta, gamma = b.beta[i], b.gamma[i]
     d = beta.shape[0]
     out = np.zeros((d + 1, 1), dtype=np.complex128)
     if d > 0:
-        eigs = la.eigenvalues(beta)
-        if float(np.min(np.abs(eigs - eta))) < la.EIG_CLUSTER_TOL:
+        if float(np.min(np.abs(b.eigenvalues[i] - eta))) < la.EIG_CLUSTER_TOL:
             raise PoleAtEta(f"eta={eta} is within {la.EIG_CLUSTER_TOL} of an eigenvalue")
         res = np.linalg.solve(eta * np.eye(d, dtype=np.complex128) - beta, np.eye(d))
         out[:d, 0] = (res.T @ gamma.T)[:, 0]
@@ -192,8 +192,8 @@ def p_pairing_matrix(b: BowDatum, p: PairingDatum, i: int, eta: complex) -> np.n
     n = b.topo.n
     if not 0 <= i < n:
         raise IndexError(f"pairing index {i} out of range 0..{n - 1}")
-    U = _resolvent_column(b.beta[i], b.gamma[i], eta)
-    V = _resolvent_column(b.beta[n - i - 1], b.gamma[n - i - 1], eta)
+    U = _resolvent_column(b, i, eta)
+    V = _resolvent_column(b, n - i - 1, eta)
     return p.f[i] * (U @ V.T)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,16 @@ def test_surface_violation_rejected(u2):
     for xi, eta in [(float("nan"), 1.0), (1.0, float("inf")), (1e-320, 1.0)]:
         with pytest.raises(ValueError, match="must be finite"):
             point(u2, xi, eta)
+
+
+def test_surface_violation_names_the_first_point_off_the_surface(u2):
+    assemble = monad_assembler(u2)
+    pts = random_points(u2, 5, seed=2)
+    assert len(assemble(pts)) == 5
+    for off in (dataclasses.replace(pts[2], psi=pts[2].psi + 1.0), SurfacePoint(float("nan"), 1.0, 1.0)):
+        stack = [*pts[:2], off, pts[3], dataclasses.replace(pts[4], xi=2 * pts[4].xi)]
+        with pytest.raises(SurfaceViolation, match=re.escape(f"point {off} violates")):
+            assemble(stack)
 
 
 def test_composition_zero_on_generated_data():
@@ -457,6 +468,7 @@ def test_scan_reports_raising_points_indeterminate(u2, monkeypatch):
         return real_rank_decision(s, shape)
 
     monkeypatch.setattr(la, "rank_decision", straddle_at_parent_scale)
+    u2 = dataclasses.replace(u2)  # a new datum, so nothing it keeps predates the patch
     report = scan_local_freeness(u2, ScanConfig(n_random=5, seed=1))
     assert report.indeterminate == tuple(p for p in report.points if p.kind == "structured")
     assert report.indeterminate and not report.failures and not report.all_pass
@@ -553,6 +565,7 @@ def test_scan_takes_no_dense_svd(canon, monkeypatch, which):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
+    d = dataclasses.replace(d)  # a new datum, so nothing it keeps predates the patch
     report = scan_local_freeness(d, ScanConfig(n_random=6, seed=3))
     assert report.all_pass and not report.indeterminate and shapes
     whole = {(dim_b + dim_c, dim_a), (dim_c, dim_b + dim_c), (dim_b, dim_a)}
