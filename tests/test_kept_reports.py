@@ -37,13 +37,9 @@ BOW_FIXTURES = ("u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mir
 SUITE = [(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)]
 
 
-def fixture(name):
-    return bowfile.parse((FIXTURES / f"{name}.json").read_text())
-
-
 def data(group):
     if group == "fixtures":
-        return [fixture(name).datum for name in BOW_FIXTURES]
+        return [bowfile.parse((FIXTURES / f"{n}.json").read_text()).datum for n in BOW_FIXTURES]
     if group == "canonical":
         return [e.datum for e in canonical_examples()]
     if group == "degenerate":
