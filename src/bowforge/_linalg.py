@@ -11,7 +11,7 @@ values, which is its own spectrum.  One product is ranked against its
 parent's scale instead of its own: the monad's W^H delta (the cokernel of
 gamma applied to delta) sits at rounding level when it should be zero, so
 it is ranked at fro(Bmap) and Bmap's shape, as a rank of the whole Bmap
-would see it (see monad.MonadAtPoint).
+would see it (see monad.MonadStack).
 """
 
 from __future__ import annotations

@@ -196,6 +196,11 @@ class BowDatum:
         return tuple(tuple(la.cluster_eigenvalues(e)) for e in self.eigenvalues[: self.topo.n + 1])
 
     @cached_property
+    def spectrum_clusters(self) -> tuple[complex, ...]:
+        """Cluster means (la.cluster_eigenvalues) of spectra(), the whole chain's."""
+        return tuple(la.cluster_eigenvalues(self.spectra()))
+
+    @cached_property
     def relation_residuals(self) -> tuple[tuple[str, float], ...]:
         """Named residuals of the bow relations (see validate_relations)."""
         return tuple(sylvester_residuals(self) + p_step_residuals(self))

@@ -168,9 +168,7 @@ def cmd_fiber(args) -> int:
     """Fiber rank and local freeness at one point.  A rank too close to call
     prints the document with both null and the reason, then exits 1."""
     _, datum = _load_bow(args.file)
-    xi = complex(args.xi)
-    eta = complex(args.eta)
-    point = SurfacePoint.from_xi_eta(datum.topo.z, xi, eta)
+    point = SurfacePoint.from_xi_eta(datum.topo.z, complex(args.xi), complex(args.eta))
     monad = assemble_monad(datum, point)
     doc = {
         "point": {
@@ -183,8 +181,7 @@ def cmd_fiber(args) -> int:
         "expected_rank": datum.topo.n,
     }
     try:
-        rank = monad.fiber_rank()
-        free = monad.locally_free()
+        rank, free = monad.fiber_rank(), monad.locally_free()
     except RankIndeterminate as exc:
         doc["reason"] = str(exc)
         _emit(doc, args.format)

@@ -10,9 +10,12 @@ numerically by the lift-commutativity residuals rather than trusted.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,8 +28,9 @@ from .errors import RankIndeterminate, SurfaceViolation
 # overhead once for all its points.  2 MiB is one core's L2 cache on current
 # x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
 # this much more memory than a point-at-a-time scan.  On the benchmark ladder
-# suite_topology(3, 3, m0) that is 45 points a chunk at m0 = 3, 5 at m0 = 10,
-# and at m0 = 20 (1.4 MB a point) one.
+# suite_topology(3, 3, m0) a chunk holds 45 points at m0 = 3 (of 46), 5 at
+# m0 = 10 and one at m0 = 20 (1.4 MB a point), so it may end among one eta's
+# points; what depends on eta alone is kept across chunks (see MonadStack).
 CHUNK_BYTES = 2 << 20
 
 
@@ -48,11 +52,9 @@ class SurfacePoint:
         if xi == 0:
             raise ValueError("xi must be nonzero: psi is derived from xi*psi = prod(eta - z_i)")
         xi, eta = complex(xi), complex(eta)
-        if np.isfinite(xi) and np.isfinite(eta):
-            prod = complex(np.prod([eta - zi for zi in z])) if len(z) else 1.0 + 0j
-            point = SurfacePoint(xi=xi, psi=prod / xi, eta=eta)
-            if np.isfinite(point.psi):
-                return point
+        psi = reduce(operator.mul, [eta - zi for zi in z], 1.0 + 0j) / xi  # np.prod's order
+        if all(map(math.isfinite, (xi.real, xi.imag, eta.real, eta.imag, psi.real, psi.imag))):
+            return SurfacePoint(xi=xi, psi=psi, eta=eta)
         raise ValueError(
             f"xi, eta and psi = prod(eta - z_i) / xi must be finite: got xi={xi}, eta={eta}"
         )
@@ -88,28 +90,8 @@ class MonadAtPoint:
     Bmap concatenates (delta, gamma): dimD x (dimB + dimC), with D = C.
     mu maps the auxiliary space F = C^{d_0 + d_n} into the R blocks of A.
     alpha, beta_tilde and the dimensions are read off these three maps.
-
-    fiber_rank(), fiber() and locally_free() evaluate this point as a
-    MonadStack of one, so a single point runs the code that
-    scan_local_freeness runs on its stacks of up to CHUNK_BYTES.
-    They rank blocks of the maps, never a whole map, and answer from
-    singular values; only a rank-deficient block has its singular vectors
-    computed.  Block by block:
-      rank(alpha): alpha is block diagonal in its P-blocks
-        [(eta - beta_i); -gamma_i] and its R-block G, each ranked at
-        alpha's sigma_max and shape;
-      rank(mu): its R rows, the only nonzero ones, at mu's shape;
-      rank(Amap) = dimA - dim ker M: ker(Amap) lies in ker(alpha), whose
-        P part is the kernels K_i of the deficient P-blocks.  M is Amap
-        restricted to the columns of those K_i and of the R-blocks, with
-        the P rows of alpha (zero there) dropped; it holds G and
-        beta_tilde at full scale, so it is ranked at its own sigma_max;
-      rank(Bmap) = rank(gamma) + rank(W^H delta): gamma is block diagonal
-        in eta - beta_i, ranked at gamma's sigma_max and shape, and W holds
-        the left kernels of its deficient blocks.  W^H delta sits at
-        rounding level when it should be zero, so it is the one product
-        ranked at its parent's scale: fro(Bmap) and Bmap's shape.
-    fiber() builds a basis of the cohomology.
+    The methods answer as MonadStack's of the same names (see there) do for
+    this point as a stack of one, so a single point runs the scan's code.
     """
 
     point: SurfacePoint
@@ -130,9 +112,7 @@ class MonadAtPoint:
     def dimC(self) -> int:
         return self.Bmap.shape[0]
 
-    @property
-    def dimD(self) -> int:
-        return self.Bmap.shape[0]
+    dimD = dimC  # D = C
 
     @property
     def alpha(self) -> np.ndarray:
@@ -144,51 +124,19 @@ class MonadAtPoint:
 
     @cached_property
     def _stack(self) -> MonadStack:
-        """This point as a stack of one, which every rank below is read from."""
-        return MonadStack(
-            (self.point,), self.Amap[None], self.Bmap[None], self.mu[None], self.block_index
-        )
+        maps = (self.Amap[None], self.Bmap[None], self.mu[None])
+        return MonadStack((self.point,), *maps, self.block_index)
 
     def composition_residual(self) -> float:
         return float(self._stack.composition_residuals[0])
 
     def fiber_rank(self) -> int:
-        """Rank of the monad cohomology: dim ker(Bmap) - rank(Amap).
-
-        From blocks (see the class): (dimB + dimC) - rank(gamma)
-        - rank(W^H delta) - (dimA - dim ker M).  gamma's blocks are ranked
-        at gamma's sigma_max, W^H delta at fro(Bmap) and M at its own
-        sigma_max.  Raises RankIndeterminate when a singular value sits too
-        close to its rank cutoff to call, or when Im(Amap) is not inside
-        ker(Bmap) (composition_residual not below DEFAULT_TOL).
-        """
         return self._stack.fiber_rank(0)
 
     def fiber(self) -> np.ndarray:
-        """Orthonormal basis of the monad cohomology ker(Bmap)/Im(Amap).
-
-        Returns a (dimB + dimC) x fiber_rank() matrix spanning ker(Bmap)
-        intersected with Im(Amap)^perp.  Raises RankIndeterminate where
-        fiber_rank() does, or when the basis found has other than
-        dim ker(Bmap) - rank(Amap) columns, with rank(Amap) from the blocks.
-        """
         return self._stack.fiber(0)
 
     def locally_free(self) -> LocalFreenessResult:
-        """Pointwise local-freeness criterion: dim ker(Amap) = rank(mu).
-
-        beta_tilde must be injective on ker(alpha) / Im(mu).  As Amap mu = 0,
-        Im(mu) lies in ker(Amap) = ker(alpha) & ker(beta_tilde), so injectivity
-        means the two are equal.  quotient_dim is dim ker(alpha) - rank(mu).
-
-        From blocks (see the class): passed is dim ker M == rank(mu), with M
-        ranked at its own sigma_max and mu's R rows at mu's; quotient_dim
-        is dimA - rank(alpha) - rank(mu), with alpha's P-blocks and G
-        ranked at alpha's sigma_max.  A failure returns a witness in
-        ker(Amap), built from ker M, orthogonal to Im(mu).  Raises
-        RankIndeterminate on a rank too close to call, on Amap mu != 0, or
-        when the witnesses found number other than dim ker(Amap) - rank(mu).
-        """
         return self._stack.locally_free(0)
 
 
@@ -198,15 +146,32 @@ class MonadStack:
 
     Amap is k x (dimB + dimC) x dimA, Bmap k x dimD x (dimB + dimC) and mu
     k x dimA x dimF; stack[j] is point j as a MonadAtPoint.  fiber_rank(j),
-    fiber(j) and locally_free(j) answer for point j as MonadAtPoint does
-    (see there for the block ranks).  What they read is evaluated for the
-    whole stack on first use: each zero product is one batched matmul and
-    one norm; alpha's P-blocks and gamma's blocks are one zero-padded SVD,
-    G and mu's R rows another, and M one more for the points where no
-    P-block is deficient.  Only what is truly per point runs in a loop:
-    each rank_decision, the kernels of deficient blocks and W^H delta.
-    Each per-point result holds a value or the RankIndeterminate its point
-    raised, which is raised when that point is asked.
+    fiber(j) and locally_free(j) rank blocks of the maps, never a whole map,
+    from singular values; only a rank-deficient block has its singular
+    vectors computed.  Block by block:
+      rank(alpha): alpha is block diagonal in its P-blocks
+        [(eta - beta_i); -gamma_i] and its R-block G, each ranked at
+        alpha's sigma_max and shape;
+      rank(mu): its R rows, the only nonzero ones, at mu's shape;
+      rank(Amap) = dimA - dim ker M: ker(Amap) lies in ker(alpha), whose
+        P part is the kernels K_i of the deficient P-blocks.  M is Amap on
+        the columns of those K_i and of the R-blocks, less the P rows of
+        alpha (zero there); it holds G and beta_tilde at full scale, so it
+        is ranked at its own sigma_max;
+      rank(Bmap) = rank(gamma) + rank(W^H delta): gamma is block diagonal
+        in eta - beta_i, ranked at gamma's sigma_max and shape, and W holds
+        the left kernels of its deficient blocks.  W^H delta sits at
+        rounding level when it should be zero, so it is the one product
+        ranked at its parent's scale: fro(Bmap) and Bmap's shape.
+    Each is evaluated for the whole stack on first use: a zero product is
+    one batched matmul, G and mu's R rows one padded SVD, and the Ms with no
+    deficient P-block one more.  The P-blocks and gamma's blocks depend on
+    eta alone: their padded SVD, gamma's ranks, W and the K_i are computed
+    once per eta of `shared`, which scan_local_freeness passes to all its
+    stacks of one datum, and else once per point.  What depends on xi is
+    per point: alpha's rank (G is ranked with the P-blocks), M, W^H delta
+    and rank(mu).  A per-point result is a value or the RankIndeterminate
+    raised when its point, or each point of its eta, is asked.
     """
 
     points: tuple[SurfacePoint, ...]
@@ -214,6 +179,7 @@ class MonadStack:
     Bmap: np.ndarray
     mu: np.ndarray
     block_index: BlockIndex
+    shared: dict | None = None  # eta-only results by exact eta, within one scan
 
     def __len__(self) -> int:
         return len(self.points)
@@ -261,43 +227,64 @@ class MonadStack:
         return _fro(self.Bmap)
 
     @cached_property
-    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values of alpha's P-blocks then gamma's blocks, and of G
-        and mu's R rows, from two padded SVDs (see _padded_spectra)."""
+    def _keys(self) -> tuple[list, dict]:
+        """Per point, the key of its eta-only results, and the dict they are
+        kept in: its exact eta in `shared`, else its index in a new dict."""
+        if self.shared is None:
+            return list(range(len(self))), {}
+        return [x.eta for x in self.points], self.shared
+
+    def _per_eta(self, name: str, compute: Callable[[list[int]], Sequence]) -> list:
+        """Per point, the eta-only result `name`: compute(js) returns those
+        of the points js, one point of each eta that has none kept yet."""
+        keys, kept = self._keys
+        new = {key: j for j, key in enumerate(keys) if (name, key) not in kept}
+        if new:
+            kept.update(zip([(name, key) for key in new], compute(list(new.values()))))
+        return [kept[name, key] for key in keys]
+
+    @cached_property
+    def _chain(self) -> np.ndarray:
+        """Per point: the singular values of alpha's P-blocks then gamma's
+        blocks, from one padded SVD (see _padded_spectra) of the new etas."""
         ix = self.block_index
-        g_rows, r_cols = ix.alpha_g
-        chain = [self.Amap[:, r, c] for r, c in ix.alpha_p] + [self.Bmap[:, r, c] for r, c in ix.gamma]
-        g_mu = [self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)]
-        return _padded_spectra(chain), _padded_spectra(g_mu)
+        return np.array(self._per_eta("chain", lambda js: _padded_spectra(
+            [self.Amap[js, r, c] for r, c in ix.alpha_p] + [self.Bmap[js, r, c] for r, c in ix.gamma]
+        )))
+
+    @cached_property
+    def _g_mu(self) -> np.ndarray:
+        """Per point: the singular values of G and of mu's R rows."""
+        g_rows, r_cols = self.block_index.alpha_g
+        return _padded_spectra([self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)])
+
+    def _kernel(self, j: int, i: int, rank: int) -> np.ndarray:
+        """K_i at point j, P-block i being of rank `rank`; kept per eta."""
+        keys, kept = self._keys
+        key = ("K", keys[j], i, rank)
+        if key not in kept:
+            kept[key] = la.null_space(self.Amap[j][self.block_index.alpha_p[i]], rank)
+        return kept[key]
 
     @cached_property
     def _alpha(self) -> list:
         """Per point: rank(alpha), and (i, K_i) for each rank-deficient P-block i."""
         ix = self.block_index
-        chain, g_mu = self._spectra
         sizes = [min(map(_len, s)) for s in ix.alpha_p]
-        spectra = [chain[:, i, :size] for i, size in enumerate(sizes)]
-        spectra.append(g_mu[:, 0, : min(map(_len, ix.alpha_g))])
+        spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
+        spectra.append(self._g_mu[:, 0, : min(map(_len, ix.alpha_g))])
         ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
 
         def alpha(j):
             blocks = _value(ranks[j])
-            kernels = [
-                (i, la.null_space(self.Amap[j][ix.alpha_p[i]], r))
-                for i, (size, r) in enumerate(zip(sizes, blocks))
-                if r < size
-            ]
-            return sum(blocks), kernels
+            deficient = [(i, r) for i, (size, r) in enumerate(zip(sizes, blocks)) if r < size]
+            return sum(blocks), [(i, self._kernel(j, i, r)) for i, r in deficient]
 
         return _each(alpha, len(self))
 
     def _m(self, j: int) -> np.ndarray:
-        """M of point j (see MonadAtPoint) without the rows that are zero on
-        its columns.
-
-        Off the deficient P-blocks' columns only G and the Q0 and Qn rows of
-        beta_tilde reach the R columns, so the other Q rows are left out.
-        """
+        """M of point j (see the class) without its zero rows: off the
+        deficient P-blocks' columns only G and the Q0 and Qn rows reach it."""
         ix = self.block_index
         g_rows, r_cols = ix.alpha_g
         kernels = self._alpha[j][1]
@@ -327,36 +314,45 @@ class MonadStack:
         return _each(nullity, len(self))
 
     @cached_property
-    def _bmap_rank(self) -> list:
-        """Per point: rank(gamma) + rank(W^H delta) (see MonadAtPoint)."""
+    def _gamma(self) -> list:
+        """Per point: rank(gamma), and (rows, W_i^H) for each rank-deficient
+        block i of gamma, W_i its left kernel; computed once per eta."""
         ix = self.block_index
-        n = len(ix.alpha_p)
-        dim_c = self.Bmap.shape[1]
-        dim_b = self.Bmap.shape[2] - dim_c
+        n, dim_c = len(ix.alpha_p), self.Bmap.shape[1]
         sizes = [_len(r) for r, _ in ix.gamma]
-        ranks = _block_ranks(
-            [self._spectra[0][:, n + i, :size] for i, size in enumerate(sizes)], (dim_c, dim_c)
-        )
+
+        def gamma(js):
+            spectra = [self._chain[js, n + i, :size] for i, size in enumerate(sizes)]
+            ranks = _block_ranks(spectra, (dim_c, dim_c))
+
+            def left_kernels(t):
+                blocks, bmap = _value(ranks[t]), self.Bmap[js[t]]
+                deficient = [(block, r) for block, size, r in zip(ix.gamma, sizes, blocks) if r < size]
+                return sum(blocks), [(b[0], la.null_space(bmap[b].conj().T, r).conj().T) for b, r in deficient]
+
+            return _each(left_kernels, len(js))
+
+        return self._per_eta("gamma", gamma)
+
+    @cached_property
+    def _bmap_rank(self) -> list:
+        """Per point: rank(gamma) + rank(W^H delta) (see the class)."""
+        dim_b = self.Bmap.shape[2] - self.Bmap.shape[1]
 
         def bmap_rank(j):
-            blocks = _value(ranks[j])
+            rank, kernels = _value(self._gamma[j])
+            if not kernels:
+                return rank
             bmap = self.Bmap[j]
-            cokernel = [
-                la.null_space(bmap[block].conj().T, r).conj().T @ bmap[block[0], :dim_b]
-                for block, size, r in zip(ix.gamma, sizes, blocks)
-                if r < size
-            ]
-            if not cokernel:
-                return sum(blocks)
-            s = np.linalg.svd(np.vstack(cokernel), compute_uv=False)
-            return sum(blocks) + la.rank_decision(s, bmap.shape, self._fro_bmap[j])
+            s = np.linalg.svd(np.vstack([w @ bmap[rows, :dim_b] for rows, w in kernels]), compute_uv=False)
+            return rank + la.rank_decision(s, bmap.shape, self._fro_bmap[j])
 
         return _each(bmap_rank, len(self))
 
     @cached_property
     def _mu_rank(self) -> list:
         """Per point: rank(mu), from its R rows at mu's shape."""
-        spectra = self._spectra[1][:, 1, : self.mu.shape[2]]
+        spectra = self._g_mu[:, 1, : self.mu.shape[2]]
         return _each(lambda j: la.rank_decision(spectra[j], self.mu.shape[1:]), len(self))
 
     def _amap_rank(self, j: int) -> int:
@@ -364,17 +360,31 @@ class MonadStack:
         return self.Amap.shape[2] - _value(self._amap_nullity[j])
 
     def fiber_rank(self, j: int) -> int:
-        """MonadAtPoint.fiber_rank at point j."""
+        """Rank of the monad cohomology at point j, dim ker(Bmap) - rank(Amap),
+        from blocks (see the class).  Raises RankIndeterminate on a rank too
+        close to call, or when Im(Amap) is not inside ker(Bmap)
+        (composition_residuals not below DEFAULT_TOL)."""
         _require_zero(self.composition_residuals[j], "image of Amap not contained in ker(Bmap)")
         return self.Bmap.shape[2] - _value(self._bmap_rank[j]) - self._amap_rank(j)
 
     def fiber(self, j: int) -> np.ndarray:
-        """MonadAtPoint.fiber at point j."""
+        """Orthonormal basis of the cohomology ker(Bmap)/Im(Amap) at point j:
+        (dimB + dimC) x fiber_rank(j), spanning ker(Bmap) & Im(Amap)^perp.
+        Raises RankIndeterminate where fiber_rank(j) does, or when the basis
+        found has other than dim ker(Bmap) - rank(Amap) columns."""
         _require_zero(self.composition_residuals[j], "image of Amap not contained in ker(Bmap)")
         return _quotient(la.null_space(self.Bmap[j]), self.Amap[j], self._amap_rank(j))
 
     def locally_free(self, j: int) -> LocalFreenessResult:
-        """MonadAtPoint.locally_free at point j."""
+        """Pointwise local-freeness criterion at point j: dim ker(Amap) = rank(mu).
+
+        beta_tilde must be injective on ker(alpha) / Im(mu).  As Amap mu = 0,
+        Im(mu) lies in ker(Amap) = ker(alpha) & ker(beta_tilde), so injectivity
+        means the two are equal; quotient_dim is dim ker(alpha) - rank(mu).
+        A failure returns a witness in ker(Amap), built from ker M, orthogonal
+        to Im(mu).  Raises RankIndeterminate on a rank too close to call, on
+        Amap mu != 0, or when the witnesses number other than
+        dim ker(Amap) - rank(mu)."""
         _require_zero(self._mu_residuals[j], "image of mu not contained in ker(Amap)")
         rank_mu = _value(self._mu_rank[j])
         quotient_dim = self.Amap.shape[2] - _value(self._alpha[j])[0] - rank_mu
@@ -480,12 +490,8 @@ def _quotient(kernel: np.ndarray, right: np.ndarray, rank_right: int) -> np.ndar
 
 
 def _offsets(sizes: list[tuple[str, int]]) -> tuple[dict, int]:
-    table = {}
-    off = 0
-    for name, size in sizes:
-        table[name] = (off, size)
-        off += size
-    return table, off
+    offsets = [0, *accumulate(size for _, size in sizes)]
+    return {name: (off, size) for (name, size), off in zip(sizes, offsets)}, offsets[-1]
 
 
 def monad_dimensions(dims) -> tuple[int, int, int, int]:
@@ -681,19 +687,13 @@ def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, f
     (eta - beta_n) [row into Qn] = (-Mpsi_hat, -xi) o G.
     """
     m = assemble_monad(b, x)
-    n = b.topo.n
+    n, ix = b.topo.n, m.block_index
     d0, dnn = b.dims.d[0], b.dims.d[n]
     mxi_hat, mpsi_hat = aggregate_maps(b)
-    a0 = m.block_index.A["R0"][0]
-    G = m.alpha[m.block_index.B["R"][0] :, a0 : a0 + 2 * d0 + 2 * dnn]
-    row0 = m.beta_tilde[
-        m.block_index.C["Q0"][0] : m.block_index.C["Q0"][0] + d0,
-        a0 : a0 + 2 * d0 + 2 * dnn,
-    ]
-    rown = m.beta_tilde[
-        m.block_index.C[f"Q{n}"][0] : m.block_index.C[f"Q{n}"][0] + dnn,
-        a0 : a0 + 2 * d0 + 2 * dnn,
-    ]
+    r_cols = slice(ix.A["R0"][0], m.dimA)  # the R-blocks are A's last
+    G = m.alpha[ix.B["R"][0] :, r_cols]
+    q0, qn = ix.C["Q0"][0], ix.C[f"Q{n}"][0]
+    row0, rown = m.beta_tilde[q0 : q0 + d0, r_cols], m.beta_tilde[qn : qn + dnn, r_cols]
     lhs0 = (x.eta * np.eye(d0) - b.beta[0]) @ row0
     rhs0 = np.hstack([x.psi * np.eye(d0), mxi_hat]) @ G
     lhsn = (x.eta * np.eye(dnn) - b.beta[n]) @ rown
@@ -702,7 +702,7 @@ def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, f
 
 
 def fiber_at(b: BowDatum, x: SurfacePoint) -> np.ndarray:
-    """Orthonormal basis of the monad cohomology at x (see MonadAtPoint.fiber).
+    """Orthonormal basis of the monad cohomology at x (see MonadStack.fiber).
 
     At locally free points its rank equals the structure-group rank n.
     """
@@ -710,7 +710,7 @@ def fiber_at(b: BowDatum, x: SurfacePoint) -> np.ndarray:
 
 
 def is_locally_free_at(b: BowDatum, x: SurfacePoint) -> LocalFreenessResult:
-    """Pointwise local-freeness criterion (see MonadAtPoint.locally_free)."""
+    """Pointwise local-freeness criterion (see MonadStack.locally_free)."""
     return assemble_monad(b, x).locally_free()
 
 
@@ -769,14 +769,12 @@ def structured_points(b: BowDatum) -> list[SurfacePoint]:
     """
     z = b.topo.z
     pts: list[SurfacePoint] = []
-    for eta in la.cluster_eigenvalues(b.spectra()):
-        near_nut = min((abs(eta - zi) for zi in z), default=np.inf)
-        if near_nut < la.EIG_CLUSTER_TOL:
-            eta = min(z, key=lambda zi: abs(eta - zi))
-            pts.append(SurfacePoint(0.0, 1.0, eta))
-            pts.append(SurfacePoint(0.0, 0.0, eta))
-        pts.append(SurfacePoint.from_xi_eta(z, 1.0, eta))
-        pts.append(SurfacePoint.from_xi_eta(z, 10.0, eta))
+    for eta in b.spectrum_clusters:
+        nut = min(z, key=lambda zi: abs(eta - zi), default=None)
+        if nut is not None and abs(eta - nut) < la.EIG_CLUSTER_TOL:
+            eta = nut
+            pts += [SurfacePoint(0.0, 1.0, eta), SurfacePoint(0.0, 0.0, eta)]
+        pts += [SurfacePoint.from_xi_eta(z, xi, eta) for xi in (1.0, 10.0)]
     return pts
 
 
@@ -785,18 +783,17 @@ def random_points(b: BowDatum, n_random: int, seed: int) -> list[SurfacePoint]:
     log-uniform in [0.1, 10]; a tube of radius 1e-4 around the chain
     eigenvalues is avoided to keep random and structured diagnostics apart."""
     rng = np.random.default_rng(seed)
-    spectrum = b.spectra() + list(b.topo.z)
+    spectrum = [complex(v) for v in b.spectra()] + list(b.topo.z)  # Python scalars, for speed
     center = complex(np.mean(spectrum)) if spectrum else 0.0 + 0.0j
-    radius = 2.0 * max((abs(v - center) for v in spectrum), default=0.5)
-    radius = max(radius, 0.5)
+    radius = max(2.0 * max((abs(v - center) for v in spectrum), default=0.5), 0.5)
     pts: list[SurfacePoint] = []
-    while len(pts) < n_random:
-        rho = radius * np.sqrt(rng.uniform())
-        theta = rng.uniform(0, 2 * np.pi)
-        eta = center + rho * np.exp(1j * theta)
+    while len(pts) < n_random:  # rng.uniform(lo, hi) draws lo + (hi - lo) * rng.random()
+        rho = radius * math.sqrt(rng.random())
+        theta = 2 * math.pi * rng.random()
+        eta = center + rho * complex(math.cos(theta), math.sin(theta))  # np.exp(1j * theta) bitwise
         if any(abs(eta - v) < 1e-4 for v in spectrum):
             continue
-        xi = 10.0 ** rng.uniform(-1.0, 1.0)
+        xi = 10.0 ** (-1.0 + 2.0 * rng.random())
         pts.append(SurfacePoint.from_xi_eta(b.topo.z, xi, eta))
     return pts
 
@@ -811,25 +808,24 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
     Indeterminate rank decisions are collected separately, never coerced
     into pass or fail; the report keeps each one's reason.
 
-    The points are assembled and ranked in chunks, each one MonadStack
-    (see there): per chunk, one assembly, one batched matmul per zero
-    product, one padded SVD of alpha's P-blocks and gamma's blocks, one of
-    G and mu's R rows, and one of M where no P-block is deficient.  Each
-    point is ranked from blocks, never from a whole Amap, Bmap or alpha.
-    Only where some block is deficient, which in practice means the
-    structured points, are its singular vectors computed and W^H delta
-    ranked, at fro(Bmap); every other decision uses the ranked matrix's own
-    sigma_max.  A chunk holds as many points as fit in CHUNK_BYTES, and at
-    least one.
+    The points are assembled and ranked in chunks of as many as fit in
+    CHUNK_BYTES, and at least one.  Each chunk is a MonadStack (see there),
+    which ranks its points from blocks, never from a whole Amap, Bmap or
+    alpha.  What depends on eta alone (the SVD of alpha's P-blocks and
+    gamma's blocks, gamma's ranks, W and the K_i) is computed once per eta
+    and kept, keyed by exact eta, while that eta's adjacent points last, so
+    also across a chunk boundary that falls among them.
     """
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
     batches += [(pt, "structured") for pt in structured_points(b)]
     assemble = monad_assembler(b)
     size = max(1, CHUNK_BYTES // assemble([]).point_bytes)  # an empty stack has every shape
-    reports = []
+    reports, shared = [], {}  # shared: eta-only results, keyed (what, eta, ...)
     for start in range(0, len(batches), size):
         chunk = batches[start : start + size]
-        stack = assemble([x for x, _ in chunk])
+        # an eta's points are adjacent: only this chunk's first eta can have some
+        shared = {key: r for key, r in shared.items() if key[1] == chunk[0][0].eta}
+        stack = replace(assemble([x for x, _ in chunk]), shared=shared)
         for j, (x, kind) in enumerate(chunk):
             try:
                 rank, free = stack.fiber_rank(j), stack.locally_free(j)

@@ -229,8 +229,10 @@ def test_cli_fiber(capsys):
 
 @pytest.mark.parametrize(
     "xi, eta",
-    [("nan", "1"), ("1", "nan"), ("inf", "1"), ("1", "inf"), ("1e-320", "1")],
-    ids=["xi-nan", "eta-nan", "xi-inf", "eta-inf", "psi-overflow"],
+    [("nan", "1"), ("1", "nan"), ("inf", "1"), ("1", "inf"), ("1e-320", "1"),
+     ("1+nanj", "1"), ("1", "2-infj"), ("1e-320j", "1")],
+    ids=["xi-nan", "eta-nan", "xi-inf", "eta-inf", "psi-overflow",
+         "xi-complex-nan", "eta-complex-inf", "psi-overflow-imaginary"],
 )
 def test_cli_fiber_non_finite_point_exit_2(capsys, xi, eta):
     # a subnormal xi makes psi = prod(eta - z_i) / xi overflow

@@ -83,6 +83,7 @@ def test_kept_values_equal_direct_computation(group):
         assert len(d.eigenvalues) == len(chain)
         for vals, m in zip(d.eigenvalues, chain):
             assert vals.tobytes() == la.eigenvalues(m).tobytes()
+        assert d.spectrum_clusters == tuple(la.cluster_eigenvalues(fresh(d).spectra()))
 
 
 def test_one_datum_at_two_tolerances():
@@ -124,10 +125,28 @@ def test_kept_arrays_refuse_writes():
         result.witnesses[0].vector[0] = 7.0
     with pytest.raises(ValueError, match="read-only"):
         d.eigenvalues[0][...] = 7.0
-    for kept in (d.eigenvalues, d.clusters, d.relation_residuals, d.invariant_residuals, d.exactness):
+    kept_values = (d.eigenvalues, d.clusters, d.spectrum_clusters, d.relation_residuals,
+                   d.invariant_residuals, d.exactness)
+    for kept in kept_values:
         assert isinstance(kept, tuple)
     check_exactness_all(d).clear()  # the caller's list, not the kept tuple
     assert check_exactness(d, 0) == result
+
+
+def test_structured_points_cluster_the_spectrum_once_per_datum(monkeypatch):
+    cluster = la.cluster_eigenvalues
+    clustered = []
+
+    def counting(vals):
+        clustered.append(len(vals))
+        return cluster(vals)
+
+    d = fresh(generate(suite_topology(3, 3, 2), seed=8))
+    monkeypatch.setattr(la, "cluster_eigenvalues", counting)
+    points = structured_points(d)
+    assert structured_points(d) == points
+    assert clustered == [len(d.spectra())]
+    assert {x.eta for x in points} <= {*d.spectrum_clusters, *d.topo.z}
 
 
 def test_eigensolver_failure_is_indeterminate_and_not_kept(monkeypatch):

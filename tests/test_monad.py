@@ -153,6 +153,75 @@ def test_surface_violation_rejected(u2):
             point(u2, xi, eta)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "xi, eta",
+    [(NAN, 1.0), (INF, 1.0), (complex(1.0, NAN), 1.0), (complex(-INF, 0.0), 1.0),
+     (1.0, NAN), (1.0, -INF), (1.0, complex(0.5, INF)), (1.0, complex(NAN, 0.0)),
+     (1e-320, 3.0), (1e-320j, 3.0), (complex(1e-320, -1e-320), 2.0 + 1.0j)],
+)
+@pytest.mark.parametrize("z", [(), (1.0 + 0j,), (0.3 - 0.2j, -1.5 + 0j, 2j)])
+def test_from_xi_eta_rejects_non_finite_points(xi, eta, z):
+    # a subnormal xi makes psi = prod(eta - z_i) / xi overflow
+    with pytest.raises(ValueError, match="must be finite"):
+        SurfacePoint.from_xi_eta(z, xi, eta)
+
+
+@pytest.mark.parametrize("xi", [0, 0.0, -0.0, 0j, complex(-0.0, 0.0)])
+def test_from_xi_eta_rejects_xi_zero(xi):
+    with pytest.raises(ValueError, match="xi must be nonzero"):
+        SurfacePoint.from_xi_eta((1.0 + 0j,), xi, 0.5)
+
+
+def test_from_xi_eta_psi_is_the_left_to_right_product():
+    # psi is ((1 (eta - z_1)) (eta - z_2)) ... / xi, the product numpy's prod
+    # takes from its identity, bitwise; and 1 / xi with no NUTs
+    rng = np.random.default_rng(11)
+    for k in range(6):
+        for _ in range(200):
+            z = tuple(complex(*v) for v in rng.normal(size=(k, 2)) * 10.0 ** rng.integers(-3, 4))
+            eta = complex(*rng.normal(size=2)) if k == 0 or rng.uniform() < 0.8 else z[0]
+            xi = complex(*rng.normal(size=2))
+            x = SurfacePoint.from_xi_eta(z, xi, eta)
+            psi = complex(np.prod([eta - zi for zi in z])) / xi if z else (1.0 + 0j) / xi
+            assert (x.xi, x.eta) == (xi, eta)
+            assert np.array([x.psi]).tobytes() == np.array([psi]).tobytes()
+    # numpy's prod starts from 1, and 1 * (-0 - 1j) is +0 - 1j: signed zeros follow it
+    for eta, z in [(complex(-0.0, 0.0), (1j,)), (complex(-0.0, -0.0), (0j, 1j)), (-1.0 + 0j, (-1.0, 0.5j))]:
+        psi = complex(np.prod([eta - zi for zi in z])) / (1.0 + 0j)
+        x = SurfacePoint.from_xi_eta(z, 1.0, eta)
+        assert np.array([x.psi]).tobytes() == np.array([psi]).tobytes()
+
+
+def numpy_random_points(b, n_random, seed):
+    """random_points as it was written with numpy scalars: the reference
+    that the Python-scalar version must reproduce bitwise."""
+    rng = np.random.default_rng(seed)
+    spectrum = b.spectra() + list(b.topo.z)
+    center = complex(np.mean(spectrum)) if spectrum else 0.0 + 0.0j
+    radius = max(2.0 * max((abs(v - center) for v in spectrum), default=0.5), 0.5)
+    pts = []
+    while len(pts) < n_random:
+        rho = radius * np.sqrt(rng.uniform())
+        eta = center + rho * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if any(abs(eta - v) < 1e-4 for v in spectrum):
+            continue
+        pts.append(SurfacePoint.from_xi_eta(b.topo.z, 10.0 ** rng.uniform(-1.0, 1.0), eta))
+    return pts
+
+
+def test_random_points_match_the_numpy_reference(canon):
+    data = [e.datum for e in canon.values()] + [generate(suite_topology(3, 3, 3), seed=101)]
+    for d in data:
+        for seed in (0, 1, 7):
+            points = random_points(d, 25, seed)
+            reference = numpy_random_points(d, 25, seed)
+            as_bytes = [np.array([(x.xi, x.psi, x.eta) for x in pts]).tobytes() for pts in (points, reference)]
+            assert as_bytes[0] == as_bytes[1]
+
+
 def test_surface_violation_names_the_first_point_off_the_surface(u2):
     assemble = monad_assembler(u2)
     pts = random_points(u2, 5, seed=2)
@@ -540,6 +609,132 @@ def test_scan_report_independent_of_chunking(canon, monkeypatch, name):
         assert [c for c in chunks if c] == [min(size, len(points) - i) for i in range(0, len(points), size)]
     assert all(r == reports[0] for r in reports[1:])
     assert [p.point for p in reports[0]] == points
+
+
+def _sharing_data():
+    return {
+        "ladder-m0-3": generate(suite_topology(3, 3, 3), seed=101),
+        "degenerate": degenerate_example()[1],
+    }
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, None])
+@pytest.mark.parametrize("name", ["ladder-m0-3", "degenerate"])
+def test_scan_shares_eta_only_work_across_chunks(monkeypatch, name, size):
+    # a scan computes what depends on eta alone once per distinct eta,
+    # however its points fall into chunks: the padded SVD of the chain
+    # blocks, and the SVDs of gamma's deficient blocks for W
+    from bowforge import monad
+
+    d = _sharing_data()[name]
+    config = ScanConfig(n_random=8, seed=4)
+    points = random_points(d, config.n_random, config.seed) + structured_points(d)
+    etas = {x.eta for x in points}
+    assert len(etas) < len(points)  # some eta has two or more points
+    alone = [block_verdict(assemble_monad(d, x)) for x in points]
+    assert all(v[0] == "ok" for v in alone)  # so null_space runs for K_i and W only
+
+    chain_blocks = 2 * d.topo.n + 1
+    padded, kernels = [], []
+    padded_spectra, null_space = monad._padded_spectra, la.null_space
+
+    def counting_padded(blocks):
+        padded.append((len(blocks), len(blocks[0])))
+        return padded_spectra(blocks)
+
+    def counting_null_space(m, rank=None):
+        kernels.append(np.shape(m))
+        return null_space(m, rank)
+
+    monkeypatch.setattr(monad, "_padded_spectra", counting_padded)
+    monkeypatch.setattr(la, "null_space", counting_null_space)
+
+    def w_and_k(calls):  # W's SVDs take square blocks, K_i's take (d_i + 1) x d_i ones
+        return sum(a == b for a, b in calls), sum(a != b for a, b in calls)
+
+    once = []  # the SVDs of one point of each eta, each point on its own
+    for eta in etas:
+        kernels.clear()
+        assemble_monad(d, next(x for x in points if x.eta == eta)).fiber_rank()
+        once.append(w_and_k(kernels))
+    padded.clear()
+    kernels.clear()
+    stack_bytes = monad_assembler(d)([]).point_bytes
+    monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(points)) * stack_bytes)
+    report = scan_local_freeness(d, config)
+
+    assert sum(k for blocks, k in padded if blocks == chain_blocks) == len(etas)
+    assert w_and_k(kernels) == tuple(map(sum, zip(*once)))
+    assert sum(w for w, _ in once) > 0
+    assert [p.point for p in report.points] == points
+    assert [(p.status, p.fiber_rank, p.locally_free) for p in report.points] == [v[:3] for v in alone]
+    assert all(p.reason == "" for p in report.points)
+
+
+@pytest.mark.parametrize("size", [1, None])
+def test_shared_indeterminate_decision_reaches_every_point_of_its_eta(monkeypatch, size):
+    # gamma's block ranks depend on eta alone, so one decision serves all
+    # points of an eta: when it straddles, each of them is indeterminate,
+    # with the one reason, in whichever chunk it falls
+    from bowforge import monad
+
+    d = generate(suite_topology(3, 3, 3), seed=101)
+    config = ScanConfig(n_random=8, seed=4)
+    before = scan_local_freeness(d, config).points
+    dim_c = monad_dimensions(d.dims)[2]
+    rank_decision = la.rank_decision
+    straddles = []
+
+    def straddle_where_gamma_is_deficient(s, shape, sigma_max=None):
+        if shape == (dim_c, dim_c) and sigma_max is None and s[-1] < 1e-8 * s[0]:
+            straddles.append(s)
+            raise RankIndeterminate(f"gamma decision {len(straddles)} straddles its cutoff")
+        return rank_decision(s, shape, sigma_max)
+
+    monkeypatch.setattr(la, "rank_decision", straddle_where_gamma_is_deficient)
+    monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(before)) * monad_assembler(d)([]).point_bytes)
+    after = scan_local_freeness(dataclasses.replace(d), config).points
+
+    assert [p.point for p in after] == [p.point for p in before]
+    assert [p for p in after if p.kind == "random"] == [p for p in before if p.kind == "random"]
+    by_eta = {}
+    for p in after:
+        by_eta.setdefault(p.point.eta, []).append(p)
+    reasons = {eta: {(p.status, p.reason) for p in group} for eta, group in by_eta.items()}
+    struck = [eta for eta, r in reasons.items() if ("ok", "") not in r]
+    assert len(struck) == len(straddles) and max(len(by_eta[eta]) for eta in struck) >= 2
+    assert all(len(reasons[eta]) == 1 for eta in struck)  # one status and one reason per eta
+    assert sorted(reasons[eta].pop()[1] for eta in struck) == sorted(
+        f"gamma decision {i} straddles its cutoff" for i in range(1, len(straddles) + 1)
+    )
+    assert all(p.status == "indeterminate" for eta in struck for p in by_eta[eta])
+    assert {p.status for p in after if p.point.eta not in struck} == {"ok"}
+
+
+def test_kernels_kept_per_eta_follow_each_points_rank(canon, monkeypatch):
+    # alpha's rank is decided with G, which reads xi, so two points of one
+    # eta may give a P-block two ranks: K_i is kept by eta, block and rank,
+    # and each point reads the kernel of its own decision
+    from bowforge import monad
+
+    d = canon["sp1-mirror"].datum
+    x, y = [p for p in structured_points(d) if p.xi != 0][:2]
+    assert x.eta == y.eta and (x.xi, y.xi) == (1, 10)
+    dim_a, dim_b, _, _ = monad_dimensions(d.dims)
+    block_ranks = monad._block_ranks
+
+    def one_less_at_the_second_point(spectra, shape):
+        ranks = block_ranks(spectra, shape)
+        if shape == (dim_b, dim_a):  # alpha's P-blocks and G
+            ranks[1] = [r - (i == 1) for i, r in enumerate(ranks[1])]
+        return ranks
+
+    monkeypatch.setattr(monad, "_block_ranks", one_less_at_the_second_point)
+    alone = monad_assembler(d)([x, y])
+    shared = dataclasses.replace(alone, shared={})
+    kernels = [[(i, k.shape) for i, k in stack._alpha[j][1]] for stack in (alone, shared) for j in (0, 1)]
+    assert kernels[:2] == kernels[2:] and kernels[0] != kernels[1]
+    assert [block_verdict(shared, j) for j in (0, 1)] == [block_verdict(alone, j) for j in (0, 1)]
 
 
 def test_scan_rejects_a_negative_count(u2):
