@@ -7,11 +7,12 @@ rule are set once.  There is one rule: a singular value too close to the
 cutoff to call raises RankIndeterminate and is never rounded.
 
 A block-diagonal matrix is ranked from the union of its blocks' singular
-values, which is its own spectrum.  One product is ranked against its
-parent's scale instead of its own: the monad's W^H delta (the cokernel of
-gamma applied to delta) sits at rounding level when it should be zero, so
-it is ranked at fro(Bmap) and Bmap's shape, as a rank of the whole Bmap
-would see it (see monad.MonadStack).
+values, which is its own spectrum.  Independent matrices share one padded
+SVD (padded_spectra), each ranked at its own shape and sigma_max.  One
+product is ranked against its parent's scale instead of its own: the
+monad's W^H delta (the cokernel of gamma applied to delta) sits at rounding
+level when it should be zero, so it is ranked at fro(Bmap) and Bmap's
+shape, as a rank of the whole Bmap would see it (see monad.MonadStack).
 """
 
 from __future__ import annotations
@@ -95,6 +96,28 @@ def rank_decision(s, shape: tuple[int, int], sigma_max: float | None = None) -> 
     return rank
 
 
+def svd(m, compute_uv: bool = True):
+    """np.linalg.svd of a matrix or a stack, retried with gesvd where gesdd fails."""
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
+        return scipy.linalg.svd(m, compute_uv=compute_uv, lapack_driver="gesvd")
+
+
+def padded_spectra(stacks: list[np.ndarray]) -> np.ndarray:
+    """Singular values of the matrices of stacks (stack b is k_b x rows_b x cols_b)
+    from one SVD of all of them zero-padded to one shape: one row per matrix, in
+    order.  Padding adds zeros, which sort last: b's own are [:min(rows_b, cols_b)]."""
+    rows, cols = (max((s.shape[axis] for s in stacks), default=0) for axis in (1, 2))
+    padded = np.zeros((sum(map(len, stacks)), rows, cols), dtype=np.complex128)
+    start = 0
+    for s in stacks:
+        padded[start : start + len(s), : s.shape[1], : s.shape[2]] = s
+        start += len(s)
+    return svd(padded, compute_uv=False)
+
+
 def null_space(m, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of m.
 
@@ -102,19 +125,9 @@ def null_space(m, rank: int | None = None) -> np.ndarray:
     decided it (a block ranked within its whole matrix) and passes it.
     """
     m = cmat(m)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0 or fro(m) == 0.0:
-        return np.eye(cols, dtype=np.complex128)
-    try:
-        _, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError:
-        # the default divide-and-conquer routine (gesdd) can fail to converge
-        # on matrices that the slower QR-iteration routine (gesvd) handles
-        import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
-
-        _, s, vh = scipy.linalg.svd(m, lapack_driver="gesvd")
+    if fro(m) == 0.0:  # also when m has no rows or no columns
+        return np.eye(m.shape[1], dtype=np.complex128)
+    _, s, vh = svd(m)
     if rank is None:
         rank = rank_decision(s, m.shape)
     return vh[rank:].conj().T

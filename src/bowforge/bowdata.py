@@ -21,6 +21,7 @@ from .topology import DimensionVector, TopologicalData, compute_dimensions
 PASS = "pass"
 FAIL = "fail"
 INDETERMINATE = "indeterminate"
+EXACTNESS_STACK_BYTES = 64 * 1024  # see datum_exactness
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,8 @@ class BowDatum:
 
     @cached_property
     def exactness(self) -> tuple[ExactnessResult, ...]:
-        """One ExactnessResult per step (see step_exactness)."""
-        return tuple(step_exactness(self, i) for i in range(self.topo.n))
+        """One ExactnessResult per step (see datum_exactness)."""
+        return datum_exactness(self)
 
     def spectra(self) -> list[complex]:
         """All eigenvalues of all chain endomorphisms (lambda and p chain)."""
@@ -376,7 +377,7 @@ class ExactnessResult:
 
 def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
     """Pointwise exactness of the i-th three-term complex, i in 0..n-1, as the
-    datum keeps it (see step_exactness).  An eigensolver failure on any chain
+    datum keeps it (see datum_exactness).  An eigensolver failure on any chain
     endomorphism makes it indeterminate and is not kept."""
     if not 0 <= i < b.topo.n:
         raise IndexError(f"exactness index {i} out of range 0..{b.topo.n - 1}")
@@ -387,8 +388,17 @@ def check_exactness(b: BowDatum, i: int) -> ExactnessResult:
     return b.exactness[i]
 
 
-def step_exactness(b: BowDatum, i: int) -> ExactnessResult:
-    """Pointwise exactness of the i-th three-term complex.
+def _eigen_stacks(b: BowDatum, i: int, j: int) -> np.ndarray:
+    """Step i's stacks at each eta of beta_j: the kernel side's if j = i, else the cokernel side's."""
+    etas = np.array(b.clusters[j], dtype=np.complex128)[:, None, None]
+    top = etas * np.eye(len(b.beta[j]), dtype=np.complex128) - b.beta[j]
+    top, rest = (top, np.vstack((b.gamma[i], b.A[i]))) if j == i else (
+        top.conj().swapaxes(1, 2), np.hstack((b.A[i], b.alpha[i])).conj().T)
+    return np.concatenate([top, rest[None].repeat(len(top), axis=0)], axis=1)
+
+
+def datum_exactness(b: BowDatum) -> tuple[ExactnessResult, ...]:
+    """Pointwise exactness of each three-term complex i = 0..n-1.
 
     Failure is only possible at eigenvalues, so two finite checks suffice:
     (a) at each eigenvalue eta* of beta_i there is no common kernel vector of
@@ -396,35 +406,34 @@ def step_exactness(b: BowDatum, i: int) -> ExactnessResult:
     (b) at each eigenvalue eta* of beta_{i+1} there is no left eigenvector
         annihilated by both A_i and alpha_i.
     Eigenvalues closer than the clustering tolerance are merged and tested
-    at the cluster mean.  Any witness makes the step fail; otherwise a rank
-    too close to call (see rank_decision) makes it indeterminate, never
-    silently passed; an eigensolver failure raises.  Witnesses are read-only.
+    at the cluster mean.  All stacks of the datum are ranked from one padded
+    SVD (la.padded_spectra), each at its own shape and sigma_max; past
+    EXACTNESS_STACK_BYTES of stacks, one per side of a step, to bound the
+    memory held.  Only a deficient stack has its kernel computed, for its
+    witness (read-only).  Any witness makes the step fail (kernel side
+    first); otherwise a rank too close to call (see rank_decision) makes it
+    indeterminate, never silently passed; an eigensolver failure raises.
     """
-    lo, hi = b.beta[i], b.beta[i + 1]
-    witnesses: list[ExactnessWitness] = []
-    straddles: list[str] = []
-    lo_eigs, hi_eigs = b.clusters[i], b.clusters[i + 1]
-    eye_lo = np.eye(lo.shape[0], dtype=np.complex128)
-    eye_hi = np.eye(hi.shape[0], dtype=np.complex128)
-    a_h, alpha_h = b.A[i].conj().T, b.alpha[i].conj().T
-    stacks = [("kernel", eta, [eta * eye_lo - lo, b.gamma[i], b.A[i]]) for eta in lo_eigs]
-    stacks += [("cokernel", eta, [(eta * eye_hi - hi).conj().T, a_h, alpha_h]) for eta in hi_eigs]
-    for side, eta, stack in stacks:
-        try:
-            kernel = la.null_space(np.vstack(stack))
-        except RankIndeterminate as exc:
-            straddles.append(f"{side} side at eta={eta:.6g}: {exc}")
-            continue
-        if kernel.shape[1] > 0:
-            # a cokernel kernel holds conjugated row vectors; report the row vector itself
-            vector = kernel[:, 0] if side == "kernel" else kernel[:, 0].conj()
-            witnesses.append(ExactnessWitness(side, eta, _freeze(vector)))
-
-    if witnesses:
-        return ExactnessResult(i, FAIL, tuple(witnesses))
-    if straddles:
-        return ExactnessResult(i, INDETERMINATE, detail="; ".join(straddles))
-    return ExactnessResult(i, PASS)
+    d, n = b.dims.d, b.topo.n
+    sides = [(i, j, side) for i in range(n) for j, side in ((i, "kernel"), (i + 1, "cokernel"))]
+    size = sum(16 * len(b.clusters[j]) * (d[i] + d[i + 1] + 1) * d[j] for i, j, _ in sides)
+    witnesses, straddles = [[] for _ in range(n)], [[] for _ in range(n)]
+    for group in [sides] if size <= EXACTNESS_STACK_BYTES else [[side] for side in sides]:
+        stacks = [_eigen_stacks(b, i, j) for i, j, _ in group]
+        spectra = iter(la.padded_spectra(stacks))  # a row per matrix; each zip below reads its side's
+        for (i, j, side), stack in zip(group, stacks):
+            for eta, m, values in zip(b.clusters[j], stack, spectra):
+                try:
+                    rank = la.rank_decision(values[: min(m.shape)], m.shape)
+                except RankIndeterminate as exc:
+                    straddles[i].append(f"{side} side at eta={eta:.6g}: {exc}")
+                    continue
+                if rank < m.shape[1]:  # a cokernel kernel holds conjugated rows; report the row itself
+                    v = la.null_space(m, rank)[:, 0]
+                    witnesses[i].append(ExactnessWitness(side, eta, _freeze(v if j == i else v.conj())))
+    return tuple(
+        ExactnessResult(i, FAIL if w else INDETERMINATE if x else PASS, tuple(w), "" if w else "; ".join(x))
+        for i, (w, x) in enumerate(zip(witnesses, straddles)))
 
 
 def check_exactness_all(b: BowDatum) -> list[ExactnessResult]:

@@ -53,13 +53,17 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
     is at most SYLVESTER_GAP; under the precondition the solution is unique
     and the relative residual is checked to be below GENERATION_TOL.
     """
+    return _solve_sylvester(P, Q, C, la.eigenvalues(P), la.eigenvalues(Q))
+
+
+def _solve_sylvester(P, Q, C, eigenvalues_p, eigenvalues_q) -> np.ndarray:
     P, Q, C = la.cmat(P), la.cmat(Q), la.cmat(C)
     q, r = P.shape[0], Q.shape[0]
     if C.shape != (q, r):
         raise ValueError(f"C has shape {C.shape}, expected ({q}, {r})")
     if q == 0 or r == 0:
         return np.zeros((q, r), dtype=np.complex128)
-    gap = float(np.min(np.abs(la.eigenvalues(P)[:, None] - la.eigenvalues(Q)[None, :])))
+    gap = float(np.min(np.abs(eigenvalues_p[:, None] - eigenvalues_q[None, :])))
     if gap <= la.SYLVESTER_GAP:
         raise SpectraOverlap(f"spectra of P and Q are {gap:.3e} apart (need > {la.SYLVESTER_GAP})")
     import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
@@ -236,12 +240,13 @@ def _attempt(t: TopologicalData, dims, rng) -> BowDatum:
     beta[0] = betaN[-1]
     beta[n] = betaN[0]
 
-    endpoint_spec = list(la.eigenvalues(beta[0])) + list(la.eigenvalues(beta[n]))
-    pool = list(endpoint_spec)
+    spectra = {0: la.eigenvalues(beta[0]), n: la.eigenvalues(beta[n])}  # one per beta_i
+    pool = [*spectra[0], *spectra[n]]
     for i in range(1, n):
         eigs = _draw_separated(rng, dims.d[i], pool)
         pool.extend(eigs)
         beta[i] = _diagonalizable_with_eigs(rng, eigs)
+        spectra[i] = la.eigenvalues(beta[i])
 
     A, alpha, gamma = [], [], []
     for i in range(n):
@@ -250,7 +255,7 @@ def _attempt(t: TopologicalData, dims, rng) -> BowDatum:
         else:
             ai = ginibre(rng, dims.d[i + 1], 1)
             gi = ginibre(rng, 1, dims.d[i])
-            Ai = solve_sylvester(beta[i + 1], beta[i], ai @ gi)
+            Ai = _solve_sylvester(beta[i + 1], beta[i], ai @ gi, spectra[i + 1], spectra[i])
         A.append(Ai)
         alpha.append(ai)
         gamma.append(gi)

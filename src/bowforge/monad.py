@@ -246,17 +246,18 @@ class MonadStack:
     @cached_property
     def _chain(self) -> np.ndarray:
         """Per point: the singular values of alpha's P-blocks then gamma's
-        blocks, from one padded SVD (see _padded_spectra) of the new etas."""
+        blocks, from one padded SVD (la.padded_spectra) of the new etas."""
         ix = self.block_index
-        return np.array(self._per_eta("chain", lambda js: _padded_spectra(
+        return np.array(self._per_eta("chain", lambda js: la.padded_spectra(
             [self.Amap[js, r, c] for r, c in ix.alpha_p] + [self.Bmap[js, r, c] for r, c in ix.gamma]
-        )))
+        ).reshape(len(ix.alpha_p) + len(ix.gamma), len(js), -1).swapaxes(0, 1)))
 
     @cached_property
     def _g_mu(self) -> np.ndarray:
-        """Per point: the singular values of G and of mu's R rows."""
+        """The singular values of G, then of mu's R rows, at each point."""
         g_rows, r_cols = self.block_index.alpha_g
-        return _padded_spectra([self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)])
+        blocks = [self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)]
+        return la.padded_spectra(blocks).reshape(2, len(self), -1)
 
     def _kernel(self, j: int, i: int, rank: int) -> np.ndarray:
         """K_i at point j, P-block i being of rank `rank`; kept per eta."""
@@ -272,7 +273,7 @@ class MonadStack:
         ix = self.block_index
         sizes = [min(map(_len, s)) for s in ix.alpha_p]
         spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
-        spectra.append(self._g_mu[:, 0, : min(map(_len, ix.alpha_g))])
+        spectra.append(self._g_mu[0][:, : min(map(_len, ix.alpha_g))])
         ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
 
         def alpha(j):
@@ -303,12 +304,12 @@ class MonadStack:
         if plain:
             at = slice(None) if len(plain) == len(self) else np.array(plain)[:, None]
             m = self.Amap[at, ix.r_rows, ix.alpha_g[1]]
-            spectra = dict(zip(plain, np.linalg.svd(m, compute_uv=False)))
+            spectra = dict(zip(plain, la.svd(m, compute_uv=False)))
         m_rows = self.Amap.shape[1] - ix.alpha_g[0].start
 
         def nullity(j):
             cols = _len(ix.alpha_g[1]) + sum(k.shape[1] for _, k in _value(self._alpha[j])[1])
-            s = spectra[j] if j in spectra else np.linalg.svd(self._m(j), compute_uv=False)
+            s = spectra[j] if j in spectra else la.svd(self._m(j), compute_uv=False)
             return cols - la.rank_decision(s, (m_rows, cols))
 
         return _each(nullity, len(self))
@@ -344,7 +345,7 @@ class MonadStack:
             if not kernels:
                 return rank
             bmap = self.Bmap[j]
-            s = np.linalg.svd(np.vstack([w @ bmap[rows, :dim_b] for rows, w in kernels]), compute_uv=False)
+            s = la.svd(np.vstack([w @ bmap[rows, :dim_b] for rows, w in kernels]), compute_uv=False)
             return rank + la.rank_decision(s, bmap.shape, self._fro_bmap[j])
 
         return _each(bmap_rank, len(self))
@@ -352,7 +353,7 @@ class MonadStack:
     @cached_property
     def _mu_rank(self) -> list:
         """Per point: rank(mu), from its R rows at mu's shape."""
-        spectra = self._g_mu[:, 1, : self.mu.shape[2]]
+        spectra = self._g_mu[1][:, : self.mu.shape[2]]
         return _each(lambda j: la.rank_decision(spectra[j], self.mu.shape[1:]), len(self))
 
     def _amap_rank(self, j: int) -> int:
@@ -426,19 +427,6 @@ def _value(result):
     if isinstance(result, RankIndeterminate):
         raise result
     return result
-
-
-def _padded_spectra(blocks: list[np.ndarray]) -> np.ndarray:
-    """Singular values of stacks of blocks (each k x rows x cols), from one
-    SVD of all of them zero-padded to a common shape.  The result is
-    k x len(blocks) x min(padded shape); padding adds only zero singular
-    values, which sort last, so block b's are [:, b, :min(its shape)]."""
-    rows = max((b.shape[1] for b in blocks), default=0)
-    cols = max((b.shape[2] for b in blocks), default=0)
-    stack = np.zeros((len(blocks[0]), len(blocks), rows, cols), dtype=np.complex128)
-    for j, b in enumerate(blocks):
-        stack[:, j, : b.shape[1], : b.shape[2]] = b
-    return np.linalg.svd(stack, compute_uv=False)
 
 
 def _block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:

@@ -223,14 +223,14 @@ def form_on_basis(
     changes)."""
     n = b.topo.n
     r = basis.shape[1]
-    grams = [p_pairing_matrix(b, p, i, eta) for i in range(n)]
+    cols = [_resolvent_column(b, i, eta) for i in range(n)]  # p_pairing_matrix's U and V
     form = np.zeros((r, r), dtype=np.complex128)
     for i in range(n):
         off_u, size_u = block_index.B[f"P{i}"]
         off_v, size_v = block_index.B[f"P{n - 1 - i}"]
         u = basis[off_u : off_u + size_u, :]
         v = basis[off_v : off_v + size_v, :]
-        form += u.T @ grams[i] @ v
+        form += u.T @ (p.f[i] * (cols[i] @ cols[n - 1 - i].T)) @ v
     return form
 
 

@@ -130,6 +130,32 @@ def test_generate_deterministic():
         np.testing.assert_array_equal(m, b.all_matrices()[name])
 
 
+@pytest.mark.parametrize("key", [(1, 2, 3), (2, 3, 2), (3, 2, 3)])
+def test_generate_decomposes_each_beta_once_per_attempt(monkeypatch, key):
+    # the interior draws and every Sylvester gap check share one eigenvalue
+    # array per beta_i; the checks that follow decompose the datum's own
+    eigvals, attempt = np.linalg.eigvals, generator._attempt
+    decomposed, attempts = [], []
+
+    def counting(a, *args, **kwargs):
+        decomposed.append(id(a))
+        return eigvals(a, *args, **kwargs)
+
+    def recording(t, dims, rng):
+        decomposed.clear()
+        datum = attempt(t, dims, rng)
+        attempts.append((list(decomposed), [id(b) for b in datum.beta if b.size]))
+        return datum
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(generator, "_attempt", recording)
+    for seed in range(4):
+        generate(suite_topology(*key), seed)
+    assert attempts
+    for calls, betas in attempts:
+        assert sorted(calls) == sorted(betas)
+
+
 def test_generate_retries_after_indeterminate_rank(monkeypatch):
     real_attempt = generator._attempt
     calls = []

@@ -636,7 +636,7 @@ def test_scan_shares_eta_only_work_across_chunks(monkeypatch, name, size):
 
     chain_blocks = 2 * d.topo.n + 1
     padded, kernels = [], []
-    padded_spectra, null_space = monad._padded_spectra, la.null_space
+    padded_spectra, null_space = la.padded_spectra, la.null_space
 
     def counting_padded(blocks):
         padded.append((len(blocks), len(blocks[0])))
@@ -646,7 +646,7 @@ def test_scan_shares_eta_only_work_across_chunks(monkeypatch, name, size):
         kernels.append(np.shape(m))
         return null_space(m, rank)
 
-    monkeypatch.setattr(monad, "_padded_spectra", counting_padded)
+    monkeypatch.setattr(la, "padded_spectra", counting_padded)
     monkeypatch.setattr(la, "null_space", counting_null_space)
 
     def w_and_k(calls):  # W's SVDs take square blocks, K_i's take (d_i + 1) x d_i ones

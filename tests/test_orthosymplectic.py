@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bowforge import orthosymplectic
 from bowforge.bowdata import BowDatum, validate_relations
 from bowforge.errors import (
     DegenerateForm,
@@ -311,6 +312,35 @@ def test_fiber_form_congruence_under_basis_change(so2):
     form = form_on_basis(datum, pairing, pt.eta, basis, monad.block_index)
     transformed = form_on_basis(datum, pairing, pt.eta, basis @ g, monad.block_index)
     np.testing.assert_allclose(transformed, g.T @ form @ g, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["so2-mirror", "sp1-mirror"])
+def test_form_on_basis_solves_each_column_once(monkeypatch, canon, name):
+    # the reference sums the Gram matrices of p_pairing_matrix, which solves
+    # the columns of i and of n - 1 - i for each i
+    datum, pairing = canon[name].datum, canon[name].pairing
+    n = datum.topo.n
+    column = orthosymplectic._resolvent_column
+    solved = []
+
+    def counting(b, i, eta):
+        solved.append(i)
+        return column(b, i, eta)
+
+    for pt in random_points(datum, 6, seed=23):
+        monad = assemble_monad(datum, pt)
+        basis, ix = monad.fiber(), monad.block_index
+        reference = np.zeros((basis.shape[1],) * 2, dtype=complex)
+        for i in range(n):
+            (off_u, size_u), (off_v, size_v) = ix.B[f"P{i}"], ix.B[f"P{n - 1 - i}"]
+            u, v = basis[off_u : off_u + size_u], basis[off_v : off_v + size_v]
+            reference += u.T @ p_pairing_matrix(datum, pairing, i, pt.eta) @ v
+        solved.clear()
+        monkeypatch.setattr(orthosymplectic, "_resolvent_column", counting)
+        form = form_on_basis(datum, pairing, pt.eta, basis, ix)
+        monkeypatch.undo()
+        assert form.tobytes() == reference.tobytes()
+        assert sorted(solved) == list(range(n))
 
 
 def test_fiber_form_flags_wrong_symmetry(so2):
