@@ -22,7 +22,6 @@ from .bowdata import (
     with_perturbed_entry,
 )
 from .monad import (
-    MonadAtPoint,
     MonadStack,
     ScanConfig,
     SurfacePoint,

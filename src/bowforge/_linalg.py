@@ -1,7 +1,9 @@
 """Shared numerical conventions: residuals, rank thresholds, null spaces.
 
 Every tolerance, cutoff and coincidence threshold of the package is defined
-here.  Every rank decision goes through `rank_decision`, so the convention
+here.  The bounds that reject random draws (the generators' conditioning
+bounds, random_points' clearance from the spectra) are sampling policy and
+stay with their draws.  Every rank decision goes through `rank_decision`, so the convention
 (the ranked matrix's own sigma_max * max(dim) * eps * 64) and the straddle
 rule are set once.  There is one rule: a singular value too close to the
 cutoff to call raises RankIndeterminate and is never rounded.
@@ -36,6 +38,10 @@ EIG_CLUSTER_TOL = 1e-8
 # Eigenvalues of two matrices closer than this are shared: a Sylvester solve
 # between them is ill posed, and a spectral projector takes them together.
 SYLVESTER_GAP = 1e-6
+# Least gap that generate keeps between the eigenvalues it draws for the
+# interior beta_i and every eigenvalue drawn or fixed before them, well above
+# SYLVESTER_GAP, so that each Sylvester solve for A_i is well posed.
+SPECTRAL_SEPARATION = 1e-3
 # Pairing matrices with sigma_min <= K_CONDITION_FLOOR * sigma_max are degenerate.
 K_CONDITION_FLOOR = 1e-8
 # Safety factor on top of the standard numerical-rank convention.

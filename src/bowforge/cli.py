@@ -181,7 +181,7 @@ def cmd_fiber(args) -> int:
         "expected_rank": datum.topo.n,
     }
     try:
-        rank, free = monad.fiber_rank(), monad.locally_free()
+        rank, free = monad.fiber_rank(0), monad.locally_free(0)
     except RankIndeterminate as exc:
         doc["reason"] = str(exc)
         _emit(doc, args.format)

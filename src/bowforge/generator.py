@@ -33,8 +33,6 @@ from .errors import (
 from .orthosymplectic import PairingDatum, expected_signs, verify_pairing_relations
 from .topology import TopologicalData, compute_dimensions, validate_topology
 
-# Spectral separation enforced on freshly drawn endomorphisms.
-SPECTRAL_SEPARATION = 1e-3
 # Draws a generator makes before giving up on a topology.
 ATTEMPTS = 20
 
@@ -99,7 +97,7 @@ def rank_factorization(
         return np.zeros((0, inner), dtype=np.complex128), np.zeros(
             (inner, 0), dtype=np.complex128
         )
-    u, s, vh = np.linalg.svd(C)
+    u, s, vh = la.svd(C)
     r0 = la.rank_decision(s, C.shape)
     if r0 > inner:
         raise RankTooLarge(f"rank(C) = {r0} exceeds inner dimension {inner}")
@@ -188,7 +186,7 @@ def _draw_separated(rng, count, avoid):
     vals: list[complex] = []
     while len(vals) < count:
         c = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-        if all(abs(c - o) > SPECTRAL_SEPARATION for o in list(avoid) + vals):
+        if all(abs(c - o) > la.SPECTRAL_SEPARATION for o in list(avoid) + vals):
             vals.append(c)
     return vals
 

@@ -24,7 +24,7 @@ from .bowdata import BowDatum, aggregate_maps
 from .errors import RankIndeterminate, SurfaceViolation
 
 # Bytes that one chunk of scan_local_freeness may hold, every array of its
-# evaluation counted (MonadStack.point_bytes).  A chunk pays numpy's per-call
+# evaluation counted (BlockIndex.point_bytes).  A chunk pays numpy's per-call
 # overhead once for all its points.  2 MiB is one core's L2 cache on current
 # x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
 # this much more memory than a point-at-a-time scan.  On the benchmark ladder
@@ -62,8 +62,9 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class BlockIndex:
-    """Named (offset, size) for every block of the monad spaces A, B, C = D, F,
-    and the slices of the maps that the block ranks of MonadStack read."""
+    """The block layout of the monad (see block_layout): named (offset, size)
+    for every block of the spaces A, B, C = D, F, the slices of the maps that
+    the block ranks of MonadStack read, and the dimensions."""
 
     A: dict
     B: dict
@@ -73,6 +74,27 @@ class BlockIndex:
     alpha_g: tuple  # Amap (rows, columns) of alpha's R-block G; the columns are A's R-blocks
     gamma: tuple  # Bmap (rows, columns) of gamma's blocks eta - beta_i, i = 0..n
     r_rows: np.ndarray  # Amap rows below alpha's P-blocks that reach A's R-blocks: G, Q0, Qn
+    dims: tuple[int, int, int, int]  # (dimA, dimB, dimC, dimD), D = C
+
+    @property
+    def point_bytes(self) -> int:
+        """Bytes one point holds while its stack is evaluated, counted whole
+        (see CHUNK_BYTES): its three maps, S and T, both zero products, its
+        share of the two padded block stacks, and M as it is where no
+        P-block is deficient."""
+        dim_a, dim_b, dim_c, _ = self.dims
+        dim_bc, dim_f = dim_b + dim_c, sum(size for _, size in self.F.values())
+        chain = self.alpha_p + self.gamma
+        g_rows, r_cols = map(_len, self.alpha_g)
+        entries = (
+            dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
+            + self.A["R0"][1] ** 2 + self.A["R1"][1] ** 2  # S, T
+            + dim_c * dim_a + dim_bc * dim_f  # Bmap Amap, Amap mu
+            + len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain)
+            + 2 * g_rows * r_cols  # G, mu's R rows
+            + len(self.r_rows) * r_cols  # M
+        )
+        return max(entries, 1) * np.dtype(np.complex128).itemsize
 
 
 @dataclass(frozen=True)
@@ -83,70 +105,13 @@ class LocalFreenessResult:
 
 
 @dataclass(frozen=True)
-class MonadAtPoint:
-    """The monad maps evaluated at one surface point (see monad_assembler).
-
-    Amap stacks (alpha; -beta_tilde): (dimB + dimC) x dimA.
-    Bmap concatenates (delta, gamma): dimD x (dimB + dimC), with D = C.
-    mu maps the auxiliary space F = C^{d_0 + d_n} into the R blocks of A.
-    alpha, beta_tilde and the dimensions are read off these three maps.
-    The methods answer as MonadStack's of the same names (see there) do for
-    this point as a stack of one, so a single point runs the scan's code.
-    """
-
-    point: SurfacePoint
-    Amap: np.ndarray
-    Bmap: np.ndarray
-    mu: np.ndarray
-    block_index: BlockIndex
-
-    @property
-    def dimA(self) -> int:
-        return self.Amap.shape[1]
-
-    @property
-    def dimB(self) -> int:
-        return self.Bmap.shape[1] - self.dimC
-
-    @property
-    def dimC(self) -> int:
-        return self.Bmap.shape[0]
-
-    dimD = dimC  # D = C
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.Amap[: self.dimB]
-
-    @property
-    def beta_tilde(self) -> np.ndarray:
-        return -self.Amap[self.dimB :]
-
-    @cached_property
-    def _stack(self) -> MonadStack:
-        maps = (self.Amap[None], self.Bmap[None], self.mu[None])
-        return MonadStack((self.point,), *maps, self.block_index)
-
-    def composition_residual(self) -> float:
-        return float(self._stack.composition_residuals[0])
-
-    def fiber_rank(self) -> int:
-        return self._stack.fiber_rank(0)
-
-    def fiber(self) -> np.ndarray:
-        return self._stack.fiber(0)
-
-    def locally_free(self) -> LocalFreenessResult:
-        return self._stack.locally_free(0)
-
-
-@dataclass(frozen=True)
 class MonadStack:
     """The monad maps at k surface points, each map with a leading point axis.
 
-    Amap is k x (dimB + dimC) x dimA, Bmap k x dimD x (dimB + dimC) and mu
-    k x dimA x dimF; stack[j] is point j as a MonadAtPoint.  fiber_rank(j),
-    fiber(j) and locally_free(j) rank blocks of the maps, never a whole map,
+    Amap = (alpha; -beta_tilde) is k x (dimB + dimC) x dimA, Bmap =
+    (delta, gamma) k x dimD x (dimB + dimC) and mu, which maps F into the
+    R-blocks of A, k x dimA x dimF.  fiber_rank(j), fiber(j) and
+    locally_free(j) rank blocks of the maps of point j, never a whole map,
     from singular values; only a rank-deficient block has its singular
     vectors computed.  Block by block:
       rank(alpha): alpha is block diagonal in its P-blocks
@@ -183,30 +148,6 @@ class MonadStack:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def __getitem__(self, j: int) -> MonadAtPoint:
-        return MonadAtPoint(self.points[j], self.Amap[j], self.Bmap[j], self.mu[j], self.block_index)
-
-    @property
-    def point_bytes(self) -> int:
-        """Bytes one point holds while its stack is evaluated, counted whole
-        (see CHUNK_BYTES): its three maps, S and T, both zero products, its
-        share of the two padded block stacks, and M as it is where no
-        P-block is deficient."""
-        ix = self.block_index
-        dim_bc, dim_a = self.Amap.shape[1:]
-        dim_c, dim_f = self.Bmap.shape[1], self.mu.shape[2]
-        chain = ix.alpha_p + ix.gamma
-        g_rows, r_cols = map(_len, ix.alpha_g)
-        entries = (
-            dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
-            + ix.A["R0"][1] ** 2 + ix.A["R1"][1] ** 2  # S, T
-            + dim_c * dim_a + dim_bc * dim_f  # Bmap Amap, Amap mu
-            + len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain)
-            + 2 * g_rows * r_cols  # G, mu's R rows
-            + len(ix.r_rows) * r_cols  # M
-        )
-        return max(entries, 1) * np.dtype(np.complex128).itemsize
 
     @cached_property
     def composition_residuals(self) -> np.ndarray:
@@ -482,20 +423,60 @@ def _offsets(sizes: list[tuple[str, int]]) -> tuple[dict, int]:
     return {name: (off, size) for (name, size), off in zip(sizes, offsets)}, offsets[-1]
 
 
-def monad_dimensions(dims) -> tuple[int, int, int, int]:
-    d = dims.d
+def _at(table_r, row, table_c, col, rows=None, cols=None) -> tuple[slice, slice]:
+    """Slices of one block of a map, from the tables of its row and column
+    spaces; `rows`/`cols` narrow it to a sub-range."""
+    r0, rs = table_r[row]
+    c0, cs = table_c[col]
+    r_lo, r_hi = rows or (0, rs)
+    c_lo, c_hi = cols or (0, cs)
+    return slice(r0 + r_lo, r0 + r_hi), slice(c0 + c_lo, c0 + c_hi)
+
+
+def block_layout(d: Sequence[int]) -> BlockIndex:
+    """The block layout of the monad of the dimension vector d = (d_0, ..., d_n):
+      A: P-blocks C^{d_i}, i = 0..n-1, then R-blocks C^{d_0}, C^{d_n},
+         C^{d_0}, C^{d_n} in resolution order;
+      B: P-blocks C^{d_i + 1}, then the R-block C^{d_0} + C^{d_n};
+      C = D: Q-blocks C^{d_i}, i = 0..n;
+      F: C^{d_0}, C^{d_n}.
+    monad_assembler, monad_dimensions and the chunk size of
+    scan_local_freeness all read it."""
     n = len(d) - 1
-    dim_a = sum(d[:n]) + 2 * d[0] + 2 * d[n]
-    dim_b = sum(di + 1 for di in d[:n]) + d[0] + d[n]
-    dim_c = sum(d)
-    return dim_a, dim_b, dim_c, dim_c
+    d0, dnn = d[0], d[n]
+    a_table, dim_a = _offsets(
+        [(f"P{i}", d[i]) for i in range(n)] + [("R0", d0), ("R1", dnn), ("R2", d0), ("R3", dnn)]
+    )
+    b_table, dim_b = _offsets([(f"P{i}", d[i] + 1) for i in range(n)] + [("R", d0 + dnn)])
+    c_table, dim_c = _offsets([(f"Q{i}", d[i]) for i in range(n + 1)])
+    b_r = b_table["R"][0]
+    return BlockIndex(
+        A=a_table,
+        B=b_table,
+        C=c_table,
+        F=_offsets([("F0", d0), ("F1", dnn)])[0],
+        alpha_p=tuple(_at(b_table, f"P{i}", a_table, f"P{i}") for i in range(n)),
+        alpha_g=(slice(b_r, dim_b), slice(a_table["R0"][0], dim_a)),
+        gamma=tuple(  # its columns are the C-blocks past B
+            (slice(off, off + size), slice(dim_b + off, dim_b + off + size)) for off, size in c_table.values()
+        ),
+        # G's rows and Q0's follow each other; Qn is the last C-block
+        r_rows=np.concatenate([np.arange(b_r, dim_b + d0), np.arange(dim_b + dim_c - dnn, dim_b + dim_c)]),
+        dims=(dim_a, dim_b, dim_c, dim_c),
+    )
+
+
+def monad_dimensions(dims) -> tuple[int, int, int, int]:
+    """(dimA, dimB, dimC, dimD) of the monad of the dimension vector dims.d."""
+    return block_layout(dims.d).dims
 
 
 def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStack]:
     """Evaluation of the monad maps of `b` at a stack of surface points.
 
     Every entry that does not depend on the point is written once, here,
-    into templates, -beta_i included.  The returned function takes a
+    into templates, -beta_i included, at the offsets of block_layout, which
+    every result keeps as its block_index.  The returned function takes a
     sequence of k points and returns their MonadStack: it checks the
     surface equation at all k points at once, copies each template once into a
     k x ... array, adds eta on the diagonals of the eta I - beta_i blocks,
@@ -504,12 +485,6 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     divided differences S and T.  Points never share entries, and stacks
     never share arrays.  scan_local_freeness sizes its stacks by
     CHUNK_BYTES; assemble_monad is a stack of one.
-
-    Block layout (offsets recorded in the block_index of every result):
-      A: P-blocks C^{d_i}, i = 0..n-1, then R-blocks C^{d_0}, C^{d_n},
-         C^{d_0}, C^{d_n} in resolution order;
-      B: P-blocks C^{d_i + 1}, then the R-block C^{d_0} + C^{d_n};
-      C = D: Q-blocks C^{d_i}, i = 0..n.
     """
     n = b.topo.n
     d = b.dims.d
@@ -518,26 +493,11 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     coeffs = la.poly_from_roots(b.topo.z)
     z = np.asarray(b.topo.z, dtype=np.complex128)
 
-    a_table, dim_a = _offsets(
-        [(f"P{i}", d[i]) for i in range(n)]
-        + [("R0", d0), ("R1", dnn), ("R2", d0), ("R3", dnn)]
-    )
-    b_table, dim_b = _offsets(
-        [(f"P{i}", d[i] + 1) for i in range(n)] + [("R", d0 + dnn)]
-    )
-    c_table, dim_c = _offsets([(f"Q{i}", d[i]) for i in range(n + 1)])
-    f_table, dim_f = _offsets([("F0", d0), ("F1", dnn)])
+    block_index = block_layout(d)
+    a_table, b_table, c_table, f_table = block_index.A, block_index.B, block_index.C, block_index.F
+    dim_a, dim_b, dim_c, _ = block_index.dims
     # C-blocks shifted past B: the -beta_tilde rows of Amap, the gamma columns of Bmap
     cb_table = {q: (dim_b + off, size) for q, (off, size) in c_table.items()}
-
-    # every block derives from the datum, shape-checked once when it was built
-    def at(table_r, row, table_c, col, rows=None, cols=None):
-        """Slices of one block; `rows`/`cols` narrow it to a sub-range."""
-        r0, rs = table_r[row]
-        c0, cs = table_c[col]
-        r_lo, r_hi = rows or (0, rs)
-        c_lo, c_hi = cols or (0, cs)
-        return slice(r0 + r_lo, r0 + r_hi), slice(c0 + c_lo, c0 + c_hi)
 
     def diagonal(shape, *blocks):
         """Flat indices into a `shape` matrix of the diagonals of square blocks."""
@@ -546,78 +506,64 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
             dtype=np.intp,
         )
 
-    b_r = b_table["R"][0]
-    block_index = BlockIndex(
-        A=a_table,
-        B=b_table,
-        C=c_table,
-        F=f_table,
-        alpha_p=tuple(at(b_table, f"P{i}", a_table, f"P{i}") for i in range(n)),
-        alpha_g=(slice(b_r, dim_b), slice(a_table["R0"][0], dim_a)),
-        gamma=tuple(at(c_table, f"Q{i}", cb_table, f"Q{i}") for i in range(n + 1)),
-        # G's rows and Q0's follow each other; Qn is the last C-block
-        r_rows=np.concatenate(
-            [np.arange(b_r, dim_b + d0), np.arange(cb_table[f"Q{n}"][0], dim_b + dim_c)]
-        ),
-    )
-
+    # every block derives from the datum, shape-checked once when it was built
     # Amap = (alpha; -beta_tilde); alpha ends in the R-block G of the resolution.
     amap_shape = (dim_b + dim_c, dim_a)
     amap0 = np.zeros(amap_shape, dtype=np.complex128)
-    alpha_res = [at(b_table, f"P{i}", a_table, f"P{i}", rows=(0, d[i])) for i in range(n)]
+    alpha_res = [_at(b_table, f"P{i}", a_table, f"P{i}", rows=(0, d[i])) for i in range(n)]
     for i in range(n):
         amap0[alpha_res[i]] = -b.beta[i]
-        amap0[at(b_table, f"P{i}", a_table, f"P{i}", rows=(d[i], d[i] + 1))] = -b.gamma[i]
-    g_res0 = at(b_table, "R", a_table, "R0", rows=(0, d0))
+        amap0[_at(b_table, f"P{i}", a_table, f"P{i}", rows=(d[i], d[i] + 1))] = -b.gamma[i]
+    g_res0 = _at(b_table, "R", a_table, "R0", rows=(0, d0))
     amap0[g_res0] = -b.beta[0]
-    amap0[at(b_table, "R", a_table, "R3", rows=(0, d0))] = mxi_hat
-    g_resn = at(b_table, "R", a_table, "R1", rows=(d0, d0 + dnn))
+    amap0[_at(b_table, "R", a_table, "R3", rows=(0, d0))] = mxi_hat
+    g_resn = _at(b_table, "R", a_table, "R1", rows=(d0, d0 + dnn))
     amap0[g_resn] = -b.beta[n]
-    amap0[at(b_table, "R", a_table, "R2", rows=(d0, d0 + dnn))] = -mpsi_hat
+    amap0[_at(b_table, "R", a_table, "R2", rows=(d0, d0 + dnn))] = -mpsi_hat
 
     for i in range(n):
-        amap0[at(cb_table, f"Q{i}", a_table, f"P{i}")] = -np.eye(d[i])
-        amap0[at(cb_table, f"Q{i + 1}", a_table, f"P{i}")] = -b.A[i]
-    amap0[at(cb_table, "Q0", a_table, "R1")] = -mxi_hat
-    bt_s = (slice(None), *at(cb_table, "Q0", a_table, "R2"))
-    amap0[at(cb_table, f"Q{n}", a_table, "R0")] = mpsi_hat
-    bt_t = (slice(None), *at(cb_table, f"Q{n}", a_table, "R3"))
+        amap0[_at(cb_table, f"Q{i}", a_table, f"P{i}")] = -np.eye(d[i])
+        amap0[_at(cb_table, f"Q{i + 1}", a_table, f"P{i}")] = -b.A[i]
+    amap0[_at(cb_table, "Q0", a_table, "R1")] = -mxi_hat
+    bt_s = (slice(None), *_at(cb_table, "Q0", a_table, "R2"))
+    amap0[_at(cb_table, f"Q{n}", a_table, "R0")] = mpsi_hat
+    bt_t = (slice(None), *_at(cb_table, f"Q{n}", a_table, "R3"))
     a_eta = diagonal(amap_shape, *alpha_res, g_res0, g_resn)
     a_xi = diagonal(  # xi I in G and in -beta_tilde
         amap_shape,
-        at(b_table, "R", a_table, "R2", rows=(0, d0)),
-        at(cb_table, f"Q{n}", a_table, "R1"),
+        _at(b_table, "R", a_table, "R2", rows=(0, d0)),
+        _at(cb_table, f"Q{n}", a_table, "R1"),
     )
     a_mpsi = diagonal(  # -psi I in G and in -beta_tilde
         amap_shape,
-        at(b_table, "R", a_table, "R3", rows=(d0, d0 + dnn)),
-        at(cb_table, "Q0", a_table, "R0"),
+        _at(b_table, "R", a_table, "R3", rows=(d0, d0 + dnn)),
+        _at(cb_table, "Q0", a_table, "R0"),
     )
 
     # Bmap = (delta, gamma): columns B then C; gamma is block diagonal
     bmap_shape = (dim_c, dim_b + dim_c)
     bmap0 = np.zeros(bmap_shape, dtype=np.complex128)
     for i in range(n):
-        bmap0[at(c_table, f"Q{i}", b_table, f"P{i}")] = np.eye(d[i], d[i] + 1)
-        bmap0[at(c_table, f"Q{i + 1}", b_table, f"P{i}")] = np.hstack([b.A[i], b.alpha[i]])
-    bmap0[at(c_table, "Q0", b_table, "R", cols=(d0, d0 + dnn))] = mxi_hat
-    bmap0[at(c_table, f"Q{n}", b_table, "R", cols=(0, d0))] = -mpsi_hat
+        bmap0[_at(c_table, f"Q{i}", b_table, f"P{i}")] = np.eye(d[i], d[i] + 1)
+        bmap0[_at(c_table, f"Q{i + 1}", b_table, f"P{i}")] = np.hstack([b.A[i], b.alpha[i]])
+    bmap0[_at(c_table, "Q0", b_table, "R", cols=(d0, d0 + dnn))] = mxi_hat
+    bmap0[_at(c_table, f"Q{n}", b_table, "R", cols=(0, d0))] = -mpsi_hat
     for i in range(n + 1):
         bmap0[block_index.gamma[i]] = -b.beta[i]
     b_eta = diagonal(bmap_shape, *block_index.gamma)
-    b_psi = diagonal(bmap_shape, at(c_table, "Q0", b_table, "R", cols=(0, d0)))
-    b_mxi = diagonal(bmap_shape, at(c_table, f"Q{n}", b_table, "R", cols=(d0, d0 + dnn)))
+    b_psi = diagonal(bmap_shape, _at(c_table, "Q0", b_table, "R", cols=(0, d0)))
+    b_mxi = diagonal(bmap_shape, _at(c_table, f"Q{n}", b_table, "R", cols=(d0, d0 + dnn)))
 
     # mu spans ker(alpha) at generic points: polynomial first-stage lift of
     # the R resolution (divided differences in the top blocks).
-    mu_shape = (dim_a, dim_f)
+    mu_shape = (dim_a, d0 + dnn)
     mu0 = np.zeros(mu_shape, dtype=np.complex128)
-    mu_s = (slice(None), *at(a_table, "R0", f_table, "F0"))
-    mu_t = (slice(None), *at(a_table, "R1", f_table, "F1"))
-    mu0[at(a_table, "R2", f_table, "F1")] = mxi_hat
-    mu0[at(a_table, "R3", f_table, "F0")] = -mpsi_hat
-    mu_psi = diagonal(mu_shape, at(a_table, "R2", f_table, "F0"))
-    mu_mxi = diagonal(mu_shape, at(a_table, "R3", f_table, "F1"))
+    mu_s = (slice(None), *_at(a_table, "R0", f_table, "F0"))
+    mu_t = (slice(None), *_at(a_table, "R1", f_table, "F1"))
+    mu0[_at(a_table, "R2", f_table, "F1")] = mxi_hat
+    mu0[_at(a_table, "R3", f_table, "F0")] = -mpsi_hat
+    mu_psi = diagonal(mu_shape, _at(a_table, "R2", f_table, "F0"))
+    mu_mxi = diagonal(mu_shape, _at(a_table, "R3", f_table, "F1"))
     # the templates' -beta_i diagonals, to which each point adds its eta
     a_eta0 = amap0.reshape(-1)[a_eta, None]
     b_eta0 = bmap0.reshape(-1)[b_eta, None]
@@ -662,10 +608,10 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     return assemble
 
 
-def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadAtPoint:
-    """Evaluate the monad maps at a surface point, with the datum's own
-    assembler (see monad_assembler and BowDatum.monad_assembler)."""
-    return b.monad_assembler([x])[0]
+def assemble_monad(b: BowDatum, x: SurfacePoint) -> MonadStack:
+    """The monad maps at a surface point: its stack of one, from the datum's
+    own assembler (see monad_assembler and BowDatum.monad_assembler)."""
+    return b.monad_assembler([x])
 
 
 def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, float]:
@@ -675,13 +621,12 @@ def lift_commutativity_residuals(b: BowDatum, x: SurfacePoint) -> tuple[float, f
     (eta - beta_n) [row into Qn] = (-Mpsi_hat, -xi) o G.
     """
     m = assemble_monad(b, x)
-    n, ix = b.topo.n, m.block_index
+    n, ix, amap = b.topo.n, m.block_index, m.Amap[0]
     d0, dnn = b.dims.d[0], b.dims.d[n]
     mxi_hat, mpsi_hat = aggregate_maps(b)
-    r_cols = slice(ix.A["R0"][0], m.dimA)  # the R-blocks are A's last
-    G = m.alpha[ix.B["R"][0] :, r_cols]
-    q0, qn = ix.C["Q0"][0], ix.C[f"Q{n}"][0]
-    row0, rown = m.beta_tilde[q0 : q0 + d0, r_cols], m.beta_tilde[qn : qn + dnn, r_cols]
+    G, r_cols = amap[ix.alpha_g], ix.alpha_g[1]
+    q0, qn = (ix.dims[1] + ix.C[q][0] for q in ("Q0", f"Q{n}"))  # beta_tilde rows of Amap
+    row0, rown = -amap[q0 : q0 + d0, r_cols], -amap[qn : qn + dnn, r_cols]
     lhs0 = (x.eta * np.eye(d0) - b.beta[0]) @ row0
     rhs0 = np.hstack([x.psi * np.eye(d0), mxi_hat]) @ G
     lhsn = (x.eta * np.eye(dnn) - b.beta[n]) @ rown
@@ -694,12 +639,12 @@ def fiber_at(b: BowDatum, x: SurfacePoint) -> np.ndarray:
 
     At locally free points its rank equals the structure-group rank n.
     """
-    return assemble_monad(b, x).fiber()
+    return assemble_monad(b, x).fiber(0)
 
 
 def is_locally_free_at(b: BowDatum, x: SurfacePoint) -> LocalFreenessResult:
     """Pointwise local-freeness criterion (see MonadStack.locally_free)."""
-    return assemble_monad(b, x).locally_free()
+    return assemble_monad(b, x).locally_free(0)
 
 
 @dataclass(frozen=True)
@@ -768,8 +713,9 @@ def structured_points(b: BowDatum) -> list[SurfacePoint]:
 
 def random_points(b: BowDatum, n_random: int, seed: int) -> list[SurfacePoint]:
     """Sample points with eta uniform in the doubled spectral disk and xi
-    log-uniform in [0.1, 10]; a tube of radius 1e-4 around the chain
-    eigenvalues is avoided to keep random and structured diagnostics apart."""
+    log-uniform in [0.1, 10].  As sampling policy, not a tolerance, eta
+    keeps 1e-4 clear of the chain eigenvalues and the NUT positions, so that
+    random and structured diagnostics stay apart."""
     rng = np.random.default_rng(seed)
     spectrum = [complex(v) for v in b.spectra()] + list(b.topo.z)  # Python scalars, for speed
     center = complex(np.mean(spectrum)) if spectrum else 0.0 + 0.0j
@@ -806,8 +752,9 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
     """
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
     batches += [(pt, "structured") for pt in structured_points(b)]
+    # a new assembler, not the datum's kept one: its templates go with the scan
     assemble = monad_assembler(b)
-    size = max(1, CHUNK_BYTES // assemble([]).point_bytes)  # an empty stack has every shape
+    size = max(1, CHUNK_BYTES // block_layout(b.dims.d).point_bytes)
     reports, shared = [], {}  # shared: eta-only results, keyed (what, eta, ...)
     for start in range(0, len(batches), size):
         chunk = batches[start : start + size]

@@ -111,7 +111,7 @@ def verify_pairing_relations(
         Ki = p.k_matrix(i)
         if Ki.size == 0:
             continue
-        s = np.linalg.svd(Ki, compute_uv=False)
+        s = la.svd(Ki, compute_uv=False)
         ok = s[-1] > la.K_CONDITION_FLOOR * s[0]
         checks.append(RelationCheck(f"K-invertible[{i}]", 0.0 if ok else 1.0, tol))
 
@@ -247,7 +247,7 @@ def fiber_form(
     from .monad import assemble_monad
 
     monad = assemble_monad(b, x)
-    form = form_on_basis(b, p, x.eta, monad.fiber(), monad.block_index)
+    form = form_on_basis(b, p, x.eta, monad.fiber(0), monad.block_index)
 
     sign = 1.0 if p.flavor == SO else -1.0
     asym = la.rel_residual(form, sign * form.T)
@@ -255,7 +255,7 @@ def fiber_form(
         kind = "symmetric" if p.flavor == SO else "antisymmetric"
         raise FormAsymmetry(f"fiber form is not {kind}: residual {asym:.3e}")
     if form.shape[0] > 0:
-        s = np.linalg.svd(form, compute_uv=False)
+        s = la.svd(form, compute_uv=False)
         if s[-1] < tol:
             raise DegenerateForm(
                 f"fiber form degenerate at {x}: smallest singular value {s[-1]:.3e}"

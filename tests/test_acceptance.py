@@ -122,8 +122,8 @@ def test_criterion_4_monad_soundness(canon):
         pts = random_points(datum, 50, seed=7) + structured_points(datum)
         for pt in pts:
             monad = assemble_monad(datum, pt)
-            worst_comp = max(worst_comp, monad.composition_residual())
-            assert monad.composition_residual() < 1e-8
+            worst_comp = max(worst_comp, monad.composition_residuals[0])
+            assert monad.composition_residuals[0] < 1e-8
             assert fiber_at(datum, pt).shape[1] == n
             r0, rn = lift_commutativity_residuals(datum, pt)
             worst_lift = max(worst_lift, r0, rn)

@@ -22,10 +22,13 @@ from bowforge.bowdata import (
     ExactnessWitness,
     check_exactness_all,
     datum_exactness,
+    validate_relations,
 )
 from bowforge.errors import RankIndeterminate
-from bowforge.generator import degenerate_example, generate
-from bowforge.monad import ScanConfig, scan_local_freeness
+from bowforge.generator import degenerate_example, generate, generate_mirror
+from bowforge.monad import ScanConfig, random_points, scan_local_freeness
+from bowforge.orthosymplectic import fiber_form, verify_pairing_relations
+from bowforge.topology import TopologicalData
 
 from _suites import suite_topology
 from test_bowdata import straddle_datum
@@ -180,3 +183,18 @@ def test_verdicts_survive_svd_nonconvergence(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     assert verdicts(exact, scanned) == expected
+    # so do generation (rank_factorization builds every NUT chain), the
+    # K-invertible checks of the pairing and fiber_form's degeneracy check
+    d = generate(suite_topology(2, 2, 2), seed=5)
+    assert validate_relations(d).passed and all(r.passed for r in check_exactness_all(d))
+    mirrors = [
+        (TopologicalData(n=2, k=3, ell=1.0, lam=(0.25, 0.75), m=(0, 0), nd=(0, 0, 0), m0=2,
+                         z=(0.3 - 0.2j, -0.5 + 0.1j, 0.8 + 0.6j)), "SO"),
+        (TopologicalData(n=2, k=1, ell=1.0, lam=(0.2, 0.8), m=(-1, 1), nd=(0,), m0=3,
+                         z=(0.1 + 0.2j,)), "Sp"),
+    ]
+    for t, flavor in mirrors:
+        datum, pairing = generate_mirror(t, flavor, seed=4)
+        assert verify_pairing_relations(datum, pairing).passed
+        for x in random_points(datum, 3, seed=1):
+            assert fiber_form(datum, pairing, x).shape == (2, 2)

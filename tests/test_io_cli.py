@@ -15,7 +15,7 @@ from bowforge.cli import main
 from bowforge.errors import ParseError, RankIndeterminate, ShapeMismatch
 from bowforge.export import export_bow_complex
 from bowforge.generator import canonical_examples, degenerate_example, generate
-from bowforge.monad import MonadAtPoint, PointReport, ScanReport, SurfacePoint
+from bowforge.monad import MonadStack, PointReport, ScanReport, SurfacePoint
 from bowforge.orthosymplectic import PairingDatum
 from bowforge.topology import TopologicalData
 
@@ -243,10 +243,10 @@ def test_cli_fiber_non_finite_point_exit_2(capsys, xi, eta):
 
 
 def test_cli_fiber_indeterminate_exit_1(capsys, monkeypatch):
-    def straddle(monad):
+    def straddle(monad, j):
         raise RankIndeterminate("singular value straddles the cutoff")
 
-    monkeypatch.setattr(MonadAtPoint, "fiber_rank", straddle)
+    monkeypatch.setattr(MonadStack, "fiber_rank", straddle)
     assert main(["fiber", fixture("u2-basic"), "--xi", "1.0", "--eta", "2.1+0.4j"]) == 1
     assert capsys.readouterr().err == "indeterminate: singular value straddles the cutoff\n"
 
@@ -257,10 +257,10 @@ def test_cli_fiber_indeterminate_explains_itself(capsys, monkeypatch, method):
     assert main(args) == 0
     normal = json.loads(capsys.readouterr().out)
 
-    def straddle(monad):
+    def straddle(monad, j):
         raise RankIndeterminate("singular value straddles the cutoff")
 
-    monkeypatch.setattr(MonadAtPoint, method, straddle)
+    monkeypatch.setattr(MonadStack, method, straddle)
     assert main(args) == 1
     captured = capsys.readouterr()
     doc = json.loads(captured.out)

@@ -174,3 +174,21 @@ def test_thresholds_live_only_in_linalg():
             ):
                 stray.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert stray == []
+
+
+def test_svd_is_called_only_in_linalg():
+    # every SVD goes through la.svd, which retries with gesvd where gesdd
+    # fails to converge; only _linalg may call numpy's or scipy's directly
+    package = Path(la.__file__).parent
+
+    def dotted(node):
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else ""
+
+    calls = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and dotted(node.func) in ("np.linalg.svd", "scipy.linalg.svd"):
+                calls.setdefault(path.name, []).append(node.lineno)
+    assert set(calls) == {"_linalg.py"}

@@ -17,6 +17,7 @@ from bowforge.monad import (
     ScanConfig,
     SurfacePoint,
     assemble_monad,
+    block_layout,
     fiber_at,
     is_locally_free_at,
     lift_commutativity_residuals,
@@ -45,60 +46,82 @@ def point(datum, xi, eta):
     return SurfacePoint.from_xi_eta(datum.topo.z, xi, eta)
 
 
-def oracle_fiber_rank(m):
-    """Independent rank count: dim ker(Bmap) - rank(Amap) via plain SVDs."""
-    dim_k = m.Bmap.shape[1] - np.linalg.matrix_rank(m.Bmap)
-    return dim_k - np.linalg.matrix_rank(m.Amap)
+def alpha_beta_tilde(m, j):
+    """alpha and beta_tilde of point j of a stack: Amap = (alpha; -beta_tilde)."""
+    dim_b = m.block_index.dims[1]
+    return m.Amap[j][:dim_b], -m.Amap[j][dim_b:]
 
 
-def oracle_locally_free(m):
-    """Kernel-quotient construction: is beta_tilde injective on ker(alpha) / Im(mu)?
+def map_dims(m):
+    """(dimA, dimB, dimC, dimD) as read off the shapes of a stack's maps."""
+    dim_c, dim_bc, dim_a = m.Bmap.shape[1], m.Amap.shape[1], m.Amap.shape[2]
+    return dim_a, dim_bc - dim_c, dim_c, dim_c
+
+
+def alone(stack, j):
+    """Point j of a stack as a stack of one."""
+    one = slice(j, j + 1)
+    return MonadStack(stack.points[one], stack.Amap[one], stack.Bmap[one], stack.mu[one], stack.block_index)
+
+
+def oracle_fiber_rank(m, j):
+    """Independent rank count at point j: dim ker(Bmap) - rank(Amap) via plain SVDs."""
+    dim_k = m.Bmap[j].shape[1] - np.linalg.matrix_rank(m.Bmap[j])
+    return dim_k - np.linalg.matrix_rank(m.Amap[j])
+
+
+def oracle_locally_free(m, j):
+    """Kernel-quotient construction at point j: is beta_tilde injective on
+    ker(alpha) / Im(mu)?
 
     Builds representatives of the quotient and ranks their image against
     ||beta_tilde||_2.  Returns (passed, quotient_dim).
     """
-    kernel = la.null_space(m.alpha)
-    reps = kernel @ la.null_space(m.mu.conj().T @ kernel)
+    alpha, beta_tilde = alpha_beta_tilde(m, j)
+    kernel = la.null_space(alpha)
+    reps = kernel @ la.null_space(m.mu[j].conj().T @ kernel)
     q = reps.shape[1]
     if q == 0:
         return True, 0
-    s = np.linalg.svd(m.beta_tilde @ reps, compute_uv=False)
-    cut = la.rank_cutoff(np.linalg.norm(m.beta_tilde, 2), (m.dimC, q))
+    s = np.linalg.svd(beta_tilde @ reps, compute_uv=False)
+    cut = la.rank_cutoff(np.linalg.norm(beta_tilde, 2), (beta_tilde.shape[0], q))
     if np.any((s > cut / la.STRADDLE_FACTOR) & (s < cut * la.STRADDLE_FACTOR)):
         raise RankIndeterminate(f"singular values {s} straddle cutoff {cut:.3e}")
     return bool(np.count_nonzero(s > cut) == q), q
 
 
 def dense_rank(m):
-    """Rank of a whole map, as the block ranks of MonadAtPoint replace it."""
+    """Rank of a whole map, as the block ranks of MonadStack replace it."""
     return la.rank_decision(np.linalg.svd(m, compute_uv=False), m.shape) if m.size else 0
 
 
-def dense_verdict(m):
-    """(status, fiber rank, passed, quotient_dim) from dense ranks of the whole
-    maps, with both zero-product checks; every field None when indeterminate."""
+def dense_verdict(m, j):
+    """(status, fiber rank, passed, quotient_dim) at point j of a stack from
+    dense ranks of the whole maps, with both zero-product checks; every field
+    None when indeterminate."""
+    amap, bmap, mu = m.Amap[j], m.Bmap[j], m.mu[j]
+    dim_a = amap.shape[1]
     try:
-        for left, right in ((m.Bmap, m.Amap), (m.Amap, m.mu)):
+        for left, right in ((bmap, amap), (amap, mu)):
             residual = la.fro(left @ right) / (1.0 + la.fro(left) * la.fro(right))
             if not residual < la.DEFAULT_TOL:
                 raise RankIndeterminate("nonzero product")
-        rank_amap, rank_mu = dense_rank(m.Amap), dense_rank(m.mu)
-        passed = m.dimA - rank_amap == rank_mu
+        rank_amap, rank_mu = dense_rank(amap), dense_rank(mu)
+        passed = dim_a - rank_amap == rank_mu
         return (
             "ok" if passed else "fail",
-            m.Bmap.shape[1] - dense_rank(m.Bmap) - rank_amap,
+            bmap.shape[1] - dense_rank(bmap) - rank_amap,
             passed,
-            m.dimA - dense_rank(m.alpha) - rank_mu,
+            dim_a - dense_rank(alpha_beta_tilde(m, j)[0]) - rank_mu,
         )
     except RankIndeterminate:
         return ("indeterminate", None, None, None)
 
 
-def block_verdict(m, *point):
-    """The same four fields from fiber_rank() and locally_free() of a
-    MonadAtPoint, or of the point of a MonadStack given as the index."""
+def block_verdict(m, j):
+    """The same four fields from fiber_rank(j) and locally_free(j) of a stack."""
     try:
-        rank, free = m.fiber_rank(*point), m.locally_free(*point)
+        rank, free = m.fiber_rank(j), m.locally_free(j)
     except RankIndeterminate:
         return ("indeterminate", None, None, None)
     return ("ok" if free.passed else "fail", rank, free.passed, free.quotient_dim)
@@ -109,7 +132,7 @@ def block_verdict(m, *point):
 def test_u1_monad_dimensions(canon):
     d = canon["u1-single-nut"].datum
     m = assemble_monad(d, point(d, 1.0, 2.0 + 0.3j))
-    assert (m.dimA, m.dimB, m.dimC, m.dimD) == (3, 3, 1, 1)
+    assert map_dims(m) == m.block_index.dims == (3, 3, 1, 1)
     assert monad_dimensions(d.dims) == (3, 3, 1, 1)
 
 
@@ -122,21 +145,20 @@ def test_u2_block_offsets_golden(u2):
     assert m.block_index.B == {"P0": (0, 3), "P1": (3, 3), "R": (6, 3)}
     assert m.block_index.C == {"Q0": (0, 2), "Q1": (2, 2), "Q2": (4, 1)}
     assert m.block_index.F == {"F0": (0, 2), "F1": (2, 1)}
-    assert (m.dimA, m.dimB, m.dimC) == (10, 9, 5)
+    assert map_dims(m) == m.block_index.dims == (10, 9, 5, 5)
 
 
 def test_assembled_points_share_no_array(u2):
     assemble = monad_assembler(u2)
     p, q = random_points(u2, 2, seed=8)
     stack = assemble([p, q])
-    first, second = stack[0], stack[1]
     fresh = assemble_monad(u2, q)
-    maps = ("Amap", "Bmap", "mu", "alpha", "beta_tilde")
+    maps = ("Amap", "Bmap", "mu")  # alpha and beta_tilde are Amap's rows
     for name in maps:
-        getattr(first, name)[...] = 7.0
-    third = assemble([q])[0]  # the templates are untouched too
+        getattr(stack, name)[0][...] = 7.0
+    third = assemble([q])  # the templates are untouched too
     for name in maps:
-        np.testing.assert_array_equal(getattr(second, name), getattr(fresh, name))
+        np.testing.assert_array_equal(getattr(stack, name)[1], getattr(fresh, name)[0])
         np.testing.assert_array_equal(getattr(third, name), getattr(fresh, name))
 
 
@@ -237,7 +259,7 @@ def test_composition_zero_on_generated_data():
         d = generate(suite_topology(n, k, m0), seed=n * 10 + k)
         for pt in random_points(d, 8, seed=n + k):
             m = assemble_monad(d, pt)
-            assert m.composition_residual() < 1e-8
+            assert m.composition_residuals[0] < 1e-8
 
 
 def test_lift_commutativity_at_random_eta(u2):
@@ -264,11 +286,12 @@ def test_fiber_matches_rank_count_oracle(u2):
         pt = point(u2, 10 ** rng.uniform(-1, 1), complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
         m = assemble_monad(u2, pt)
         basis = fiber_at(u2, pt)
-        assert basis.shape[1] == oracle_fiber_rank(m)
+        assert basis.shape[1] == oracle_fiber_rank(m, 0)
         # basis is orthonormal, inside ker(Bmap), orthogonal to Im(Amap)
+        amap, bmap = m.Amap[0], m.Bmap[0]
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-10)
-        assert np.linalg.norm(m.Bmap @ basis) < 1e-8 * (1 + np.linalg.norm(m.Bmap))
-        assert np.linalg.norm(basis.conj().T @ m.Amap) < 1e-8 * (1 + np.linalg.norm(m.Amap))
+        assert np.linalg.norm(bmap @ basis) < 1e-8 * (1 + np.linalg.norm(bmap))
+        assert np.linalg.norm(basis.conj().T @ amap) < 1e-8 * (1 + np.linalg.norm(amap))
 
 
 def _fiber_rank_data():
@@ -287,9 +310,8 @@ def test_fiber_rank_matches_fiber_basis():
         stack = monad_assembler(d)(random_points(d, 6, seed=13) + structured_points(d))
         for j in range(len(stack)):
             total += 1
-            m = stack[j]
             try:
-                rank, basis = m.fiber_rank(), m.fiber()
+                rank, basis = stack.fiber_rank(j), stack.fiber(j)
             except RankIndeterminate:
                 continue
             assert rank == basis.shape[1]
@@ -299,17 +321,17 @@ def test_fiber_rank_matches_fiber_basis():
 
 def test_fiber_rank_rules(u2):
     m = assemble_monad(u2, point(u2, 1.0, 2.1 + 0.4j))
-    assert m.fiber_rank() == 2
+    assert m.fiber_rank(0) == 2
     # Im(Amap) outside ker(Bmap): no rank is returned
     rng = np.random.default_rng(4)
-    stray = dataclasses.replace(m, Amap=ginibre(rng, *m.Amap.shape))
+    stray = dataclasses.replace(m, Amap=ginibre(rng, *m.Amap.shape[1:])[None])
     with pytest.raises(RankIndeterminate, match="not contained"):
-        stray.fiber_rank()
+        stray.fiber_rank(0)
     with pytest.raises(RankIndeterminate, match="not contained"):
-        stray.fiber()
+        stray.fiber(0)
     # Im(mu) outside ker(Amap): no freeness verdict either
     with pytest.raises(RankIndeterminate, match="not contained"):
-        stray.locally_free()
+        stray.locally_free(0)
 
 
 def test_u2_fiber_rank_at_ten_points(u2):
@@ -369,24 +391,24 @@ def test_locally_free_far_from_spectra(u2):
 
 def test_locally_free_fails_with_witness(u2):
     m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
-    assert m.locally_free().quotient_dim == 0
+    assert m.locally_free(0).quotient_dim == 0
     # mu vanishes on the P-block rows, so zeroing a P-block column of Amap
     # puts e_j into ker(Amap) outside Im(mu) and keeps Amap mu = 0
     broken = zeroed_p_column(m)
-    amap = broken.Amap
-    res = broken.locally_free()
+    amap = broken.Amap[0]
+    res = broken.locally_free(0)
     assert not res.passed and res.quotient_dim == 1
-    assert oracle_locally_free(broken) == (False, 1)
+    assert oracle_locally_free(broken, 0) == (False, 1)
     w = res.witness
     assert np.linalg.norm(w) == pytest.approx(1.0)
     assert np.linalg.norm(amap @ w) < 1e-10
-    assert np.linalg.norm(m.mu.conj().T @ w) < 1e-10
+    assert np.linalg.norm(m.mu[0].conj().T @ w) < 1e-10
 
 
 def zeroed_p_column(m):
     """m with a zeroed P-block column of Amap: a real freeness failure."""
     amap = m.Amap.copy()
-    amap[:, m.block_index.A["P0"][0]] = 0.0
+    amap[..., m.block_index.A["P0"][0]] = 0.0
     return dataclasses.replace(m, Amap=amap)
 
 
@@ -397,16 +419,16 @@ def test_block_ranks_match_dense_oracle(u2):
     for d in data:
         report = scan_local_freeness(d, ScanConfig(n_random=5, seed=1))
         stack = monad_assembler(d)([p.point for p in report.points])
-        monads += [stack[j] for j in range(len(stack))]
+        monads += [alone(stack, j) for j in range(len(stack))]
         scanned += [(p.status, p.fiber_rank, p.locally_free) for p in report.points]
         stacked += [block_verdict(stack, j) for j in range(len(stack))]
     monads.append(zeroed_p_column(assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))))
-    dense = [dense_verdict(m) for m in monads]
+    dense = [dense_verdict(m, 0) for m in monads]
     # the scan itself, chunked as it runs, agrees with the dense ranks; so
     # does a stack of all of a datum's points, and each point on its own
     assert scanned == [v[:3] for v in dense[:-1]]
     assert stacked == dense[:-1]
-    verdicts = [block_verdict(m) for m in monads]
+    verdicts = [block_verdict(m, 0) for m in monads]
     assert verdicts == dense
     statuses = [v[0] for v in verdicts]
     assert statuses.count("fail") == 1 and statuses.count("indeterminate") == 0
@@ -418,18 +440,18 @@ def test_cokernel_of_gamma_ranked_at_bmap_scale(u2):
     m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
     noisy = noisy_q_row(m)
     # ranked at its own sigma_max the noise would count as rank 1 ...
-    w_delta = noisy.Bmap[m.block_index.C["Q1"][0], None, : m.dimB]
+    w_delta = noisy.Bmap[0, m.block_index.C["Q1"][0], None, : m.block_index.dims[1]]
     assert la.rank_decision(np.linalg.svd(w_delta, compute_uv=False), w_delta.shape) == 1
     # ... at Bmap's scale it counts as 0, so Bmap loses a rank and the fiber gains one
-    assert noisy.fiber_rank() == m.fiber_rank() + 1 == 3
-    assert block_verdict(noisy) == dense_verdict(noisy) == ("ok", 3, True, 0)
+    assert noisy.fiber_rank(0) == m.fiber_rank(0) + 1 == 3
+    assert block_verdict(noisy, 0) == dense_verdict(noisy, 0) == ("ok", 3, True, 0)
 
 
 def noisy_q_row(m):
-    """m with one Q-row of Bmap replaced by noise at 1e-16 fro(Bmap)."""
+    """m, a stack of one, with one Q-row of Bmap replaced by noise at 1e-16 fro(Bmap)."""
     bmap = m.Bmap.copy()
-    noise = 1e-16 * la.fro(m.Bmap) * ginibre(np.random.default_rng(5), 1, bmap.shape[1])
-    bmap[m.block_index.C["Q1"][0]] = noise[0]
+    noise = 1e-16 * la.fro(m.Bmap[0]) * ginibre(np.random.default_rng(5), 1, bmap.shape[2])
+    bmap[0, m.block_index.C["Q1"][0]] = noise[0]
     return dataclasses.replace(m, Bmap=bmap)
 
 
@@ -438,25 +460,25 @@ def test_stack_answers_each_point_as_alone(u2):
     # its own zero products, block ranks, W^H delta and rank(mu)
     m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
     thin_mu = m.mu.copy()
-    thin_mu[:, 0] = 0.0  # rank(mu) drops by one, Amap mu stays zero
+    thin_mu[:, :, 0] = 0.0  # rank(mu) drops by one, Amap mu stays zero
     rng = np.random.default_rng(4)
     changes = [
         {"mu": thin_mu},
-        {"Bmap": ginibre(rng, *m.Bmap.shape)},  # Bmap Amap != 0, Amap mu = 0
-        {"mu": ginibre(rng, *m.mu.shape)},  # Amap mu != 0, Bmap Amap = 0
+        {"Bmap": ginibre(rng, *m.Bmap.shape[1:])[None]},  # Bmap Amap != 0, Amap mu = 0
+        {"mu": ginibre(rng, *m.mu.shape[1:])[None]},  # Amap mu != 0, Bmap Amap = 0
         {"Amap": zeroed_p_column(m).Amap},
     ]
     monads = [m] + [dataclasses.replace(m, **change) for change in changes]
     monads += [noisy_q_row(m)] + [assemble_monad(u2, x) for x in structured_points(u2)[:2]]
     stack = MonadStack(
-        tuple(x.point for x in monads),
-        *(np.stack([getattr(x, name) for x in monads]) for name in ("Amap", "Bmap", "mu")),
+        tuple(x.points[0] for x in monads),
+        *(np.concatenate([getattr(x, name) for x in monads]) for name in ("Amap", "Bmap", "mu")),
         m.block_index,
     )
-    alone = [block_verdict(x) for x in monads]
-    assert [block_verdict(stack, j) for j in range(len(stack))] == alone
-    assert alone == [dense_verdict(x) for x in monads]
-    assert len(set(alone)) >= 4
+    each = [block_verdict(x, 0) for x in monads]
+    assert [block_verdict(stack, j) for j in range(len(stack))] == each
+    assert each == [dense_verdict(x, 0) for x in monads]
+    assert len(set(each)) >= 4
 
 
 def test_locally_free_matches_kernel_quotient_oracle():
@@ -465,9 +487,8 @@ def test_locally_free_matches_kernel_quotient_oracle():
         stack = monad_assembler(d)(random_points(d, 6, seed=13) + structured_points(d))
         for j in range(len(stack)):
             total += 1
-            m = stack[j]
             try:
-                res, expected = m.locally_free(), oracle_locally_free(m)
+                res, expected = stack.locally_free(j), oracle_locally_free(stack, j)
             except RankIndeterminate:
                 continue
             assert (res.passed, res.quotient_dim) == expected
@@ -500,10 +521,10 @@ def test_degenerate_datum_freeness_matches_exact_oracle(xi):
         return sympy.Rational(repr(complex(v).real))
 
     # the rationalized point lies exactly on xi * psi = eta - z_1 = -1
-    assert exact(numeric.point.xi) * exact(numeric.point.psi) == -1
+    assert exact(numeric.points[0].xi) * exact(numeric.points[0].psi) == -1
     alpha, beta_t, mu = (
         sympy.Matrix(m.shape[0], m.shape[1], [exact(v) for v in m.ravel()])
-        for m in (numeric.alpha, numeric.beta_tilde, numeric.mu)
+        for m in (*alpha_beta_tilde(numeric, 0), numeric.mu[0])
     )
     kernel = sympy.Matrix.hstack(*alpha.nullspace())
     assert (alpha * mu).is_zero_matrix and (beta_t * mu).is_zero_matrix
@@ -562,8 +583,9 @@ def test_scan_assembles_once_per_point(u2, monkeypatch):
 
     monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
     report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
+    assert [] not in calls  # no empty stack is assembled, for its sizes or otherwise
     assert [x for chunk in calls for x in chunk] == [p.point for p in report.points]
-    assert [len(chunk) for chunk in calls if chunk] == [len(report.points)]  # one chunk fits all
+    assert [len(chunk) for chunk in calls] == [len(report.points)]  # one chunk fits all
     assert all((p.status, p.reason) == ("ok", "") for p in report.points)
 
 
@@ -587,7 +609,7 @@ def test_scan_report_independent_of_chunking(canon, monkeypatch, name):
     for j, x in enumerate(points):
         single = assemble_monad(d, x)
         for field in ("Amap", "Bmap", "mu"):
-            assert np.array_equal(getattr(stack[j], field), getattr(single, field))
+            assert np.array_equal(getattr(stack, field)[j], getattr(single, field)[0])
 
     chunks = []
 
@@ -604,9 +626,9 @@ def test_scan_report_independent_of_chunking(canon, monkeypatch, name):
     reports = []
     for size in (1, 2, 7, len(points)):
         chunks.clear()
-        monkeypatch.setattr(monad, "CHUNK_BYTES", size * stack.point_bytes)
+        monkeypatch.setattr(monad, "CHUNK_BYTES", size * block_layout(d.dims.d).point_bytes)
         reports.append(scan_local_freeness(d, config).points)
-        assert [c for c in chunks if c] == [min(size, len(points) - i) for i in range(0, len(points), size)]
+        assert chunks == [min(size, len(points) - i) for i in range(0, len(points), size)]
     assert all(r == reports[0] for r in reports[1:])
     assert [p.point for p in reports[0]] == points
 
@@ -631,8 +653,8 @@ def test_scan_shares_eta_only_work_across_chunks(monkeypatch, name, size):
     points = random_points(d, config.n_random, config.seed) + structured_points(d)
     etas = {x.eta for x in points}
     assert len(etas) < len(points)  # some eta has two or more points
-    alone = [block_verdict(assemble_monad(d, x)) for x in points]
-    assert all(v[0] == "ok" for v in alone)  # so null_space runs for K_i and W only
+    each = [block_verdict(assemble_monad(d, x), 0) for x in points]
+    assert all(v[0] == "ok" for v in each)  # so null_space runs for K_i and W only
 
     chain_blocks = 2 * d.topo.n + 1
     padded, kernels = [], []
@@ -655,19 +677,18 @@ def test_scan_shares_eta_only_work_across_chunks(monkeypatch, name, size):
     once = []  # the SVDs of one point of each eta, each point on its own
     for eta in etas:
         kernels.clear()
-        assemble_monad(d, next(x for x in points if x.eta == eta)).fiber_rank()
+        assemble_monad(d, next(x for x in points if x.eta == eta)).fiber_rank(0)
         once.append(w_and_k(kernels))
     padded.clear()
     kernels.clear()
-    stack_bytes = monad_assembler(d)([]).point_bytes
-    monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(points)) * stack_bytes)
+    monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(points)) * block_layout(d.dims.d).point_bytes)
     report = scan_local_freeness(d, config)
 
     assert sum(k for blocks, k in padded if blocks == chain_blocks) == len(etas)
     assert w_and_k(kernels) == tuple(map(sum, zip(*once)))
     assert sum(w for w, _ in once) > 0
     assert [p.point for p in report.points] == points
-    assert [(p.status, p.fiber_rank, p.locally_free) for p in report.points] == [v[:3] for v in alone]
+    assert [(p.status, p.fiber_rank, p.locally_free) for p in report.points] == [v[:3] for v in each]
     assert all(p.reason == "" for p in report.points)
 
 
@@ -692,7 +713,7 @@ def test_shared_indeterminate_decision_reaches_every_point_of_its_eta(monkeypatc
         return rank_decision(s, shape, sigma_max)
 
     monkeypatch.setattr(la, "rank_decision", straddle_where_gamma_is_deficient)
-    monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(before)) * monad_assembler(d)([]).point_bytes)
+    monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(before)) * block_layout(d.dims.d).point_bytes)
     after = scan_local_freeness(dataclasses.replace(d), config).points
 
     assert [p.point for p in after] == [p.point for p in before]
@@ -730,11 +751,11 @@ def test_kernels_kept_per_eta_follow_each_points_rank(canon, monkeypatch):
         return ranks
 
     monkeypatch.setattr(monad, "_block_ranks", one_less_at_the_second_point)
-    alone = monad_assembler(d)([x, y])
-    shared = dataclasses.replace(alone, shared={})
-    kernels = [[(i, k.shape) for i, k in stack._alpha[j][1]] for stack in (alone, shared) for j in (0, 1)]
+    unshared = monad_assembler(d)([x, y])
+    shared = dataclasses.replace(unshared, shared={})
+    kernels = [[(i, k.shape) for i, k in stack._alpha[j][1]] for stack in (unshared, shared) for j in (0, 1)]
     assert kernels[:2] == kernels[2:] and kernels[0] != kernels[1]
-    assert [block_verdict(shared, j) for j in (0, 1)] == [block_verdict(alone, j) for j in (0, 1)]
+    assert [block_verdict(shared, j) for j in (0, 1)] == [block_verdict(unshared, j) for j in (0, 1)]
 
 
 def test_scan_rejects_a_negative_count(u2):
@@ -804,7 +825,7 @@ def test_assemble_monad_builds_one_assembler_per_datum(monkeypatch):
     monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
     d = generate(suite_topology(2, 1, 1), seed=3)  # fresh, so nothing is kept yet
     for pt in random_points(d, 3, seed=2):
-        assert assemble_monad(d, pt).fiber_rank() == 2
+        assert assemble_monad(d, pt).fiber_rank(0) == 2
     assert built == [d]
 
 

@@ -329,7 +329,7 @@ def test_form_on_basis_solves_each_column_once(monkeypatch, canon, name):
 
     for pt in random_points(datum, 6, seed=23):
         monad = assemble_monad(datum, pt)
-        basis, ix = monad.fiber(), monad.block_index
+        basis, ix = monad.fiber(0), monad.block_index
         reference = np.zeros((basis.shape[1],) * 2, dtype=complex)
         for i in range(n):
             (off_u, size_u), (off_v, size_v) = ix.B[f"P{i}"], ix.B[f"P{n - 1 - i}"]
