@@ -1,12 +1,14 @@
 """Shared numerical conventions: residuals, rank thresholds, null spaces.
 
 Every tolerance, cutoff and coincidence threshold of the package is defined
-here.  The bounds that reject random draws (the generators' conditioning
-bounds, random_points' clearance from the spectra) are sampling policy and
-stay with their draws.  Every rank decision goes through `rank_decision`, so the convention
-(the ranked matrix's own sigma_max * max(dim) * eps * 64) and the straddle
-rule are set once.  There is one rule: a singular value too close to the
-cutoff to call raises RankIndeterminate and is never rounded.
+here.  The bounds that reject random draws (the generators' bounds on `cond`,
+random_points' clearance from the spectra) are sampling policy and stay with
+their draws.  Every SVD, condition numbers included, goes through `svd`, which
+retries with gesvd where gesdd fails to converge.  Every rank decision goes
+through `rank_decision`, so the convention (the ranked matrix's own sigma_max *
+max(dim) * eps * 64) and the straddle rule are set once.  There is one rule: a
+singular value too close to the cutoff to call raises RankIndeterminate and is
+never rounded.
 
 A block-diagonal matrix is ranked from the union of its blocks' singular
 values, which is its own spectrum.  Independent matrices share one padded
@@ -109,6 +111,13 @@ def svd(m, compute_uv: bool = True):
     except np.linalg.LinAlgError:
         import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
         return scipy.linalg.svd(m, compute_uv=compute_uv, lapack_driver="gesvd")
+
+
+def cond(m) -> float:
+    """np.linalg.cond(m), the ratio sigma_max / sigma_min, from svd."""
+    s = svd(m, compute_uv=False)
+    with np.errstate(all="ignore"):
+        return s[0] / s[-1]
 
 
 def padded_spectra(stacks: list[np.ndarray]) -> np.ndarray:

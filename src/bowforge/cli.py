@@ -27,9 +27,6 @@ from .errors import (
     StructuralError,
     ValidationFailure,
 )
-from .export import export_bow_complex
-from .generator import generate
-from .monad import ScanConfig, SurfacePoint, assemble_monad, scan_local_freeness
 from .orthosymplectic import verify_pairing_relations
 from .topology import chern_summary, compute_dimensions, validate_topology
 
@@ -154,6 +151,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generator import generate  # deferred: only gen needs it
+
     topo = bowfile.parse_topology(_read(args.file))
     datum = generate(topo, seed=args.seed)
     out = bowfile.BowFile(
@@ -167,6 +166,8 @@ def cmd_gen(args) -> int:
 def cmd_fiber(args) -> int:
     """Fiber rank and local freeness at one point.  A rank too close to call
     prints the document with both null and the reason, then exits 1."""
+    from .monad import SurfacePoint, assemble_monad  # deferred: only fiber and scan need it
+
     _, datum = _load_bow(args.file)
     point = SurfacePoint.from_xi_eta(datum.topo.z, complex(args.xi), complex(args.eta))
     monad = assemble_monad(datum, point)
@@ -193,6 +194,8 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .monad import ScanConfig, scan_local_freeness  # deferred: only fiber and scan need it
+
     _, datum = _load_bow(args.file)
     report = scan_local_freeness(datum, ScanConfig(n_random=args.n, seed=args.seed))
     doc = {
@@ -227,6 +230,8 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_export_bow(args) -> int:
+    from .export import export_bow_complex  # deferred: only export-bow needs it
+
     _, datum = _load_bow(args.file)
     report = validate_relations(datum, tol=args.tol)
     if not report.passed:

@@ -48,10 +48,10 @@ class ChainInfeasible(ValidationFailure):
 
 
 class RetriesExhausted(ValidationFailure):
-    """Random generation kept failing a check; last failure is attached."""
+    """Random generation kept failing a check; the message names last_failure."""
 
     def __init__(self, message: str, last_failure: object = None):
-        super().__init__(message)
+        super().__init__(message if last_failure is None else f"{message}: {last_failure}")
         self.last_failure = last_failure
 
 

@@ -197,7 +197,7 @@ def _diagonalizable_with_eigs(rng, eigs) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.complex128)
     while True:
         V = ginibre(rng, d, d)
-        if np.linalg.cond(V) < 1e4:
+        if la.cond(V) < 1e4:
             break
     return V @ np.diag(np.asarray(eigs, dtype=np.complex128)) @ np.linalg.inv(V)
 
@@ -422,7 +422,7 @@ def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatu
             for _ in range(k - 1):
                 while True:
                     F = ginibre(rng, x0, x0)
-                    if np.linalg.cond(F) < 50:
+                    if la.cond(F) < 50:
                         break
                 factors.append(F)
             prefix = np.eye(x0, dtype=np.complex128)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bowforge
-from bowforge import bowfile, cli
+from bowforge import bowfile, cli, monad
 from bowforge.bowdata import ExactnessResult
 from bowforge.cli import main
 from bowforge.errors import ParseError, RankIndeterminate, ShapeMismatch
@@ -209,6 +209,20 @@ def test_cli_gen_validate_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_gen_retries_exhausted_names_last_failure(tmp_path, capsys, monkeypatch):
+    from bowforge import generator
+
+    monkeypatch.setattr(generator, "_run_checks", lambda datum: "relations failed: injected")
+    out = tmp_path / "generated.json"
+    assert main(["gen", fixture("u2-topology"), "--seed", "5", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"validation failure: generation failed after {generator.ATTEMPTS} attempts: "
+        "relations failed: injected\n"
+    )
+
+
 def test_cli_exactness_degenerate_exit_1(tmp_path, capsys):
     t, d = degenerate_example()
     path = tmp_path / "degenerate.json"
@@ -333,7 +347,7 @@ def test_cli_scan_verdict_has_three_states(points, verdict, fmt, capsys, monkeyp
         ),
         expected_rank=2,
     )
-    monkeypatch.setattr(cli, "scan_local_freeness", lambda datum, config: report)
+    monkeypatch.setattr(monad, "scan_local_freeness", lambda datum, config: report)
     code = main(["scan", fixture("u2-basic"), "--format", fmt])
     assert document_verdict(capsys.readouterr().out, fmt) == verdict
     assert code == (0 if verdict == "pass" else 1)

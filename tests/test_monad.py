@@ -801,7 +801,6 @@ def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
         return assemble_monad(*args, **kwargs)
 
     monkeypatch.setattr(monad, "assemble_monad", counting)
-    monkeypatch.setattr(cli, "assemble_monad", counting)
     so2 = canon["so2-mirror"]
     pt = random_points(so2.datum, 1, seed=5)[0]
     fiber_form(so2.datum, so2.pairing, pt)
