@@ -38,7 +38,7 @@ GENERATION_TOL = 1e-10
 # an eigenvalue sits on a NUT position z_i, and eta hits a resolvent pole.
 EIG_CLUSTER_TOL = 1e-8
 # Eigenvalues of two matrices closer than this are shared: a Sylvester solve
-# between them is ill posed, and a spectral projector takes them together.
+# between them is ill posed.
 SYLVESTER_GAP = 1e-6
 # Least gap that generate keeps between the eigenvalues it draws for the
 # interior beta_i and every eigenvalue drawn or fixed before them, well above
@@ -174,21 +174,15 @@ def cluster_eigenvalues(vals) -> list[complex]:
     return means
 
 
-def charpoly(m) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first."""
-    m = cmat(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"charpoly of non-square matrix {m.shape}")
-    if m.shape[0] == 0:
-        return np.array([1.0 + 0j])
-    return np.atleast_1d(np.poly(m)).astype(np.complex128)
-
-
 def poly_from_roots(roots) -> np.ndarray:
-    """Coefficients of prod(t - r) over the given roots, highest first."""
-    return np.atleast_1d(np.poly(np.asarray(roots, dtype=np.complex128))).astype(
-        np.complex128
-    )
+    """Coefficients of prod(t - r) over the given roots, highest first, by
+    synthetic multiplication: no roots give [1]."""
+    roots = np.asarray(roots, dtype=np.complex128)
+    coeffs = np.zeros(roots.size + 1, dtype=np.complex128)
+    coeffs[0] = 1.0
+    for r in roots.tolist():
+        coeffs[1:] -= r * coeffs[:-1]
+    return coeffs
 
 
 def polyval_matrix(coeffs, m) -> np.ndarray:
@@ -239,13 +233,3 @@ def divided_difference(coeffs, eta, beta) -> np.ndarray:
             quot[i, col] = acc
     return polyval_matrix(quot.reshape(quot.shape[:1] + etas.shape), beta)
 
-
-def spectral_projector(m, eigenvalue: complex) -> np.ndarray:
-    """Spectral projector of a diagonalizable matrix at one eigenvalue cluster."""
-    m = cmat(m)
-    vals, vecs = np.linalg.eig(m)
-    idx = np.abs(vals - complex(eigenvalue)) < SYLVESTER_GAP
-    if not np.any(idx):
-        raise ValueError(f"{eigenvalue} is not an eigenvalue (tol {SYLVESTER_GAP})")
-    vinv = np.linalg.inv(vecs)
-    return vecs[:, idx] @ vinv[idx, :]

@@ -69,6 +69,10 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _spectra(mats) -> tuple[np.ndarray, ...]:
+    return tuple(_freeze(la.eigenvalues(m)) for m in mats)
+
+
 @dataclass(frozen=True, eq=False)
 class BowDatum:
     """All matrices of a bow complex, shape-checked against the dimension
@@ -77,7 +81,9 @@ class BowDatum:
     So it keeps, each computed on first use, its chain spectra, its
     tolerance-free reports (the validators apply each caller's tol to them)
     and its monad_assembler; none can go stale, since with_perturbed_entry
-    and gauge_transform build new data.  Kept arrays are read-only and kept
+    and gauge_transform build new data.  generate hands over the beta_i
+    spectra its attempt computed (see assemble), so a generated datum
+    decomposes only its interior betaN_j.  Kept arrays are read-only and kept
     sequences tuples, so no caller can change another caller's answer.
     """
 
@@ -103,15 +109,20 @@ class BowDatum:
         Mxi,
         Mpsi,
         dims: DimensionVector | None = None,
+        beta_eigenvalues=None,
     ) -> "BowDatum":
         """Build a datum from raw arrays; the chain endpoints are aliased.
 
-        `betaN_interior` holds beta_{n,1}..beta_{n,k-1} only.
+        `betaN_interior` holds beta_{n,1}..beta_{n,k-1} only.  `beta_eigenvalues`,
+        if given (generate hands over its own), are la.eigenvalues of these very
+        beta arrays, which must be complex and contiguous, so that _freeze keeps
+        them uncopied; the datum keeps the spectra read-only and decomposes only
+        its interior betaN_j.
         """
         if dims is None:
             dims = compute_dimensions(topo)
         beta = tuple(_freeze(b) for b in beta)
-        return cls(
+        datum = cls(
             topo=topo,
             dims=dims,
             beta=beta,
@@ -122,6 +133,10 @@ class BowDatum:
             Mxi=tuple(_freeze(m) for m in Mxi),
             Mpsi=tuple(_freeze(m) for m in Mpsi),
         )
+        if beta_eigenvalues is not None:
+            kept = (*map(_freeze, beta_eigenvalues), *_spectra(datum.betaN[1:-1]))
+            datum.__dict__["eigenvalues"] = kept  # primes the cached property
+        return datum
 
     def __post_init__(self) -> None:
         n, k = self.topo.n, self.topo.k
@@ -189,7 +204,7 @@ class BowDatum:
     @cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
         """Read-only eigenvalues of each beta_i, then of each interior betaN_j."""
-        return tuple(_freeze(la.eigenvalues(m)) for m in (*self.beta, *self.betaN[1:-1]))
+        return _spectra((*self.beta, *self.betaN[1:-1]))
 
     @cached_property
     def clusters(self) -> tuple[tuple[complex, ...], ...]:
@@ -280,15 +295,14 @@ def aggregate_maps(b: BowDatum) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _telescoping_residual(big, small, z: complex, exponent: int) -> float:
-    """charpoly(big - z) vs t^exponent * charpoly(small - z), coefficientwise."""
-    cb = la.charpoly(big - z * np.eye(big.shape[0]))
-    cs = la.charpoly(small - z * np.eye(small.shape[0]))
-    shifted = np.concatenate([cs, np.zeros(exponent, dtype=np.complex128)])
-    num = float(np.max(np.abs(cb - shifted))) if cb.size else 0.0
-    den = 1.0 + float(np.max(np.abs(cb), initial=0.0)) + float(
-        np.max(np.abs(shifted), initial=0.0)
-    )
-    return num / den
+    """charpoly(big - z) vs t^exponent * charpoly(small - z), coefficientwise,
+    where big and small are two chain nodes' kept eigenvalues (BowDatum.eigenvalues):
+    each charpoly is la.poly_from_roots of the shifted spectrum, and no matrix is
+    decomposed again."""
+    cb = la.poly_from_roots(big - z)
+    shifted = np.concatenate([la.poly_from_roots(small - z), np.zeros(exponent, dtype=np.complex128)])
+    num = float(np.max(np.abs(cb - shifted)))
+    return num / (1.0 + float(np.max(np.abs(cb))) + float(np.max(np.abs(shifted))))
 
 
 def check_chain_invariants(b: BowDatum, tol: float = la.DERIVED_TOL) -> ValidationReport:
@@ -302,12 +316,15 @@ def chain_invariant_residuals(b: BowDatum) -> list[tuple[str, float]]:
 
     (a) per-step intertwinings, (b) characteristic-polynomial telescoping
     charpoly(betaN_j - z_j)(t) = t^{nd_j} charpoly(betaN_{j-1} - z_j)(t)
-    (stated in the reciprocal direction when nd_j < 0), (c) the composite
+    (stated in the reciprocal direction when nd_j < 0), each charpoly formed
+    from the node's kept eigenvalues (BowDatum.eigenvalues), (c) the composite
     products Mxi_hat Mpsi_hat = prod_j (beta_0 - z_j) and
     Mpsi_hat Mxi_hat = prod_j (beta_n - z_j), (d) the trace consequence
     tr betaN_j - tr betaN_{j-1} = z_j nd_j, and the aggregate intertwinings.
     """
     named: list[tuple[str, float]] = []
+    n, eig = b.topo.n, b.eigenvalues
+    node_eig = (eig[n], *eig[n + 1 :], eig[0])  # of betaN[0..k]
     for j in range(1, b.topo.k + 1):
         z = b.topo.z[j - 1]
         mxi, mpsi = b.Mxi[j - 1], b.Mpsi[j - 1]
@@ -316,13 +333,10 @@ def chain_invariant_residuals(b: BowDatum) -> list[tuple[str, float]]:
         named.append((f"intertwine-xi[{j}]", la.rel_residual(mxi @ lo, hi @ mxi)))
         ndj = b.topo.nd[j - 1]
         if ndj >= 0:
-            named.append(
-                (f"charpoly-telescope[{j}]", _telescoping_residual(hi, lo, z, ndj))
-            )
+            telescope = _telescoping_residual(node_eig[j], node_eig[j - 1], z, ndj)
         else:
-            named.append(
-                (f"charpoly-telescope[{j}]", _telescoping_residual(lo, hi, z, -ndj))
-            )
+            telescope = _telescoping_residual(node_eig[j - 1], node_eig[j], z, -ndj)
+        named.append((f"charpoly-telescope[{j}]", telescope))
         tr = complex(np.trace(hi)) - complex(np.trace(lo)) - z * ndj
         named.append((f"trace-step[{j}]", abs(tr) / (1.0 + abs(np.trace(hi)) + abs(np.trace(lo)))))
 

@@ -259,7 +259,8 @@ def _attempt(t: TopologicalData, dims, rng) -> BowDatum:
         gamma.append(gi)
 
     return BowDatum.assemble(
-        t, beta, A, alpha, gamma, betaN[1:-1], Mxi, Mpsi, dims=dims
+        t, beta, A, alpha, gamma, betaN[1:-1], Mxi, Mpsi, dims=dims,
+        beta_eigenvalues=[spectra[i] for i in range(n + 1)],
     )
 
 
@@ -285,8 +286,11 @@ def generate(t: TopologicalData, seed: int) -> BowDatum:
     solve each A_i from the Sylvester relation.  Resamples up to ATTEMPTS
     times if a genericity check fails or a rank is too close to call.
 
-    The datum has passed the three validators and keeps their reports (see
-    BowDatum), so validating it again only applies the caller's tol.
+    Each attempt decomposes each beta_i once and hands the spectra to the
+    datum it builds (BowDatum.assemble), which decomposes only its interior
+    betaN_j.  The datum has passed the three validators and keeps their
+    reports (see BowDatum), so validating it again only applies the
+    caller's tol.
     """
     problems = validate_topology(t)
     if problems:

@@ -197,24 +197,6 @@ def p_pairing_matrix(b: BowDatum, p: PairingDatum, i: int, eta: complex) -> np.n
     return p.f[i] * (U @ V.T)
 
 
-def pairing_residue_matrix(
-    b: BowDatum, p: PairingDatum, i: int, eta_star: complex
-) -> np.ndarray:
-    """Residue of the Gram matrix of <,>_i at an eigenvalue of beta_i,
-    computed from the K data via the spectral projector.
-
-    Res <s,t>_i = a^T P*^T K_i (A_{n-i-1} b + alpha_{n-i-1} b'), so the
-    matrix has rows P*^T K_i [A_{n-i-1} | alpha_{n-i-1}] and a zero last row.
-    """
-    n = b.topo.n
-    proj = la.spectral_projector(b.beta[i], eta_star)
-    block = np.hstack([b.A[n - i - 1], b.alpha[n - i - 1]])
-    top = proj.T @ p.k_matrix(i) @ block
-    out = np.zeros((b.dims.d[i] + 1, b.dims.d[n - i - 1] + 1), dtype=np.complex128)
-    out[: b.dims.d[i], :] = top
-    return out
-
-
 def form_on_basis(
     b: BowDatum, p: PairingDatum, eta: complex, basis: np.ndarray, block_index
 ) -> np.ndarray:

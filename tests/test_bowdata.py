@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bowforge import _linalg as la
+from bowforge import bowfile
 from bowforge.bowdata import (
     BowDatum,
     aggregate_maps,
@@ -21,6 +23,10 @@ from bowforge.generator import canonical_examples, generate, ginibre
 from bowforge.topology import TopologicalData, compute_dimensions
 
 from _suites import suite_topology
+
+FIXTURES = Path(__file__).parent / "fixtures"
+BOW_FIXTURES = ("u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror")
+SUITE = [(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +254,51 @@ def test_chain_invariants_on_generated_data():
         assert validate_relations(d, tol=1e-10).passed
         report = check_chain_invariants(d, tol=1e-6)
         assert report.passed, report.failures()
+
+
+def oracle_telescopes(d):
+    """charpoly-telescope[j] residuals from np.poly of the matrices
+    betaN_j - z_j I themselves, each decomposed afresh."""
+
+    def charpoly(m):
+        return np.atleast_1d(np.poly(m)).astype(np.complex128) if len(m) else np.ones(1, complex)
+
+    out = []
+    for j in range(1, d.topo.k + 1):
+        z, ndj = d.topo.z[j - 1], d.topo.nd[j - 1]
+        hi, lo = d.betaN[j], d.betaN[j - 1]
+        big, small = (hi, lo) if ndj >= 0 else (lo, hi)
+        cb = charpoly(big - z * np.eye(len(big)))
+        shifted = np.concatenate([charpoly(small - z * np.eye(len(small))), np.zeros(abs(ndj))])
+        num = np.max(np.abs(cb - shifted))
+        out.append(num / (1.0 + np.max(np.abs(cb)) + np.max(np.abs(shifted))))
+    return out
+
+
+def telescopes(d):
+    report = check_chain_invariants(d)
+    return [report.by_name(f"charpoly-telescope[{j}]").residual for j in range(1, d.topo.k + 1)]
+
+
+def test_telescopes_from_kept_spectra_match_matrix_oracle():
+    data = [generate(suite_topology(*key), seed) for key in SUITE for seed in (1, 2, 3)]
+    data += [bowfile.parse((FIXTURES / f"{name}.json").read_text()).datum for name in BOW_FIXTURES]
+    for d in data:
+        np.testing.assert_allclose(telescopes(d), oracle_telescopes(d), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("key", [(1, 2, 1), (2, 3, 2), (3, 3, 3)])
+def test_perturbed_interior_node_fails_its_telescopes(key):
+    # the perturbed datum keeps its own spectra, not its parent's
+    d = generate(suite_topology(*key), seed=3)
+    assert check_chain_invariants(d).passed
+    for j in range(1, d.topo.k):
+        mutated = with_perturbed_entry(d, f"betaN[{j}]", (0, 0), 1e-3)
+        residuals = telescopes(mutated)
+        np.testing.assert_allclose(residuals, oracle_telescopes(mutated), rtol=0, atol=1e-13)
+        assert min(residuals[j - 1], residuals[j]) > 10 * la.DERIVED_TOL
+        assert {c.name for c in check_chain_invariants(mutated).failures()} >= {
+            f"charpoly-telescope[{j}]", f"charpoly-telescope[{j + 1}]"}
 
 
 def test_aggregate_maps_single_step(u2):

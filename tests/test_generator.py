@@ -28,7 +28,7 @@ from bowforge.generator import (
 from bowforge.orthosymplectic import verify_pairing_relations
 from bowforge.topology import TopologicalData, compute_dimensions
 
-from _suites import suite_topology
+from _suites import count_eigensolver_calls, suite_topology
 
 
 # ---------------------------------------------------------------- sylvester
@@ -133,27 +133,29 @@ def test_generate_deterministic():
 @pytest.mark.parametrize("key", [(1, 2, 3), (2, 3, 2), (3, 2, 3)])
 def test_generate_decomposes_each_beta_once_per_attempt(monkeypatch, key):
     # the interior draws and every Sylvester gap check share one eigenvalue
-    # array per beta_i; the checks that follow decompose the datum's own
-    eigvals, attempt = np.linalg.eigvals, generator._attempt
+    # array per beta_i, which the datum keeps; the datum decomposes only its
+    # interior betaN_j, and the checks that follow decompose nothing
+    attempt, run_checks = generator._attempt, generator._run_checks
     decomposed, attempts = [], []
-
-    def counting(a, *args, **kwargs):
-        decomposed.append(id(a))
-        return eigvals(a, *args, **kwargs)
 
     def recording(t, dims, rng):
         decomposed.clear()
-        datum = attempt(t, dims, rng)
-        attempts.append((list(decomposed), [id(b) for b in datum.beta if b.size]))
-        return datum
+        return attempt(t, dims, rng)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    def checked(datum):
+        failure = run_checks(datum)
+        chain = [id(m) for m in (*datum.beta, *datum.betaN[1:-1]) if m.size]
+        attempts.append((sorted(decomposed), sorted(chain)))
+        return failure
+
+    count_eigensolver_calls(monkeypatch, lambda a: decomposed.append(id(a)))
     monkeypatch.setattr(generator, "_attempt", recording)
+    monkeypatch.setattr(generator, "_run_checks", checked)
     for seed in range(4):
         generate(suite_topology(*key), seed)
     assert attempts
-    for calls, betas in attempts:
-        assert sorted(calls) == sorted(betas)
+    for calls, chain in attempts:
+        assert calls == chain
 
 
 def test_generate_retries_after_indeterminate_rank(monkeypatch):

@@ -30,7 +30,7 @@ from bowforge.generator import canonical_examples, degenerate_example, generate,
 from bowforge.monad import random_points, structured_points
 from bowforge.orthosymplectic import p_pairing_matrix
 
-from _suites import suite_topology
+from _suites import count_eigensolver_calls, suite_topology
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BOW_FIXTURES = ("u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror")
@@ -203,14 +203,8 @@ def test_each_chain_endomorphism_decomposed_once(monkeypatch, name):
         example = {e.name: e for e in canonical_examples()}[name]
         d, pairing = example.datum, example.pairing
     d = fresh(d)
-    eigvals = np.linalg.eigvals
     decomposed = Counter()
-
-    def counting(a, *args, **kwargs):
-        decomposed[id(a)] += 1
-        return eigvals(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    count_eigensolver_calls(monkeypatch, lambda a: decomposed.update([id(a)]))
     for _ in range(2):
         validate_relations(d)
         check_chain_invariants(d)

@@ -97,11 +97,19 @@ def test_complement_by_null_space_of_adjoint():
     np.testing.assert_allclose(comp.conj().T @ comp, np.eye(2), atol=1e-12)
 
 
-def test_charpoly_conventions():
-    np.testing.assert_allclose(la.charpoly(np.zeros((0, 0))), [1.0])
-    np.testing.assert_allclose(la.charpoly(np.diag([2.0, 3.0])), [1.0, -5.0, 6.0])
-    with pytest.raises(ValueError):
-        la.charpoly(np.zeros((1, 2)))
+def test_poly_from_roots_conventions():
+    for roots, coeffs in (([], [1.0]), ([2.0, 3.0], [1.0, -5.0, 6.0])):
+        out = la.poly_from_roots(roots)
+        assert out.dtype == np.complex128
+        np.testing.assert_array_equal(out, coeffs)
+
+
+def test_poly_from_roots_matches_np_poly():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        size = int(rng.integers(1, 7))
+        roots = 1.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        np.testing.assert_allclose(la.poly_from_roots(roots), np.poly(roots), rtol=0, atol=1e-12)
 
 
 def test_cluster_eigenvalues():
@@ -140,17 +148,6 @@ def test_divided_difference_defined_at_eigenvalues():
     # value against the scalar divided difference on each eigenvalue
     p = lambda t: t * (t - 1.0)
     np.testing.assert_allclose(S[1, 1], (p(0.5) - p(-1.0)) / (0.5 - (-1.0)))
-
-
-def test_spectral_projector():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = v @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(v)
-    proj = la.spectral_projector(m, 2.0)
-    np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
-    np.testing.assert_allclose(m @ proj, 2.0 * proj, atol=1e-10)
-    with pytest.raises(ValueError):
-        la.spectral_projector(m, 99.0)
 
 
 def test_matrix_poly_at_roots_empty():
@@ -194,3 +191,35 @@ def test_svd_is_called_only_in_linalg():
                 "np.linalg.svd", "np.linalg.cond", "scipy.linalg.svd"):
                 calls.setdefault(path.name, []).append(node.lineno)
     assert set(calls) == {"_linalg.py"}
+
+
+def test_eigensolver_is_called_only_in_linalg_eigenvalues():
+    # each chain matrix is decomposed once per datum, through la.eigenvalues;
+    # np.poly of a matrix runs a second eigensolver, so src/ calls it nowhere
+    package = Path(la.__file__).parent
+
+    def dotted(node):
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        return node.id if isinstance(node, ast.Name) else ""
+
+    calls = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            name = dotted(node.func)
+            if name.split(".")[-1] == "eigvals" or name in ("np.poly", "numpy.poly"):
+                calls.append((".".join(self.scope), name))
+            self.generic_visit(node)
+
+    for path in sorted(package.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    assert calls == [("_linalg.eigenvalues", "np.linalg.eigvals")]

@@ -17,11 +17,10 @@ from bowforge.orthosymplectic import (
     fiber_form,
     form_on_basis,
     p_pairing_matrix,
-    pairing_residue_matrix,
     verify_pairing_relations,
 )
 from bowforge.topology import TopologicalData
-from bowforge._linalg import cluster_eigenvalues, eigenvalues, rel_residual
+from bowforge._linalg import SYLVESTER_GAP, cluster_eigenvalues, eigenvalues, rel_residual
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +193,28 @@ def contour_residue_oracle(datum, pairing, i, eta_star, radius, s, t, samples=25
     return total / samples
 
 
+def spectral_projector(m, eigenvalue):
+    """Oracle: spectral projector of a diagonalizable matrix at one eigenvalue
+    cluster (eigenvalues within SYLVESTER_GAP of it), from its eigenvectors."""
+    vals, vecs = np.linalg.eig(m)
+    idx = np.abs(vals - complex(eigenvalue)) < SYLVESTER_GAP
+    if not np.any(idx):
+        raise ValueError(f"{eigenvalue} is not an eigenvalue (tol {SYLVESTER_GAP})")
+    vinv = np.linalg.inv(vecs)
+    return vecs[:, idx] @ vinv[idx, :]
+
+
+def test_spectral_projector():
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m = v @ np.diag([1.0, 2.0, 3.0]) @ np.linalg.inv(v)
+    proj = spectral_projector(m, 2.0)
+    np.testing.assert_allclose(proj @ proj, proj, atol=1e-10)
+    np.testing.assert_allclose(m @ proj, 2.0 * proj, atol=1e-10)
+    with pytest.raises(ValueError):
+        spectral_projector(m, 99.0)
+
+
 def projected_residue(datum, pairing, i, eta_star, s, t):
     """Residue via spectral projectors and the K data.
 
@@ -203,8 +224,6 @@ def projected_residue(datum, pairing, i, eta_star, s, t):
       a^T P_i^T K_i (A_{n-i-1} b + alpha_{n-i-1} b')
       - (A_i a + alpha_i a')^T P_{i+1}^T K_{i+1} b.
     """
-    from bowforge._linalg import spectral_projector
-
     n = datum.topo.n
     di, dm = datum.dims.d[i], datum.dims.d[n - i - 1]
     a, a1 = s[:di], s[di]
@@ -244,26 +263,6 @@ def test_residue_consistency_against_contour_oracle(so2, sp1):
                 oracle = contour_residue_oracle(datum, pairing, i, eta_star, radius, s, t)
                 direct = projected_residue(datum, pairing, i, eta_star, s, t)
                 assert abs(oracle - direct) < 1e-6 * (1 + abs(oracle)), (i, eta_star)
-
-
-def test_single_pole_residue_matrix_route():
-    # A datum whose first chain step has a pole only on the beta_0 side, so
-    # the library's pairing_residue_matrix (single-pole form) applies.
-    t = TopologicalData(n=1, k=1, ell=1.0, lam=(0.5,), m=(0,), nd=(0,), m0=1, z=(1.0,))
-    datum = BowDatum.assemble(
-        t,
-        beta=[np.zeros((1, 1)), np.zeros((1, 1))],
-        A=[np.array([[2.0 + 0j]])],
-        alpha=[np.zeros((1, 1))],
-        gamma=[np.array([[1.0 + 0j]])],
-        betaN_interior=[],
-        Mxi=[np.array([[1.0 + 0j]])],
-        Mpsi=[np.array([[-1.0 + 0j]])],
-    )
-    pairing = PairingDatum(flavor="SO", K=[np.eye(1), np.eye(1)], f=(1,))
-    res = pairing_residue_matrix(datum, pairing, 0, 0.0)
-    # by hand: rows P*^T K_0 [A_0 | alpha_0] = [2, 0]; zero last row
-    np.testing.assert_allclose(res, [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_rank_one_component_identity(so2, sp1):
