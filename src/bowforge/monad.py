@@ -14,8 +14,9 @@ import math
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,9 +29,10 @@ from .errors import RankIndeterminate, SurfaceViolation
 # overhead once for all its points.  2 MiB is one core's L2 cache on current
 # x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
 # this much more memory than a point-at-a-time scan.  On the benchmark ladder
-# suite_topology(3, 3, m0) a chunk holds 45 points at m0 = 3 (of 46), 5 at
-# m0 = 10 and one at m0 = 20 (1.4 MB a point), so it may end among one eta's
-# points; what depends on eta alone is kept across chunks (see MonadStack).
+# suite_topology(3, 3, m0) a chunk holds 51 points at m0 = 3 (so all 46 of
+# a scan), 6 at m0 = 10 and one at m0 = 20 (1.2 MB a point), so it may end
+# among one eta's points; what depends on eta alone is kept across chunks
+# (see MonadStack).
 CHUNK_BYTES = 2 << 20
 
 
@@ -64,35 +66,38 @@ class SurfacePoint:
 class BlockIndex:
     """The block layout of the monad (see block_layout): named (offset, size)
     for every block of the spaces A, B, C = D, F, the slices of the maps that
-    the block ranks of MonadStack read, and the dimensions."""
+    the block ranks of MonadStack read, and the dimensions.  One index
+    serves every datum of its dimension vector, so it is read-only."""
 
-    A: dict
-    B: dict
-    C: dict
-    F: dict
+    A: MappingProxyType
+    B: MappingProxyType
+    C: MappingProxyType
+    F: MappingProxyType
     alpha_p: tuple  # Amap (rows, columns) of alpha's P-blocks [(eta - beta_i); -gamma_i]
     alpha_g: tuple  # Amap (rows, columns) of alpha's R-block G; the columns are A's R-blocks
     gamma: tuple  # Bmap (rows, columns) of gamma's blocks eta - beta_i, i = 0..n
-    r_rows: np.ndarray  # Amap rows below alpha's P-blocks that reach A's R-blocks: G, Q0, Qn
+    r_rows: tuple  # Amap rows below alpha's P-blocks that reach A's R-blocks: G and Q0, then Qn
+    bmap_amap: tuple  # Bmap Amap's bands (rows, columns, inner slices), where it can be nonzero
     dims: tuple[int, int, int, int]  # (dimA, dimB, dimC, dimD), D = C
 
     @property
     def point_bytes(self) -> int:
         """Bytes one point holds while its stack is evaluated, counted whole
-        (see CHUNK_BYTES): its three maps, S and T, both zero products, its
-        share of the two padded block stacks, and M as it is where no
-        P-block is deficient."""
+        (see CHUNK_BYTES): its three maps, S and T, the bands of both zero
+        products, its share of the two padded block stacks, and M as it is
+        where no P-block is deficient."""
         dim_a, dim_b, dim_c, _ = self.dims
         dim_bc, dim_f = dim_b + dim_c, sum(size for _, size in self.F.values())
         chain = self.alpha_p + self.gamma
         g_rows, r_cols = map(_len, self.alpha_g)
+        m_rows = sum(map(_len, self.r_rows))
         entries = (
             dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
             + self.A["R0"][1] ** 2 + self.A["R1"][1] ** 2  # S, T
-            + dim_c * dim_a + dim_bc * dim_f  # Bmap Amap, Amap mu
+            + sum(_len(r) * _len(c) for r, c, _ in self.bmap_amap) + m_rows * dim_f  # Bmap Amap, Amap mu
             + len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain)
             + 2 * g_rows * r_cols  # G, mu's R rows
-            + len(self.r_rows) * r_cols  # M
+            + m_rows * r_cols  # M
         )
         return max(entries, 1) * np.dtype(np.complex128).itemsize
 
@@ -129,14 +134,17 @@ class MonadStack:
         rounding level when it should be zero, so it is the one product
         ranked at its parent's scale: fro(Bmap) and Bmap's shape.
     Each is evaluated for the whole stack on first use: a zero product is
-    one batched matmul, G and mu's R rows one padded SVD, and the Ms with no
-    deficient P-block one more.  The P-blocks and gamma's blocks depend on
-    eta alone: their padded SVD, gamma's ranks, W and the K_i are computed
-    once per eta of `shared`, which scan_local_freeness passes to all its
-    stacks of one datum, and else once per point.  What depends on xi is
-    per point: alpha's rank (G is ranked with the P-blocks), M, W^H delta
-    and rank(mu).  A per-point result is a value or the RankIndeterminate
-    raised when its point, or each point of its eta, is asked.
+    batched matmuls of slice views on the bands where the maps as
+    monad_assembler builds them can make it nonzero (Bmap Amap on
+    BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G and mu's R rows
+    one padded SVD, and the Ms with no deficient P-block one more.  The
+    P-blocks and gamma's blocks depend on eta alone: their padded SVD,
+    gamma's ranks, W and the K_i are computed once per eta of `shared`,
+    which scan_local_freeness passes to all its stacks of one datum, and
+    else once per point.  What depends on xi is per point: alpha's rank (G
+    is ranked with the P-blocks), M, W^H delta and rank(mu).  A per-point
+    result is a value or the RankIndeterminate raised when its point, or
+    each point of its eta, is asked.
     """
 
     points: tuple[SurfacePoint, ...]
@@ -151,13 +159,27 @@ class MonadStack:
 
     @cached_property
     def composition_residuals(self) -> np.ndarray:
-        """Per point: fro(Bmap Amap) / (1 + fro(Bmap) fro(Amap))."""
-        return _fro(self.Bmap @ self.Amap) / (1.0 + self._fro_bmap * self._fro_amap)
+        """Per point: fro(Bmap Amap) / (1 + fro(Bmap) fro(Amap)), the product
+        taken on its bands (BlockIndex.bmap_amap) only."""
+        bmap, amap = self.Bmap, self.Amap
+        bands = [  # one norm of all bands is cheaper than one per band
+            reduce(operator.iadd, (bmap[:, r, s] @ amap[:, s, c] for s in inner)).reshape(len(self), -1)
+            for r, c, inner in self.block_index.bmap_amap
+        ]
+        return _fro(np.concatenate(bands, axis=1)) / (1.0 + self._fro_bmap * self._fro_amap)
 
     @cached_property
     def _mu_residuals(self) -> np.ndarray:
-        """Per point: fro(Amap mu) / (1 + fro(Amap) fro(mu))."""
-        return _fro(self.Amap @ self.mu) / (1.0 + self._fro_amap * _fro(self.mu))
+        """Per point: fro(Amap mu) / (1 + fro(Amap) fro(mu)), the product
+        taken as M times mu's R rows, the only nonzero ones."""
+        mu_r = self.mu[:, self.block_index.alpha_g[1]]
+        return _fro(self._plain_m @ mu_r) / (1.0 + self._fro_amap * _fro(self.mu))
+
+    @cached_property
+    def _plain_m(self) -> np.ndarray:
+        """Per point: M where no P-block is deficient, Amap's r_rows on A's R-blocks."""
+        cols = self.block_index.alpha_g[1]
+        return np.concatenate([self.Amap[:, rows, cols] for rows in self.block_index.r_rows], axis=1)
 
     @cached_property
     def _fro_amap(self) -> np.ndarray:
@@ -230,8 +252,9 @@ class MonadStack:
         ix = self.block_index
         g_rows, r_cols = ix.alpha_g
         kernels = self._alpha[j][1]
-        amap = self.Amap[j]
-        rows = amap[g_rows.start :] if kernels else amap[ix.r_rows]
+        if not kernels:
+            return self._plain_m[j]
+        rows = self.Amap[j, g_rows.start :]
         return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in kernels] + [rows[:, r_cols]])
 
     @cached_property
@@ -243,8 +266,7 @@ class MonadStack:
         plain = [j for j, a in enumerate(self._alpha) if not isinstance(a, RankIndeterminate) and not a[1]]
         spectra = {}
         if plain:
-            at = slice(None) if len(plain) == len(self) else np.array(plain)[:, None]
-            m = self.Amap[at, ix.r_rows, ix.alpha_g[1]]
+            m = self._plain_m if len(plain) == len(self) else self._plain_m[plain]
             spectra = dict(zip(plain, la.svd(m, compute_uv=False)))
         m_rows = self.Amap.shape[1] - ix.alpha_g[0].start
 
@@ -433,7 +455,8 @@ def _at(table_r, row, table_c, col, rows=None, cols=None) -> tuple[slice, slice]
     return slice(r0 + r_lo, r0 + r_hi), slice(c0 + c_lo, c0 + c_hi)
 
 
-def block_layout(d: Sequence[int]) -> BlockIndex:
+@lru_cache(maxsize=64)
+def block_layout(d: tuple[int, ...]) -> BlockIndex:
     """The block layout of the monad of the dimension vector d = (d_0, ..., d_n):
       A: P-blocks C^{d_i}, i = 0..n-1, then R-blocks C^{d_0}, C^{d_n},
          C^{d_0}, C^{d_n} in resolution order;
@@ -441,7 +464,10 @@ def block_layout(d: Sequence[int]) -> BlockIndex:
       C = D: Q-blocks C^{d_i}, i = 0..n;
       F: C^{d_0}, C^{d_n}.
     monad_assembler, monad_dimensions and the chunk size of
-    scan_local_freeness all read it."""
+    scan_local_freeness all read it, worked out once per d (a tuple, as in
+    DimensionVector).  Bmap Amap's bands: rows Q_i, Q_{i+1} on A's P_i,
+    through B's P_i and those Q-blocks; rows Q0 and Qn on A's R-blocks, each
+    through G and its own Q-block."""
     n = len(d) - 1
     d0, dnn = d[0], d[n]
     a_table, dim_a = _offsets(
@@ -449,19 +475,24 @@ def block_layout(d: Sequence[int]) -> BlockIndex:
     )
     b_table, dim_b = _offsets([(f"P{i}", d[i] + 1) for i in range(n)] + [("R", d0 + dnn)])
     c_table, dim_c = _offsets([(f"Q{i}", d[i]) for i in range(n + 1)])
-    b_r = b_table["R"][0]
+    alpha_p = tuple(_at(b_table, f"P{i}", a_table, f"P{i}") for i in range(n))
+    g_rows, r_cols = slice(b_table["R"][0], dim_b), slice(a_table["R0"][0], dim_a)
+    q = [slice(off, off + size) for off, size in c_table.values()]
+    qb = [slice(dim_b + s.start, dim_b + s.stop) for s in q]  # the C-blocks past B
+    r_rows = (slice(g_rows.start, qb[0].stop), qb[n])  # G's rows and Q0's follow each other
     return BlockIndex(
-        A=a_table,
-        B=b_table,
-        C=c_table,
-        F=_offsets([("F0", d0), ("F1", dnn)])[0],
-        alpha_p=tuple(_at(b_table, f"P{i}", a_table, f"P{i}") for i in range(n)),
-        alpha_g=(slice(b_r, dim_b), slice(a_table["R0"][0], dim_a)),
-        gamma=tuple(  # its columns are the C-blocks past B
-            (slice(off, off + size), slice(dim_b + off, dim_b + off + size)) for off, size in c_table.values()
-        ),
-        # G's rows and Q0's follow each other; Qn is the last C-block
-        r_rows=np.concatenate([np.arange(b_r, dim_b + d0), np.arange(dim_b + dim_c - dnn, dim_b + dim_c)]),
+        A=MappingProxyType(a_table),
+        B=MappingProxyType(b_table),
+        C=MappingProxyType(c_table),
+        F=MappingProxyType(_offsets([("F0", d0), ("F1", dnn)])[0]),
+        alpha_p=alpha_p,
+        alpha_g=(g_rows, r_cols),
+        gamma=tuple(zip(q, qb)),
+        r_rows=r_rows,
+        bmap_amap=tuple(
+            (slice(q[i].start, q[i + 1].stop), c, (r, slice(qb[i].start, qb[i + 1].stop)))
+            for i, (r, c) in enumerate(alpha_p)
+        ) + ((q[0], r_cols, r_rows[:1]), (q[n], r_cols, (g_rows, qb[n]))),
         dims=(dim_a, dim_b, dim_c, dim_c),
     )
 
@@ -679,10 +710,6 @@ class ScanReport:
     @property
     def failures(self) -> tuple[PointReport, ...]:
         return tuple(p for p in self.points if p.status == "fail")
-
-    @property
-    def all_pass(self) -> bool:
-        return all(p.status == "ok" for p in self.points)
 
     @property
     def ranks_all_expected(self) -> bool:

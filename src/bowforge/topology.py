@@ -44,10 +44,15 @@ class TopologicalData:
 
 @dataclass(frozen=True)
 class DimensionVector:
-    """Lengths of the direct-image sheaves: d_0..d_n and d_{n,0}..d_{n,k}."""
+    """Lengths of the direct-image sheaves: d_0..d_n and d_{n,0}..d_{n,k}.
+    Both are tuples, so that d keys monad.block_layout's cache."""
 
     d: tuple[int, ...]
     dn: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", tuple(self.d))
+        object.__setattr__(self, "dn", tuple(self.dn))
 
 
 @dataclass(frozen=True)
