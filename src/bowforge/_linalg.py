@@ -21,6 +21,8 @@ shape, as a rank of the whole Bmap would see it (see monad.MonadStack).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from .errors import RankIndeterminate
@@ -185,22 +187,6 @@ def poly_from_roots(roots) -> np.ndarray:
     return coeffs
 
 
-def polyval_matrix(coeffs, m) -> np.ndarray:
-    """Evaluate a polynomial (highest-first coefficients) at a square matrix.
-
-    `coeffs` may carry trailing axes, one polynomial per index; the result
-    then has those axes in front of m's.
-    """
-    m = cmat(m)
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    d = m.shape[0]
-    out = np.zeros(coeffs.shape[1:] + (d, d), dtype=np.complex128)
-    eye = np.eye(d, dtype=np.complex128)
-    for c in coeffs[..., None, None]:
-        out = out @ m + c * eye
-    return out
-
-
 def matrix_poly_at_roots(m, roots) -> np.ndarray:
     """prod_j (m - z_j I), computed as an explicit product of commuting factors."""
     m = cmat(m)
@@ -211,25 +197,34 @@ def matrix_poly_at_roots(m, roots) -> np.ndarray:
     return out
 
 
-def divided_difference(coeffs, eta, beta) -> np.ndarray:
-    """The matrix divided difference (p(eta) I - p(beta)) (eta I - beta)^{-1}.
+def divided_difference(roots, beta) -> Callable[[object], np.ndarray]:
+    """S(eta) = (p(eta) I - p(beta)) (eta I - beta)^{-1} for p(t) = prod_j (t - z_j),
+    as a function of eta of any shape (the result has eta's shape, then beta's).
 
-    Here p has the highest-first coefficients `coeffs`; for
-    p(t) = prod_j (t - z_j) they are poly_from_roots(z).  Computed as the
-    synthetic-division quotient q(t) = (p(t) - p(eta)) / (t - eta) evaluated
-    at beta, so the result is a polynomial in beta and eta; no inversion is
-    ever performed and the formula is valid also when eta is an eigenvalue.
-    `eta` may be an array of points; the result then has eta's shape in
-    front of beta's.
+    By telescoping, S = sum_j head_j(eta) tail_j with head_j = prod_{l<j}
+    (eta - z_l) and tail_j = prod_{l>j} (beta - z_l), formed here once: a
+    polynomial in beta and eta, valid also where eta is an eigenvalue, and
+    built from the roots, not from p's coefficients, whose expansion loses
+    relative accuracy as the roots cluster.  No roots give S = 0.  Each
+    complex factor that depends on eta is split into real multiples of 1 and
+    i: numpy multiplies complex arrays with fused multiply-adds in some loops
+    only, so an eta's value would otherwise depend on the rest of its batch.
     """
+    roots = [complex(z) for z in roots]
     beta = cmat(beta)
-    etas = np.asarray(eta, dtype=np.complex128)
-    quot = np.zeros((len(coeffs) - 1, etas.size), dtype=np.complex128)
-    for col, e in enumerate(etas.ravel().tolist()):
-        # Horner/synthetic division of p by (t - e); drop the remainder p(e).
-        acc = 0.0 + 0.0j
-        for i in range(len(coeffs) - 1):
-            acc = coeffs[i] + e * acc
-            quot[i, col] = acc
-    return polyval_matrix(quot.reshape(quot.shape[:1] + etas.shape), beta)
+    tails = (matrix_poly_at_roots(beta, roots[j + 1 :]) for j in range(len(roots)))
+    terms = [(tail, 1j * tail) for tail in tails]
 
+    def at(eta) -> np.ndarray:
+        eta = np.asarray(eta, dtype=np.complex128)[..., None, None]
+        out = np.zeros(eta.shape[:-2] + beta.shape, dtype=np.complex128)
+        head = np.ones_like(eta)
+        for j, (tail, i_tail) in enumerate(terms):
+            if j:
+                step = eta - roots[j - 1]
+                head = step.real * head + step.imag * (1j * head)
+                tail = head.real * tail + head.imag * i_tail
+            out += tail
+        return out
+
+    return at

@@ -4,8 +4,8 @@ Everything is evaluated on the affine chart xi*psi = prod_i (eta - z_i),
 where every line-bundle twist trivializes.  The lifts into the first
 resolution stage use the matrix divided difference
 S(eta, beta) = (p(eta) I - p(beta)) (eta I - beta)^{-1}, a polynomial in
-beta and eta computed by synthetic division; their correctness is asserted
-numerically by the lift-commutativity residuals rather than trusted.
+beta and eta telescoped from the NUT positions z_i; their correctness is
+asserted numerically by the lift-commutativity residuals rather than trusted.
 """
 
 from __future__ import annotations
@@ -333,11 +333,12 @@ class MonadStack:
 
     def fiber(self, j: int) -> np.ndarray:
         """Orthonormal basis of the cohomology ker(Bmap)/Im(Amap) at point j:
-        (dimB + dimC) x fiber_rank(j), spanning ker(Bmap) & Im(Amap)^perp.
-        Raises RankIndeterminate where fiber_rank(j) does, or when the basis
-        found has other than dim ker(Bmap) - rank(Amap) columns."""
+        (dimB + dimC) x fiber_rank(j), spanning ker(Bmap) & Im(Amap)^perp,
+        with ker(Bmap) at fiber_rank's block rank.  Raises RankIndeterminate
+        where fiber_rank(j) does, or when the basis has another width."""
         _require_zero(self.composition_residuals[j], "image of Amap not contained in ker(Bmap)")
-        return _quotient(la.null_space(self.Bmap[j]), self.Amap[j], self._amap_rank(j))
+        kernel = la.null_space(self.Bmap[j], _value(self._bmap_rank[j]))
+        return _quotient(kernel, self.Amap[j], self._amap_rank(j))
 
     def locally_free(self, j: int) -> LocalFreenessResult:
         """Pointwise local-freeness criterion at point j: dim ker(Amap) = rank(mu).
@@ -521,7 +522,6 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     d = b.dims.d
     d0, dnn = d[0], d[n]
     mxi_hat, mpsi_hat = aggregate_maps(b)
-    coeffs = la.poly_from_roots(b.topo.z)
     z = np.asarray(b.topo.z, dtype=np.complex128)
 
     block_index = block_layout(d)
@@ -595,6 +595,7 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
     mu0[_at(a_table, "R3", f_table, "F0")] = -mpsi_hat
     mu_psi = diagonal(mu_shape, _at(a_table, "R2", f_table, "F0"))
     mu_mxi = diagonal(mu_shape, _at(a_table, "R3", f_table, "F1"))
+    s_at, t_at = (la.divided_difference(b.topo.z, b.beta[i]) for i in (0, n))
     # the templates' -beta_i diagonals, to which each point adds its eta
     a_eta0 = amap0.reshape(-1)[a_eta, None]
     b_eta0 = bmap0.reshape(-1)[b_eta, None]
@@ -610,8 +611,7 @@ def monad_assembler(b: BowDatum) -> Callable[[Sequence[SurfacePoint]], MonadStac
         if off.size:
             x, r = points[off[0]], residual[off[0]]
             raise SurfaceViolation(f"point {x} violates xi*psi = prod(eta - z_i): residual {r:.3e}")
-        minus_s = -la.divided_difference(coeffs, eta, b.beta[0])
-        minus_t = -la.divided_difference(coeffs, eta, b.beta[n])
+        minus_s, minus_t = -s_at(eta), -t_at(eta)
 
         amap, bmap, mu = (np.empty((k,) + t.shape, dtype=np.complex128) for t in (amap0, bmap0, mu0))
         amap[:], bmap[:], mu[:] = amap0, bmap0, mu0

@@ -1,6 +1,7 @@
 import ast
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -122,7 +123,7 @@ def test_cluster_eigenvalues():
 
 def test_divided_difference_single_root_is_identity():
     beta = np.array([[0.3, 1.0], [0.0, -0.2]], dtype=complex)
-    S = la.divided_difference(la.poly_from_roots([0.7]), 2.0, beta)
+    S = la.divided_difference([0.7], beta)(2.0)
     np.testing.assert_allclose(S, np.eye(2))
 
 
@@ -132,7 +133,7 @@ def test_divided_difference_matches_resolvent_formula():
     roots = [0.3 + 0.1j, -0.5, 1.2 - 0.4j]
     beta = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     eta = 2.5 + 1.0j
-    S = la.divided_difference(la.poly_from_roots(roots), eta, beta)
+    S = la.divided_difference(roots, beta)(eta)
     p_eta = np.prod([eta - z for z in roots])
     direct = (p_eta * np.eye(4) - la.matrix_poly_at_roots(beta, roots)) @ np.linalg.inv(
         eta * np.eye(4) - beta
@@ -143,16 +144,74 @@ def test_divided_difference_matches_resolvent_formula():
 def test_divided_difference_defined_at_eigenvalues():
     # polynomial in beta and eta: no singularity when eta hits the spectrum
     beta = np.diag([0.5 + 0j, -1.0 + 0j])
-    S = la.divided_difference(la.poly_from_roots([0.0, 1.0]), 0.5, beta)
+    S = la.divided_difference([0.0, 1.0], beta)(0.5)
     assert np.all(np.isfinite(S))
     # value against the scalar divided difference on each eigenvalue
     p = lambda t: t * (t - 1.0)
     np.testing.assert_allclose(S[1, 1], (p(0.5) - p(-1.0)) / (0.5 - (-1.0)))
 
 
+def clustered_lift_data(num_roots, rng):
+    """Roots, beta (4 x 4) and eta within 1e-5 of one centre, eta off beta's spectrum."""
+    centre = 0.4 + 0.3j
+
+    def near(size):
+        return centre + 1e-5 * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    beta = q @ np.diag(near(4) - centre) @ q.conj().T + centre * np.eye(4)
+    return near(num_roots), beta, complex(near(1)[0])
+
+
+@pytest.mark.parametrize("num_roots", [3, 6])
+def test_divided_difference_matches_mpmath_at_clustered_roots(num_roots):
+    # the resolvent formula at 50 digits is the reference; expanding p into
+    # coefficients loses about 1e-6 relative here at three roots, and every
+    # digit at six
+    rng = np.random.default_rng(num_roots)
+    for _ in range(5):
+        roots, beta, eta = clustered_lift_data(num_roots, rng)
+        with mpmath.workdps(50):
+            b = mpmath.matrix(beta.tolist())
+            e, eye = mpmath.mpc(eta), mpmath.eye(4)
+            p_beta, p_eta = eye, mpmath.mpc(1)
+            for z in roots.tolist():
+                p_beta, p_eta = p_beta * (b - z * eye), p_eta * (e - z)
+            exact = (p_eta * eye - p_beta) * mpmath.inverse(e * eye - b)
+            S = la.divided_difference(roots, beta)(eta)
+            error = mpmath.mnorm(mpmath.matrix(S.tolist()) - exact, "f") / mpmath.mnorm(exact, "f")
+            assert error < 1e-14
+
+
+def test_divided_difference_of_a_batch_is_each_eta_alone():
+    # every eta's value is bitwise the same whatever else is in its batch,
+    # also for 1 x 1 beta, where numpy's loops run along the batch
+    rng = np.random.default_rng(5)
+    etas = rng.standard_normal(37) + 1j * rng.standard_normal(37)
+    for size, num_roots in ((1, 3), (1, 6), (3, 1), (3, 4), (6, 3)):
+        roots = rng.standard_normal(num_roots) + 1j * rng.standard_normal(num_roots)
+        beta = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        S = la.divided_difference(roots, beta)
+        batch = S(etas)
+        assert batch.shape == (37, size, size)
+        for j, eta in enumerate(etas):
+            assert np.array_equal(batch[j], S(eta))
+            assert np.array_equal(batch[j], S(etas[j : j + 1])[0])
+        assert np.array_equal(S(etas[:36].reshape(6, 6)), batch[:36].reshape(6, 6, size, size))
+    # p = 1 has no roots: S is zero
+    assert np.array_equal(la.divided_difference([], beta)(etas), np.zeros((37, 6, 6)))
+
+
 def test_matrix_poly_at_roots_empty():
     out = la.matrix_poly_at_roots(np.array([[4.0]]), [])
     np.testing.assert_allclose(out, [[1.0]])
+
+
+def dotted(node):
+    """The dotted name of a call target (np.linalg.svd), or "" where it has none."""
+    if isinstance(node, ast.Attribute):
+        return f"{dotted(node.value)}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else ""
 
 
 def test_thresholds_live_only_in_linalg():
@@ -179,11 +238,6 @@ def test_svd_is_called_only_in_linalg():
     # and np.linalg.cond, an SVD inside numpy, is la.cond
     package = Path(la.__file__).parent
 
-    def dotted(node):
-        if isinstance(node, ast.Attribute):
-            return f"{dotted(node.value)}.{node.attr}"
-        return node.id if isinstance(node, ast.Name) else ""
-
     calls = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -197,11 +251,6 @@ def test_eigensolver_is_called_only_in_linalg_eigenvalues():
     # each chain matrix is decomposed once per datum, through la.eigenvalues;
     # np.poly of a matrix runs a second eigensolver, so src/ calls it nowhere
     package = Path(la.__file__).parent
-
-    def dotted(node):
-        if isinstance(node, ast.Attribute):
-            return f"{dotted(node.value)}.{node.attr}"
-        return node.id if isinstance(node, ast.Name) else ""
 
     calls = []
 
@@ -223,3 +272,36 @@ def test_eigensolver_is_called_only_in_linalg_eigenvalues():
     for path in sorted(package.glob("*.py")):
         Calls(path.stem).visit(ast.parse(path.read_text(), str(path)))
     assert calls == [("_linalg.eigenvalues", "np.linalg.eigvals")]
+
+
+def test_polynomials_stay_in_root_form():
+    # Expanded coefficients of p(t) = prod_j (t - z_j) lose relative accuracy
+    # as the roots cluster (see the mpmath test above).  Only bowdata's
+    # charpoly telescope, which compares coefficients on purpose, forms
+    # them, and no module evaluates a polynomial at a matrix by Horner's
+    # rule, acc = acc @ m + c, the form that consumed them.
+    package = Path(la.__file__).parent
+
+    def horner_step(node):
+        # acc = acc @ m + c, or any order of the sum and of the product
+        if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
+            return False
+        acc, value = node.targets[0].id, node.value
+        if not (isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub))):
+            return False
+        return any(
+            isinstance(side, ast.BinOp) and isinstance(side.op, ast.MatMult)
+            and any(isinstance(f, ast.Name) and f.id == acc for f in (side.left, side.right))
+            for side in (value.left, value.right)
+        )
+
+    callers, steps = set(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and dotted(node.func).split(".")[-1] == "poly_from_roots":
+                callers.add(path.name)
+            if isinstance(node, (ast.For, ast.While)):
+                steps += [f"{path.name}:{n.lineno}" for n in ast.walk(node) if horner_step(n)]
+    assert callers == {"bowdata.py"}
+    assert steps == []

@@ -275,11 +275,15 @@ def test_composition_zero_on_generated_data():
 
 
 def test_lift_commutativity_at_random_eta(u2):
+    # u2-basic has one NUT, so S and T are the identity there; the m0 = 10
+    # ladder datum has three, and is also tried over its chain eigenvalues
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        eta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        r0, rn = lift_commutativity_residuals(u2, point(u2, 1.0, eta))
-        assert r0 < 1e-8 and rn < 1e-8
+    ladder = generate(suite_topology(3, 3, 10), seed=10)
+    for d, extra in ((u2, []), (ladder, structured_points(ladder))):
+        randoms = [point(d, 1.0, complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for _ in range(20)]
+        for x in randoms + extra:
+            r0, rn = lift_commutativity_residuals(d, x)
+            assert r0 < 1e-8 and rn < 1e-8
 
 
 # ------------------------------------------------------------ zero products
@@ -468,6 +472,26 @@ def test_fiber_rank_matches_fiber_basis():
             assert rank == basis.shape[1]
             compared += 1
     assert compared >= 0.9 * total
+
+
+def test_fiber_width_follows_the_block_rank_of_bmap(monkeypatch):
+    # fiber(j) takes ker(Bmap) at the block rank fiber_rank(j) uses, not at a
+    # dense rank of its own: with the one decision at its parent's scale
+    # (W^H delta at fro(Bmap)) patched to find one less, a dense rank of Bmap
+    # would disagree wherever a block of gamma is deficient.  Unpatched, the
+    # two agree on more data in test_fiber_rank_matches_fiber_basis.
+    real_rank_decision = la.rank_decision
+
+    def one_less_at_parent_scale(s, shape, sigma_max=None):
+        rank = real_rank_decision(s, shape, sigma_max)
+        return rank - 1 if sigma_max is not None else rank
+
+    monkeypatch.setattr(la, "rank_decision", one_less_at_parent_scale)
+    widths = []
+    for d in (e.datum for e in canonical_examples()):
+        stack = monad_assembler(d)(random_points(d, 6, seed=13) + structured_points(d))
+        widths += [(stack.fiber(j).shape[1], stack.fiber_rank(j)) for j in range(len(stack))]
+    assert [(width, rank) for width, rank in widths if width != rank] == []
 
 
 def test_fiber_rank_rules(u2):
