@@ -10,6 +10,14 @@ max(dim) * eps * 64) and the straddle rule are set once.  There is one rule: a
 singular value too close to the cutoff to call raises RankIndeterminate and is
 never rounded.
 
+Every Schur form goes through `schur`, the one caller of LAPACK zgees, and
+`sylvester` solves P X - X Q = C from two of them with ztrsyl.  Both run
+the steps of scipy.linalg.schur and solve_sylvester and return their bits,
+without scipy's per-call wrappers, which cost more than the arithmetic on
+the package's blocks of a few rows.  For the same reason `fro` is numpy's
+own Frobenius arithmetic without np.linalg.norm's dispatch: every residual
+keeps the bits that np.linalg.norm gives it.
+
 A block-diagonal matrix is ranked from the union of its blocks' singular
 values, which is its own spectrum.  Independent matrices share one padded
 SVD (padded_spectra), each ranked at its own shape and sigma_max.  One
@@ -21,6 +29,7 @@ shape, as a rank of the whole Bmap would see it (see monad.MonadStack).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -66,8 +75,18 @@ def cmat(a) -> np.ndarray:
 
 
 def fro(a) -> float:
-    m = np.asarray(a)
-    return 0.0 if m.size == 0 else float(np.linalg.norm(m))
+    """Frobenius norm by numpy's own arithmetic for it, without np.linalg.norm's
+    dispatch: the bits of float(np.linalg.norm(a)) for any double-precision,
+    integer or bool array of any shape or layout, empty ones included."""
+    x = np.asarray(a)
+    kind = x.dtype.kind
+    if kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def rel_residual(lhs, rhs) -> float:
@@ -133,6 +152,46 @@ def padded_spectra(stacks: list[np.ndarray]) -> np.ndarray:
         padded[start : start + len(s), : s.shape[1], : s.shape[2]] = s
         start += len(s)
     return svd(padded, compute_uv=False)
+
+
+def _unsorted(w) -> None:
+    """zgees's eigenvalue selector when no sorting is asked for."""
+
+
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z), a = Z T Z^H, of a nonempty square matrix.
+
+    LAPACK zgees, called as scipy.linalg.schur calls it, with the same bits:
+    the workspace size comes from zgees's own query (a fixed minimum changes
+    the result of large matrices).  Raises LinAlgError where zgees fails.
+    """
+    from scipy.linalg import lapack  # deferred: importing scipy.linalg dominates CLI start-up
+
+    a = cmat(a)
+    lwork = int(lapack.zgees(_unsorted, a, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = lapack.zgees(_unsorted, a, lwork=lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgees failed (info = {info}): no Schur form")
+    return t, z
+
+
+def sylvester(P, Q, C) -> np.ndarray:
+    """X with P X - X Q = C, for nonempty square P and Q (Bartels-Stewart).
+
+    The steps, and the bits, of scipy.linalg.solve_sylvester(P, -Q, C) on
+    complex input: P = U R U^H and -Q^H = V S V^H by schur, then ztrsyl solves
+    R Y + Y S^H = scale * (U^H C) V, and X = U (scale Y) V^H.  ztrsyl
+    perturbs eigenvalues too close to separate (info = 1) without raising;
+    the caller checks the gap and the residual.
+    """
+    from scipy.linalg import lapack  # deferred: importing scipy.linalg dominates CLI start-up
+
+    P, Q, C = cmat(P), cmat(Q), cmat(C)
+    R, U = schur(P)
+    S, V = schur(-Q.conj().T)
+    F = np.dot(np.dot(U.conj().T, C), V)
+    Y, scale, _ = lapack.ztrsyl(R, S, F, tranb="C")
+    return np.dot(np.dot(U, scale * Y), V.conj().T)
 
 
 def null_space(m, rank: int | None = None) -> np.ndarray:

@@ -48,8 +48,11 @@ def solve_sylvester(P, Q, C) -> np.ndarray:
     """Unique X with P X - X Q = C, for disjoint spectra of P and Q.
 
     Raises SpectraOverlap when the smallest eigenvalue gap between P and Q
-    is at most SYLVESTER_GAP; under the precondition the solution is unique
-    and the relative residual is checked to be below GENERATION_TOL.
+    is at most SYLVESTER_GAP.  Under that precondition the solution is
+    unique; la.sylvester computes it (the bits of
+    scipy.linalg.solve_sylvester(P, -Q, C)), and ValidationFailure is raised
+    unless its relative residual is below GENERATION_TOL, so a non-finite
+    solution never passes.
     """
     return _solve_sylvester(P, Q, C, la.eigenvalues(P), la.eigenvalues(Q))
 
@@ -64,11 +67,9 @@ def _solve_sylvester(P, Q, C, eigenvalues_p, eigenvalues_q) -> np.ndarray:
     gap = float(np.min(np.abs(eigenvalues_p[:, None] - eigenvalues_q[None, :])))
     if gap <= la.SYLVESTER_GAP:
         raise SpectraOverlap(f"spectra of P and Q are {gap:.3e} apart (need > {la.SYLVESTER_GAP})")
-    import scipy.linalg  # deferred: importing scipy.linalg dominates CLI start-up
-
-    X = scipy.linalg.solve_sylvester(P, -Q, C)
+    X = la.sylvester(P, Q, C)
     res = la.fro(P @ X - X @ Q - C) / (1.0 + la.fro(C))
-    if res >= la.GENERATION_TOL:
+    if not res < la.GENERATION_TOL:
         raise ValidationFailure(f"sylvester solve residual {res:.3e} too large")
     return X
 
@@ -129,7 +130,7 @@ def rank_factorization(
     R = np.vstack([R, R_extra])
 
     res = la.fro(L @ R - C) / (1.0 + la.fro(C))
-    if res >= la.GENERATION_TOL:
+    if not res < la.GENERATION_TOL:
         raise ValidationFailure(f"rank factorization residual {res:.3e} too large")
     return L, R
 

@@ -63,6 +63,27 @@ def test_sylvester_empty_blocks():
     assert X.shape == (0, 1)
 
 
+def test_sylvester_nan_right_hand_side_raises():
+    # a NaN residual is not below the tolerance, so it cannot pass
+    with pytest.raises(ValidationFailure):
+        solve_sylvester(np.diag([1.0, 2.0]), np.array([[0.0]]), np.array([[np.nan], [1.0]]))
+
+
+@pytest.mark.parametrize("q", [*range(9), 21, 41, 130])
+def test_sylvester_matches_scipy_bitwise(q):
+    # la.sylvester runs scipy.linalg.solve_sylvester's steps without its wrappers
+    import scipy.linalg
+
+    rng = np.random.default_rng(q)
+    P = ginibre(rng, q, q)
+    for r in sorted({q, 1, 3}):
+        Q = ginibre(rng, r, r) + 30.0  # far from P's spectrum, of radius about sqrt(q)
+        C = ginibre(rng, q, r)
+        X = solve_sylvester(P, Q, C)
+        expected = scipy.linalg.solve_sylvester(P, -Q, C)
+        assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------- rank factorization
 
 def test_rank_factorization_zero_matrix():

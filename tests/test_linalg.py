@@ -45,6 +45,51 @@ def svd_rank(m):
     return la.rank_decision(np.linalg.svd(m, compute_uv=False), m.shape)
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.arange(12.0).reshape(3, 4) - 5.5,
+        (np.arange(12.0) + 1j * np.arange(12.0)[::-1]).reshape(3, 4) / 7,
+        np.arange(-6, 6).reshape(3, 4),
+        np.array([True, False, True]),
+        np.zeros((0, 3)),
+        np.zeros((2, 0), dtype=np.complex128),
+        np.linspace(-1.0, 2.0, 7),
+        np.linspace(-1.0, 2.0, 60).reshape(3, 4, 5) * (1 - 0.3j),
+    ],
+    ids=["real", "complex", "integer", "bool", "empty", "empty-complex", "1d", "3d"],
+)
+def test_fro_is_numpy_norm_bitwise(a):
+    for view in (a, a.T, a[::2], a[..., ::-2], np.asfortranarray(a)):
+        assert la.fro(view).hex() == float(np.linalg.norm(view)).hex()
+
+
+def test_schur_raises_where_zgees_fails(monkeypatch):
+    import scipy.linalg.lapack
+
+    from bowforge.generator import solve_sylvester
+
+    zgees = scipy.linalg.lapack.zgees
+
+    def failing(*args, **kwargs):
+        *out, _ = zgees(*args, **kwargs)
+        return (*out, 1)  # info > 0: the QR algorithm did not converge
+
+    monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        la.schur(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_sylvester(np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
+
+
+def test_schur_is_a_schur_form():
+    a = np.arange(16.0).reshape(4, 4) + 1j * np.eye(4)
+    t, z = la.schur(a)
+    assert np.array_equal(t, np.triu(t))
+    np.testing.assert_allclose(z @ t @ z.conj().T, a, atol=1e-12)
+    np.testing.assert_allclose(z.conj().T @ z, np.eye(4), atol=1e-14)
+
+
 def test_svd_rank_and_straddle_detection():
     assert svd_rank(np.diag([1.0, 1e-3])) == 2
     assert svd_rank(np.diag([1.0, 0.0])) == 1
@@ -247,11 +292,8 @@ def test_svd_is_called_only_in_linalg():
     assert set(calls) == {"_linalg.py"}
 
 
-def test_eigensolver_is_called_only_in_linalg_eigenvalues():
-    # each chain matrix is decomposed once per datum, through la.eigenvalues;
-    # np.poly of a matrix runs a second eigensolver, so src/ calls it nowhere
-    package = Path(la.__file__).parent
-
+def scoped_calls(keep):
+    """(module.function, dotted name) of each call in src/ that keep(name, call) accepts."""
     calls = []
 
     class Calls(ast.NodeVisitor):
@@ -265,13 +307,71 @@ def test_eigensolver_is_called_only_in_linalg_eigenvalues():
 
         def visit_Call(self, node):
             name = dotted(node.func)
-            if name.split(".")[-1] == "eigvals" or name in ("np.poly", "numpy.poly"):
+            if keep(name, node):
                 calls.append((".".join(self.scope), name))
             self.generic_visit(node)
 
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(Path(la.__file__).parent.glob("*.py")):
         Calls(path.stem).visit(ast.parse(path.read_text(), str(path)))
+    return calls
+
+
+def test_eigensolver_is_called_only_in_linalg_eigenvalues():
+    # each chain matrix is decomposed once per datum, through la.eigenvalues;
+    # np.poly of a matrix runs a second eigensolver, so src/ calls it nowhere
+    calls = scoped_calls(
+        lambda name, _: name.split(".")[-1] == "eigvals" or name in ("np.poly", "numpy.poly")
+    )
     assert calls == [("_linalg.eigenvalues", "np.linalg.eigvals")]
+
+
+def test_lapack_is_reached_only_through_linalg():
+    # only _linalg imports scipy.linalg.lapack; la.schur is the one Schur
+    # entry point (zgees, with its workspace query), and la.sylvester is
+    # the one caller of it
+    package = Path(la.__file__).parent
+    lapack_users = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [dotted(node)]
+            if any("lapack" in name.split(".") for name in names):
+                lapack_users.add(path.name)
+    assert lapack_users == {"_linalg.py"}
+
+    gees = scoped_calls(lambda name, _: name.split(".")[-1].endswith("gees"))
+    assert {scope for scope, _ in gees} == {"_linalg.schur"}
+    schurs = scoped_calls(lambda name, _: name.split(".")[-1] == "schur")
+    assert set(schurs) == {("_linalg.sylvester", "schur")}
+
+
+def test_norm_is_whole_array_only_through_fro():
+    # la.fro is numpy's Frobenius arithmetic without np.linalg.norm's dispatch;
+    # a norm along an axis is a different computation and may stay
+    calls = scoped_calls(
+        lambda name, call: name.split(".")[-2:] == ["linalg", "norm"]
+        and len(call.args) < 3 and not any(kw.arg == "axis" for kw in call.keywords)
+    )
+    assert [scope for scope, _ in calls if not scope.startswith("_linalg.")] == []
+
+
+def test_scipy_solve_sylvester_is_not_used():
+    # its wrappers cost more than the solve at the package's sizes; la.sylvester
+    # computes the same bits
+    package = Path(la.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                uses += [path.name for alias in node.names if alias.name == "solve_sylvester"]
+            elif isinstance(node, ast.Attribute) and dotted(node).endswith("linalg.solve_sylvester"):
+                uses.append(path.name)
+    assert uses == []
 
 
 def test_polynomials_stay_in_root_form():

@@ -1,5 +1,6 @@
-"""Property tests: bow files mean exactly what they say, and verdicts are
-gauge invariant.  Both run derandomized, so every run draws the same cases."""
+"""Property tests: bow files mean exactly what they say, generated data come
+back from a bow file bit for bit, and verdicts are gauge invariant.  All run
+derandomized, so every run draws the same cases."""
 
 import json
 import math
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from bowforge import bowfile, cli
 from bowforge.bowdata import check_exactness_all, gauge_transform, validate_relations
 from bowforge.errors import NegativeDimension, StructuralError
-from bowforge.generator import ginibre
+from bowforge.generator import generate, ginibre
 from bowforge.monad import ScanConfig, scan_local_freeness
+
+from _suites import suite_topology
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
@@ -130,6 +133,27 @@ def test_bow_file_is_rejected_or_kept_exactly(case, tmp_path, capsys):
     written = bowfile.serialize(parsed)
     assert means_exactly(lookup(json.loads(written), path), value)
     assert bowfile.serialize(bowfile.parse(written)) == written
+
+
+# ---------------------------------------------------------- round trip
+
+SUITE_KEYS = [(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)]
+MATRIX_FIELDS = ("beta", "A", "alpha", "gamma", "betaN", "Mxi", "Mpsi")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(key=st.sampled_from(SUITE_KEYS), seed=st.integers(0, 2**31 - 1))
+def test_generated_datum_survives_a_bow_file_bitwise(key, seed):
+    topo = suite_topology(*key)
+    datum = generate(topo, seed)
+    written = bowfile.serialize(bowfile.BowFile(topo, datum))
+    back = bowfile.parse(written)
+    assert bowfile.serialize(back) == written
+    assert back.topo == topo
+    for field in MATRIX_FIELDS:
+        for m, m_back in zip(getattr(datum, field), getattr(back.datum, field), strict=True):
+            assert m_back.shape == m.shape
+            assert m_back.tobytes() == np.asarray(m, dtype=np.complex128).tobytes()
 
 
 # --------------------------------------------------------------- gauge
