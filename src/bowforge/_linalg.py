@@ -18,6 +18,16 @@ the package's blocks of a few rows.  For the same reason `fro` is numpy's
 own Frobenius arithmetic without np.linalg.norm's dispatch: every residual
 keeps the bits that np.linalg.norm gives it.
 
+The two routines come from `_lapack`: scipy's compiled LAPACK binding,
+scipy.linalg._flapack, loaded alone from scipy's install directory and
+registered under its own name, so that a later `import scipy.linalg` reuses
+it.  The package init of scipy.linalg loads scipy's array-API layer
+(numpy.testing, numpy.ma, unittest, ...), which takes many times the
+binding's own load time and memory and which the package never calls; so
+`gen`, and any process that only generates data, loads numpy and the
+binding and no other part of scipy.  Only the gesvd retry of `svd` imports
+scipy.linalg.
+
 A block-diagonal matrix is ranked from the union of its blocks' singular
 values, which is its own spectrum.  Independent matrices share one padded
 SVD (padded_spectra), each ranked at its own shape and sigma_max.  One
@@ -29,7 +39,11 @@ shape, as a rank of the whole Bmap would see it (see monad.MonadStack).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from collections.abc import Callable
 
 import numpy as np
@@ -90,12 +104,23 @@ def fro(a) -> float:
 
 
 def rel_residual(lhs, rhs) -> float:
-    """Scale-free mismatch ||lhs - rhs||_F / (1 + ||lhs||_F + ||rhs||_F)."""
+    """Scale-free mismatch ||lhs - rhs||_F / (1 + ||lhs||_F + ||rhs||_F).
+
+    fro squares the entries, so a norm of entries above about 1e154
+    overflows; only then are both sides divided by their largest magnitude
+    first, which keeps the residual finite unless an entry is not.
+    """
     lhs = np.asarray(lhs, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
     if lhs.shape != rhs.shape:
         raise ValueError(f"residual of mismatched shapes {lhs.shape} vs {rhs.shape}")
-    return fro(lhs - rhs) / (1.0 + fro(lhs) + fro(rhs))
+    diff, lnorm, rnorm = fro(lhs - rhs), fro(lhs), fro(rhs)
+    if not math.isfinite(diff + lnorm + rnorm):
+        scale = float(np.abs(np.concatenate((lhs.ravel(), rhs.ravel()))).max())
+        if math.isfinite(scale):
+            lhs, rhs = lhs / scale, rhs / scale
+            return fro(lhs - rhs) / (1.0 / scale + fro(lhs) + fro(rhs))
+    return diff / (1.0 + lnorm + rnorm)
 
 
 def rank_cutoff(sigma_max: float, shape: tuple[int, int]) -> float:
@@ -154,6 +179,37 @@ def padded_spectra(stacks: list[np.ndarray]) -> np.ndarray:
     return svd(padded, compute_uv=False)
 
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _lapack():
+    """scipy's f2py LAPACK extension, the module that defines zgees and ztrsyl.
+
+    The one already imported, if any.  Otherwise the extension file in
+    scipy's linalg directory, loaded without scipy.linalg's package init and
+    registered in sys.modules under its own name, where `import scipy.linalg`
+    finds it later (as `from scipy.linalg import _flapack`; the import does
+    not set it as an attribute of the package).  An install without that
+    file gets the same compiled routines from scipy.linalg.lapack.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    for home in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(home, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_FLAPACK] = module
+                return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _unsorted(w) -> None:
     """zgees's eigenvalue selector when no sorting is asked for."""
 
@@ -165,8 +221,7 @@ def schur(a) -> tuple[np.ndarray, np.ndarray]:
     the workspace size comes from zgees's own query (a fixed minimum changes
     the result of large matrices).  Raises LinAlgError where zgees fails.
     """
-    from scipy.linalg import lapack  # deferred: importing scipy.linalg dominates CLI start-up
-
+    lapack = _lapack()
     a = cmat(a)
     lwork = int(lapack.zgees(_unsorted, a, lwork=-1)[-2][0].real)
     t, _, _, z, _, info = lapack.zgees(_unsorted, a, lwork=lwork)
@@ -184,13 +239,11 @@ def sylvester(P, Q, C) -> np.ndarray:
     perturbs eigenvalues too close to separate (info = 1) without raising;
     the caller checks the gap and the residual.
     """
-    from scipy.linalg import lapack  # deferred: importing scipy.linalg dominates CLI start-up
-
     P, Q, C = cmat(P), cmat(Q), cmat(C)
     R, U = schur(P)
     S, V = schur(-Q.conj().T)
     F = np.dot(np.dot(U.conj().T, C), V)
-    Y, scale, _ = lapack.ztrsyl(R, S, F, tranb="C")
+    Y, scale, _ = _lapack().ztrsyl(R, S, F, tranb="C")
     return np.dot(np.dot(U, scale * Y), V.conj().T)
 
 

@@ -233,7 +233,7 @@ def fiber_form(
 
     sign = 1.0 if p.flavor == SO else -1.0
     asym = la.rel_residual(form, sign * form.T)
-    if asym >= tol:
+    if not asym < tol:
         kind = "symmetric" if p.flavor == SO else "antisymmetric"
         raise FormAsymmetry(f"fiber form is not {kind}: residual {asym:.3e}")
     if form.shape[0] > 0:

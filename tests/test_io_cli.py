@@ -169,6 +169,26 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_validate_residuals_finite_at_huge_scale(tmp_path, capsys):
+    # entries near 1e200 overflow the Frobenius norms; the residuals stay
+    # finite and the relations still fail (A and alpha gamma scale apart)
+    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
+
+    def scaled(x):
+        return [scaled(v) for v in x] if isinstance(x, list) else x * 1e100
+
+    for key in ("A", "alpha", "gamma"):
+        doc["bow"][key] = scaled(doc["bow"][key])
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    with np.errstate(over="ignore"):
+        assert main(["validate", str(huge), "--format", "machine"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == "fail"
+    residuals = [check["residual"] for check in out["checks"]]
+    assert residuals and all(np.isfinite(residuals))
+
+
 def test_cli_structural_errors_exit_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

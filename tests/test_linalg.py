@@ -19,6 +19,24 @@ def test_rel_residual_scale_free():
         la.rel_residual(np.zeros((1, 2)), np.zeros((2, 1)))
 
 
+def test_rel_residual_finite_where_a_norm_overflows():
+    # fro squares the entries: above about 1e154 the norms overflow, and
+    # inf / inf was nan; both sides are then rescaled by their largest entry
+    lhs = np.array([[2.0e200, 0.0], [0.0, 1.0e200j]])
+    rhs = np.array([[1.0e200, 0.0], [0.0, 1.0e200j]])
+    with np.errstate(over="ignore"):
+        assert la.fro(lhs) == np.inf
+        assert la.rel_residual(lhs, rhs) == pytest.approx(1.0 / (np.sqrt(5.0) + np.sqrt(2.0)))
+        assert la.rel_residual(lhs, lhs) == 0.0
+        # a residual that is not finite at its own scale stays nan
+        for bad in (np.inf, np.nan):
+            assert np.isnan(la.rel_residual(lhs, np.array([[bad, 0.0], [0.0, 0.0]])))
+    # a finite case keeps the bits of the plain formula
+    a, b = np.arange(6.0).reshape(2, 3) * (1 + 2j), np.ones((2, 3))
+    plain = la.fro(a - b) / (1.0 + la.fro(a) + la.fro(b))
+    assert la.rel_residual(a, b).hex() == plain.hex()
+
+
 def test_null_space_edge_shapes():
     assert la.null_space(np.zeros((0, 3))).shape == (3, 3)  # no constraints
     assert la.null_space(np.zeros((3, 0))).shape == (0, 0)
@@ -65,17 +83,16 @@ def test_fro_is_numpy_norm_bitwise(a):
 
 
 def test_schur_raises_where_zgees_fails(monkeypatch):
-    import scipy.linalg.lapack
-
     from bowforge.generator import solve_sylvester
 
-    zgees = scipy.linalg.lapack.zgees
+    lapack = la._lapack()
+    zgees = lapack.zgees
 
     def failing(*args, **kwargs):
         *out, _ = zgees(*args, **kwargs)
         return (*out, 1)  # info > 0: the QR algorithm did not converge
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zgees", failing)
+    monkeypatch.setattr(lapack, "zgees", failing)
     with pytest.raises(np.linalg.LinAlgError):
         la.schur(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(np.linalg.LinAlgError):

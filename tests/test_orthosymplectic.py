@@ -350,6 +350,18 @@ def test_fiber_form_flags_wrong_symmetry(so2):
         fiber_form(datum, wrong, pt, tol=1e-6)
 
 
+def test_fiber_form_nan_is_asymmetric(monkeypatch, so2):
+    # a NaN asymmetry residual is not below tol: the form is rejected as
+    # asymmetric before its singular values are asked for
+    datum, pairing = so2
+    pt = random_points(datum, 1, seed=17)[0]
+    monkeypatch.setattr(
+        orthosymplectic, "form_on_basis", lambda *args: np.full((2, 2), np.nan, dtype=complex)
+    )
+    with pytest.raises(FormAsymmetry):
+        fiber_form(datum, pairing, pt, tol=1e-6)
+
+
 def test_fiber_form_degeneracy_threshold(so2):
     # tol doubles as the sigma_min floor; an absurdly large floor must trip
     datum, pairing = so2

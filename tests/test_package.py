@@ -1,4 +1,5 @@
-"""What `import bowforge` gives and what one CLI command loads.
+"""What `import bowforge` gives, what one CLI command loads, and which
+module of scipy the LAPACK loader of `_linalg` loads.
 
 Each check runs in a fresh interpreter, since this test session has
 imported every module already.
@@ -103,7 +104,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({
     "exit": code,
     "loaded": sorted(m[len("bowforge."):] for m in sys.modules if m.startswith("bowforge.")),
-    "scipy": any(m.split(".")[0] == "scipy" for m in sys.modules),
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 }))
 """
 
@@ -129,4 +130,67 @@ def test_cli_command_loads_only_what_it_runs(command, args, extra, tmp_path):
     got = fresh(FOOTPRINT_PROBE, *argv)
     assert got["exit"] == 0
     assert set(got["loaded"]) == CORE | extra
-    assert got["scipy"] == (command == "gen")  # solve_sylvester's deferred scipy.linalg
+    # gen's Sylvester solves load scipy's LAPACK binding alone, not scipy.linalg
+    assert got["scipy"] == (["scipy.linalg._flapack"] if command == "gen" else [])
+
+
+LOADER_PROBE = """
+import json, sys
+from bowforge import _linalg as la
+from bowforge.generator import generate
+from bowforge.topology import TopologicalData
+t = TopologicalData(n=2, k=1, ell=1.0, lam=(0.25, 0.75), m=(0, 1), nd=(1,), m0=1, z=(0.2 + 0.1j,))
+generate(t, seed=5)
+scipy_after_generate = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+binding = la._lapack()
+import scipy.linalg.lapack
+print(json.dumps({
+    "after_generate": scipy_after_generate,
+    "registered": sys.modules["scipy.linalg._flapack"] is binding,
+    "one_module": scipy.linalg.lapack.zgees is binding.zgees
+        and scipy.linalg.lapack.ztrsyl is binding.ztrsyl,
+}))
+"""
+
+
+def test_generate_loads_the_lapack_binding_alone():
+    got = fresh(LOADER_PROBE)
+    assert got["after_generate"] == ["scipy.linalg._flapack"]
+    # a later import of scipy.linalg reuses the binding: one module, not two
+    assert got["registered"] and got["one_module"]
+
+
+SYLVESTER_PROBE = """
+import hashlib, importlib.machinery, json, sys
+import numpy as np
+from bowforge import _linalg as la
+from bowforge.generator import ginibre, solve_sylvester
+if sys.argv[1] == "unfindable":
+    importlib.machinery.EXTENSION_SUFFIXES = [".absent"]
+digest = hashlib.sha256()
+for q in [*range(9), 21, 41, 130]:  # the sizes of test_sylvester_matches_scipy_bitwise
+    rng = np.random.default_rng(q)
+    P = ginibre(rng, q, q)
+    if q:
+        for part in la.schur(P):
+            digest.update(part.tobytes())
+    for r in sorted({q, 1, 3}):
+        Q = ginibre(rng, r, r) + 30.0
+        C = ginibre(rng, q, r)
+        digest.update(solve_sylvester(P, Q, C).tobytes())
+public_import = "scipy.linalg" in sys.modules
+import scipy.linalg.lapack
+print(json.dumps({
+    "digest": digest.hexdigest(),
+    "public_import": public_import,
+    "same": la._lapack().zgees is scipy.linalg.lapack.zgees,
+}))
+"""
+
+
+def test_public_import_where_the_binding_is_unfindable():
+    alone = fresh(SYLVESTER_PROBE, "findable")
+    public = fresh(SYLVESTER_PROBE, "unfindable")
+    assert not alone["public_import"] and public["public_import"]
+    assert alone["digest"] == public["digest"]
+    assert alone["same"] and public["same"]
