@@ -8,7 +8,11 @@ retries with gesvd where gesdd fails to converge.  Every rank decision goes
 through `rank_decision`, so the convention (the ranked matrix's own sigma_max *
 max(dim) * eps * 64) and the straddle rule are set once.  There is one rule: a
 singular value too close to the cutoff to call raises RankIndeterminate and is
-never rounded.
+never rounded.  Its stacked form, `rank_decisions`, decides one row of
+singular values per matrix: it counts every row in numpy and hands each row
+with a value on or inside the straddle band to `rank_decision`, so a stack
+gets, row by row, the rank or the exception that the rule gives.  `null_spaces` likewise takes the
+kernels of many matrices at ranks decided before, one SVD call per shape.
 
 Every Schur form goes through `schur`, the one caller of LAPACK zgees, and
 `sylvester` solves P X - X Q = C from two of them with ztrsyl.  Both run
@@ -44,7 +48,7 @@ import importlib.util
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -76,6 +80,9 @@ RANK_SAFETY = 64
 # Singular values within this factor of the cutoff (either side) make a
 # rank decision indeterminate.
 STRADDLE_FACTOR = np.sqrt(10.0)
+# Below this many rows a stacked rank decision takes its rows one by one, the
+# cheaper way where numpy's cost per call exceeds the rule's cost per row.
+STACKED_DECISION_ROWS = 6
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -148,6 +155,42 @@ def rank_decision(s, shape: tuple[int, int], sigma_max: float | None = None) -> 
         straddling = s[(s > cut / STRADDLE_FACTOR) & (s < cut * STRADDLE_FACTOR)]
         raise RankIndeterminate(f"singular values {straddling} straddle cutoff {cut:.3e}")
     return rank
+
+
+def rank_decisions(s, shape: tuple[int, int], sigma_max=None) -> list:
+    """rank_decision(s[r], shape, sigma_max[r]) for each row r of the k x m
+    array `s`: a list of ranks, each an int or the RankIndeterminate that
+    its row raised.
+
+    Each row is sorted in descending order, as an SVD returns it; sigma_max,
+    one scale per row, defaults to each row's first value.  A stack of fewer
+    than STACKED_DECISION_ROWS rows is decided row by row.  A larger one
+    counts each row's values above its cutoff (rank_cutoff, elementwise,
+    so with the rule's bits) in numpy, and hands to rank_decision only the
+    rows with a value on the straddle band or inside it, or a value that is
+    not finite; so the straddle test and its message are defined there
+    alone.
+    """
+    s = np.asarray(s)
+    if len(s) < STACKED_DECISION_ROWS:
+        scales = [None] * len(s) if sigma_max is None else sigma_max
+        return [_decided(row, shape, scale) for row, scale in zip(s, scales)]
+    if sigma_max is None:
+        sigma_max = s[:, 0] if s.shape[1] else np.zeros(len(s))
+    cut = rank_cutoff(np.asarray(sigma_max, dtype=float), shape)[:, None]
+    above = s > cut
+    near = ((s >= cut / STRADDLE_FACTOR) & (s <= cut * STRADDLE_FACTOR)).any(axis=1)
+    ranks: list = above.sum(axis=1).tolist()
+    for r in np.flatnonzero(near | ~np.isfinite(s.sum(axis=1) + cut[:, 0])).tolist():
+        ranks[r] = _decided(s[r], shape, sigma_max[r])
+    return ranks
+
+
+def _decided(s, shape: tuple[int, int], sigma_max) -> int | RankIndeterminate:
+    try:
+        return rank_decision(s, shape, sigma_max)
+    except RankIndeterminate as exc:
+        return exc
 
 
 def svd(m, compute_uv: bool = True):
@@ -260,6 +303,24 @@ def null_space(m, rank: int | None = None) -> np.ndarray:
     if rank is None:
         rank = rank_decision(s, m.shape)
     return vh[rank:].conj().T
+
+
+def null_spaces(ms: Sequence[np.ndarray], ranks: Sequence[int]) -> list[np.ndarray]:
+    """null_space(m, rank) of each complex matrix m of `ms`, at its rank
+    decided by the caller: the SVDs of the nonzero matrices of one shape
+    are one svd call, which gives each matrix the bits of its own SVD."""
+    out: list = [None] * len(ms)
+    by_shape: dict[tuple, list[int]] = {}
+    for t, m in enumerate(ms):
+        if fro(m) == 0.0:  # also when m has no rows or no columns
+            out[t] = np.eye(m.shape[1], dtype=np.complex128)
+        else:
+            by_shape.setdefault(m.shape, []).append(t)
+    for ts in by_shape.values():
+        vhs = svd(np.stack([ms[t] for t in ts]))[2]
+        for t, vh in zip(ts, vhs):
+            out[t] = vh[ranks[t] :].conj().T
+    return out
 
 
 def eigenvalues(m) -> np.ndarray:

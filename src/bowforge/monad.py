@@ -137,7 +137,10 @@ class MonadStack:
     batched matmuls of slice views on the bands where the maps as
     monad_assembler builds them can make it nonzero (Bmap Amap on
     BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G and mu's R rows
-    one padded SVD, and the Ms with no deficient P-block one more.  The
+    one padded SVD, and the Ms of one width one more.  Each kind of rank
+    decision is taken for the whole stack, one la.rank_decisions call per
+    shape, and so are the small SVDs (W^H delta, W, the K_i), one la.svd
+    call per shape.  The
     P-blocks and gamma's blocks depend on eta alone: their padded SVD,
     gamma's ranks, W and the K_i are computed once per eta of `shared`,
     which scan_local_freeness passes to all its stacks of one datum, and
@@ -222,29 +225,33 @@ class MonadStack:
         blocks = [self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)]
         return la.padded_spectra(blocks).reshape(2, len(self), -1)
 
-    def _kernel(self, j: int, i: int, rank: int) -> np.ndarray:
-        """K_i at point j, P-block i being of rank `rank`; kept per eta."""
-        keys, kept = self._keys
-        key = ("K", keys[j], i, rank)
-        if key not in kept:
-            kept[key] = la.null_space(self.Amap[j][self.block_index.alpha_p[i]], rank)
-        return kept[key]
-
     @cached_property
     def _alpha(self) -> list:
-        """Per point: rank(alpha), and (i, K_i) for each rank-deficient P-block i."""
+        """Per point: rank(alpha), and (i, K_i) for each rank-deficient P-block
+        i; each K_i is kept per eta, block and rank, and the new ones of the
+        stack take one SVD call per shape (la.null_spaces)."""
         ix = self.block_index
         sizes = [min(map(_len, s)) for s in ix.alpha_p]
         spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
         spectra.append(self._g_mu[0][:, : min(map(_len, ix.alpha_g))])
         ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
-
-        def alpha(j):
-            blocks = _value(ranks[j])
-            deficient = [(i, r) for i, (size, r) in enumerate(zip(sizes, blocks)) if r < size]
-            return sum(blocks), [(i, self._kernel(j, i, r)) for i, r in deficient]
-
-        return _each(alpha, len(self))
+        deficient = [
+            (j, i, b)
+            for j, r in enumerate(ranks) if not isinstance(r, RankIndeterminate)
+            for i, (size, b) in enumerate(zip(sizes, r)) if b < size
+        ]
+        out = [r if isinstance(r, RankIndeterminate) else (sum(r), []) for r in ranks]
+        if deficient:
+            keys, kept = self._keys
+            new = {}
+            for j, i, b in deficient:
+                if ("K", keys[j], i, b) not in kept:
+                    new.setdefault(("K", keys[j], i, b), (self.Amap[j][ix.alpha_p[i]], b))
+            if new:
+                kept.update(zip(new, la.null_spaces(*zip(*new.values()))))
+            for j, i, b in deficient:
+                out[j][1].append((i, kept["K", keys[j], i, b]))
+        return out
 
     def _m(self, j: int) -> np.ndarray:
         """M of point j (see the class) without its zero rows: off the
@@ -260,27 +267,30 @@ class MonadStack:
     @cached_property
     def _amap_nullity(self) -> list:
         """Per point: dim ker(Amap) = dim ker M, ranked at M's own sigma_max
-        and shape.  The Ms of the points with no deficient P-block share one
-        shape and are one batched SVD."""
+        and shape.  The Ms of one width are one batched SVD: those with no
+        deficient P-block are _plain_m."""
         ix = self.block_index
-        plain = [j for j, a in enumerate(self._alpha) if not isinstance(a, RankIndeterminate) and not a[1]]
-        spectra = {}
-        if plain:
-            m = self._plain_m if len(plain) == len(self) else self._plain_m[plain]
-            spectra = dict(zip(plain, la.svd(m, compute_uv=False)))
-        m_rows = self.Amap.shape[1] - ix.alpha_g[0].start
-
-        def nullity(j):
-            cols = _len(ix.alpha_g[1]) + sum(k.shape[1] for _, k in _value(self._alpha[j])[1])
-            s = spectra[j] if j in spectra else la.svd(self._m(j), compute_uv=False)
-            return cols - la.rank_decision(s, (m_rows, cols))
-
-        return _each(nullity, len(self))
+        m_rows, r_cols = self.Amap.shape[1] - ix.alpha_g[0].start, _len(ix.alpha_g[1])
+        out = list(self._alpha)  # a point whose alpha raised keeps that
+        by_width: dict[int, list[int]] = {}
+        for j, a in enumerate(self._alpha):
+            if not isinstance(a, RankIndeterminate):
+                by_width.setdefault(r_cols + sum(k.shape[1] for _, k in a[1]), []).append(j)
+        for cols, js in by_width.items():
+            if cols == r_cols:
+                m = self._plain_m if len(js) == len(self) else self._plain_m[js]
+            else:
+                m = np.stack([self._m(j) for j in js])
+            ranks = la.rank_decisions(la.svd(m, compute_uv=False), (m_rows, cols))
+            for j, rank in zip(js, ranks):
+                out[j] = rank if isinstance(rank, RankIndeterminate) else cols - rank
+        return out
 
     @cached_property
     def _gamma(self) -> list:
         """Per point: rank(gamma), and (rows, W_i^H) for each rank-deficient
-        block i of gamma, W_i its left kernel; computed once per eta."""
+        block i of gamma, W_i its left kernel; computed once per eta, the
+        new W_i of the stack with one SVD call per shape."""
         ix = self.block_index
         n, dim_c = len(ix.alpha_p), self.Bmap.shape[1]
         sizes = [_len(r) for r, _ in ix.gamma]
@@ -288,36 +298,44 @@ class MonadStack:
         def gamma(js):
             spectra = [self._chain[js, n + i, :size] for i, size in enumerate(sizes)]
             ranks = _block_ranks(spectra, (dim_c, dim_c))
-
-            def left_kernels(t):
-                blocks, bmap = _value(ranks[t]), self.Bmap[js[t]]
-                deficient = [(block, r) for block, size, r in zip(ix.gamma, sizes, blocks) if r < size]
-                return sum(blocks), [(b[0], la.null_space(bmap[b].conj().T, r).conj().T) for b, r in deficient]
-
-            return _each(left_kernels, len(js))
+            deficient = [
+                (t, block, b)
+                for t, r in enumerate(ranks) if not isinstance(r, RankIndeterminate)
+                for block, size, b in zip(ix.gamma, sizes, r) if b < size
+            ]
+            out = [r if isinstance(r, RankIndeterminate) else (sum(r), []) for r in ranks]
+            if deficient:
+                kernels = la.null_spaces(
+                    [self.Bmap[js[t]][block].conj().T for t, block, _ in deficient], [b for *_, b in deficient]
+                )
+                for (t, block, _), w in zip(deficient, kernels):
+                    out[t][1].append((block[0], w.conj().T))
+            return out
 
         return self._per_eta("gamma", gamma)
 
     @cached_property
     def _bmap_rank(self) -> list:
-        """Per point: rank(gamma) + rank(W^H delta) (see the class)."""
+        """Per point: rank(gamma) + rank(W^H delta) (see the class); the W^H
+        delta of one shape are one batched SVD and one stacked decision."""
         dim_b = self.Bmap.shape[2] - self.Bmap.shape[1]
-
-        def bmap_rank(j):
-            rank, kernels = _value(self._gamma[j])
-            if not kernels:
-                return rank
-            bmap = self.Bmap[j]
-            s = la.svd(np.vstack([w @ bmap[rows, :dim_b] for rows, w in kernels]), compute_uv=False)
-            return rank + la.rank_decision(s, bmap.shape, self._fro_bmap[j])
-
-        return _each(bmap_rank, len(self))
+        out = [g if isinstance(g, RankIndeterminate) else g[0] for g in self._gamma]
+        by_shape: dict[tuple, list] = {}
+        for j, g in enumerate(self._gamma):
+            if not isinstance(g, RankIndeterminate) and g[1]:
+                w_delta = np.vstack([w @ self.Bmap[j, rows, :dim_b] for rows, w in g[1]])
+                by_shape.setdefault(w_delta.shape, []).append((j, w_delta))
+        for group in by_shape.values():
+            js = [j for j, _ in group]
+            spectra = la.svd(np.stack([w_delta for _, w_delta in group]), compute_uv=False)
+            for j, rank in zip(js, la.rank_decisions(spectra, self.Bmap.shape[1:], self._fro_bmap[js])):
+                out[j] = rank if isinstance(rank, RankIndeterminate) else out[j] + rank
+        return out
 
     @cached_property
     def _mu_rank(self) -> list:
         """Per point: rank(mu), from its R rows at mu's shape."""
-        spectra = self._g_mu[1][:, : self.mu.shape[2]]
-        return _each(lambda j: la.rank_decision(spectra[j], self.mu.shape[1:]), len(self))
+        return la.rank_decisions(self._g_mu[1][:, : self.mu.shape[2]], self.mu.shape[1:])
 
     def _amap_rank(self, j: int) -> int:
         """rank(Amap) at point j: dimA - dim ker M."""
@@ -375,17 +393,6 @@ def _len(s: slice) -> int:
     return s.stop - s.start
 
 
-def _each(result: Callable[[int], object], k: int) -> list:
-    """result(j) for each point j of a stack, or the RankIndeterminate it raised."""
-    out = []
-    for j in range(k):
-        try:
-            out.append(result(j))
-        except RankIndeterminate as exc:
-            out.append(exc)
-    return out
-
-
 def _value(result):
     """A per-point result of MonadStack: raise it if it is a RankIndeterminate."""
     if isinstance(result, RankIndeterminate):
@@ -399,21 +406,22 @@ def _block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
     RankIndeterminate its decision raised.
 
     A point's union of block spectra is the spectrum of its whole matrix,
-    ranked in one decision; a block's rank is the count of its values among
-    the union's top `rank`.
+    ranked in one decision for all points (la.rank_decisions); a block's
+    rank is the count of its values among the union's top `rank`.
     """
     sizes = [s.shape[1] for s in spectra]
     union = np.concatenate(spectra, axis=1)
     ranked = np.sort(union, axis=1)[:, ::-1]
-
-    def ranks(j):
-        rank = la.rank_decision(ranked[j], shape)
-        if rank == union.shape[1]:
-            return sizes
-        owner = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(union[j])[::-1]]
-        return np.bincount(owner[:rank], minlength=len(sizes)).tolist()
-
-    return _each(ranks, len(union))
+    ranks = la.rank_decisions(ranked, shape)
+    out = [r if isinstance(r, RankIndeterminate) else sizes for r in ranks]
+    partial = [j for j, r in enumerate(ranks) if not isinstance(r, RankIndeterminate) and r < union.shape[1]]
+    if partial:  # the union's top `rank` values are those >= its rank-th largest
+        rank = np.array([ranks[j] for j in partial])
+        least = np.where(rank > 0, ranked[partial, rank - 1], np.inf)
+        owner = np.repeat(np.eye(len(sizes), dtype=np.intp), sizes, axis=0)
+        for j, count in zip(partial, ((union[partial] >= least[:, None]) @ owner).tolist()):
+            out[j] = count
+    return out
 
 
 def _fro(stack: np.ndarray) -> np.ndarray:
@@ -762,25 +770,28 @@ def random_points(b: BowDatum, n_random: int, seed: int) -> list[SurfacePoint]:
 def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanReport:
     """Evaluate fiber rank and the local-freeness criterion over a sample.
 
-    Random points cannot fail: away from the chain spectra every
-    eta I - beta_i is invertible, so mu spans ker(alpha), the quotient is
-    zero and the rank is exactly n.  They test conditioning only; the
-    structured points over the chain eigenvalues carry the information.
-    Indeterminate rank decisions are collected separately, never coerced
-    into pass or fail; the report keeps each one's reason.
+    Away from the chain spectra every eta I - beta_i is invertible, so
+    dim ker(Amap) = d0 + dn and rank(mu) = dn + rank S(eta, beta_0).  S is
+    singular, and the criterion fails over the whole fiber while the rank
+    stays n, at each eta* != lambda with p(eta*) = p(lambda) for an
+    eigenvalue lambda of beta_0, p(t) = prod_i (t - z_i): never when k = 1,
+    and a random point misses eta* almost surely.  The structured points
+    over the chain eigenvalues carry the information.  Indeterminate rank
+    decisions are collected separately, never coerced into pass or fail;
+    the report keeps each one's reason.
 
-    The points are assembled and ranked in chunks of as many as fit in
-    CHUNK_BYTES, and at least one.  Each chunk is a MonadStack (see there),
-    which ranks its points from blocks, never from a whole Amap, Bmap or
-    alpha.  What depends on eta alone (the SVD of alpha's P-blocks and
+    The points are assembled by the datum's kept monad_assembler and ranked
+    in chunks of as many as fit in CHUNK_BYTES, and at least one.  Each
+    chunk is a MonadStack (see there), which ranks its points from blocks,
+    never from a whole Amap, Bmap or alpha, and takes each kind of rank
+    decision for the whole chunk at once.  What depends on eta alone (the SVD of alpha's P-blocks and
     gamma's blocks, gamma's ranks, W and the K_i) is computed once per eta
     and kept, keyed by exact eta, while that eta's adjacent points last, so
     also across a chunk boundary that falls among them.
     """
     batches = [(pt, "random") for pt in random_points(b, config.n_random, config.seed)]
     batches += [(pt, "structured") for pt in structured_points(b)]
-    # a new assembler, not the datum's kept one: its templates go with the scan
-    assemble = monad_assembler(b)
+    assemble = b.monad_assembler
     size = max(1, CHUNK_BYTES // block_layout(b.dims.d).point_bytes)
     reports, shared = [], {}  # shared: eta-only results, keyed (what, eta, ...)
     for start in range(0, len(batches), size):

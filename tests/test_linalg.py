@@ -4,6 +4,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowforge import _linalg as la
 from bowforge.errors import RankIndeterminate
@@ -150,6 +152,83 @@ def test_rank_decision_matches_straddle_mask():
                 la.rank_decision(s, shape)
         else:
             assert la.rank_decision(s, shape) == np.count_nonzero(s > cut)
+
+
+def _band_edges(cut):
+    """The straddle band's edges cut * STRADDLE_FACTOR and cut / STRADDLE_FACTOR,
+    each with its neighbours one ulp below and above."""
+    edges = (cut * la.STRADDLE_FACTOR, cut / la.STRADDLE_FACTOR)
+    return [v for edge in edges for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
+
+
+@st.composite
+def decision_stacks(draw):
+    """(s, shape, sigma_max): up to 12 rows of up to 6 values each, drawn on
+    and around the straddle band of the row's cutoff, at the row's own scale
+    (its first value) or, with sigma_max given, at a parent's scale far above
+    the row, as W^H delta is ranked at fro(Bmap)."""
+    shape = (draw(st.integers(0, 40)), draw(st.integers(0, 40)))
+    k, m = draw(st.integers(0, 12)), draw(st.integers(0, 6))
+    at_parent_scale = draw(st.booleans())
+    rows, scales = [], []
+    for _ in range(k):
+        scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+        cut = la.rank_cutoff(scale, shape)
+        value = st.one_of(
+            st.sampled_from(_band_edges(cut) + [0.0]),
+            st.floats(-3.0, 3.0).map(lambda e, cut=cut: cut * 10.0 ** e),
+            st.sampled_from([np.inf, np.nan]),
+        )
+        values = sorted(draw(st.lists(value, min_size=m, max_size=m)), reverse=True)
+        if m and not at_parent_scale:
+            values[0] = scale  # the scale sigma_max defaults to
+        rows.append(values)
+        scales.append(scale)
+    return np.array(rows, dtype=float).reshape(k, m), shape, np.array(scales) if at_parent_scale else None
+
+
+def _outcome(rank):
+    return ("raised", str(rank)) if isinstance(rank, RankIndeterminate) else rank
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(decision_stacks())
+def test_stacked_rank_decisions_equal_the_rule_row_by_row(case):
+    # the stacked form returns, row by row, what rank_decision returns or
+    # raises: the same rank, or the same message; also for rows with no
+    # values, stacks of one and a given sigma_max
+    s, shape, sigma_max = case
+    expected = []
+    for r, row in enumerate(s):
+        try:
+            expected.append(la.rank_decision(row, shape, None if sigma_max is None else sigma_max[r]))
+        except RankIndeterminate as exc:
+            expected.append(("raised", str(exc)))
+    assert [_outcome(rank) for rank in la.rank_decisions(s, shape, sigma_max)] == expected
+    for r in range(len(s)):
+        one = la.rank_decisions(s[r : r + 1], shape, None if sigma_max is None else sigma_max[r : r + 1])
+        assert [_outcome(rank) for rank in one] == expected[r : r + 1]
+
+
+def test_stacked_rank_decisions_hand_only_rows_near_the_band_to_the_rule(monkeypatch):
+    shape = (5, 7)
+    cut = la.rank_cutoff(1.0, shape)
+    s = np.tile([1.0, 0.5, 1e-20], (la.STACKED_DECISION_ROWS + 3, 1))
+    s[2, 1] = 2.0 * cut  # inside the band: raises
+    s[4, 2] = cut * la.STRADDLE_FACTOR  # on the band's edge: rank 3
+    s[5, 2] = cut * la.STRADDLE_FACTOR * 1.5  # off the band: rank 3, counted in numpy
+    handed = []
+    rule = la.rank_decision
+
+    def spy(row, shape, sigma_max=None):
+        handed.append(row.tolist())
+        return rule(row, shape, sigma_max)
+
+    monkeypatch.setattr(la, "rank_decision", spy)
+    ranks = la.rank_decisions(s, shape)
+    assert handed == [s[2].tolist(), s[4].tolist()]
+    assert isinstance(ranks[2], RankIndeterminate) and "straddle" in str(ranks[2])
+    assert [r for i, r in enumerate(ranks) if i != 2] == [2, 2, 2, 3, 3] + [2] * (len(s) - 6)
 
 
 def test_complement_by_null_space_of_adjoint():

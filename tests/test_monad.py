@@ -480,13 +480,13 @@ def test_fiber_width_follows_the_block_rank_of_bmap(monkeypatch):
     # (W^H delta at fro(Bmap)) patched to find one less, a dense rank of Bmap
     # would disagree wherever a block of gamma is deficient.  Unpatched, the
     # two agree on more data in test_fiber_rank_matches_fiber_basis.
-    real_rank_decision = la.rank_decision
+    real_rank_decisions = la.rank_decisions
 
     def one_less_at_parent_scale(s, shape, sigma_max=None):
-        rank = real_rank_decision(s, shape, sigma_max)
-        return rank - 1 if sigma_max is not None else rank
+        ranks = real_rank_decisions(s, shape, sigma_max)
+        return [rank - 1 if sigma_max is not None else rank for rank in ranks]
 
-    monkeypatch.setattr(la, "rank_decision", one_less_at_parent_scale)
+    monkeypatch.setattr(la, "rank_decisions", one_less_at_parent_scale)
     widths = []
     for d in (e.datum for e in canonical_examples()):
         stack = monad_assembler(d)(random_points(d, 6, seed=13) + structured_points(d))
@@ -670,6 +670,26 @@ def test_locally_free_matches_kernel_quotient_oracle():
     assert compared >= 0.9 * total
 
 
+def test_mu_loses_a_rank_where_p_repeats_an_eigenvalue_of_beta_0():
+    # Off the chain spectra, where no P-block is deficient, rank M = d0 + dn
+    # and rank mu = dn + rank S(eta, beta_0).  S(eta, beta_0) =
+    # (p(eta) - p(beta_0)) (eta - beta_0)^{-1} is singular at each eta* !=
+    # lambda with p(eta*) = p(lambda), lambda an eigenvalue of beta_0; for two
+    # NUTs eta* = z_1 + z_2 - lambda.  Over eta*, mu loses a rank and
+    # locally_free fails while the fiber rank stays n: the block ranks and
+    # the dense ranks agree.  A point 1e-9 away passes.
+    d = generate(suite_topology(2, 2, 2), seed=4)
+    d0, dn, n = d.dims.d[0], d.dims.d[-1], d.topo.n
+    for lam in d.eigenvalues[0]:
+        eta = sum(d.topo.z) - lam
+        assert min(abs(eta - v) for v in d.spectra()) > 0.5
+        for xi in (1.0, 10.0):
+            m = assemble_monad(d, point(d, xi, eta))
+            assert block_verdict(m, 0) == dense_verdict(m, 0) == ("fail", n, False, 1)
+            assert dense_rank(m.mu[0]) == d0 + dn - 1
+            assert block_verdict(assemble_monad(d, point(d, xi, eta + 1e-9)), 0) == ("ok", n, True, 0)
+
+
 def test_degenerate_datum_tor_criterion():
     # The all-zero degenerate datum breaks exactness (torsion in the
     # rank-one sheaf) but its monad kernel is still a line bundle, so the
@@ -724,14 +744,14 @@ def test_scan_report_structure(u2):
 def test_scan_reports_raising_points_indeterminate(u2, monkeypatch):
     # W^H delta, the one decision at its parent's scale, is taken only where a
     # block of gamma is deficient: at every structured point, at no random one
-    real_rank_decision = la.rank_decision
+    real_rank_decisions = la.rank_decisions
 
     def straddle_at_parent_scale(s, shape, sigma_max=None):
         if sigma_max is not None:
-            raise RankIndeterminate("singular value straddles the cutoff")
-        return real_rank_decision(s, shape)
+            return [RankIndeterminate("singular value straddles the cutoff") for _ in s]
+        return real_rank_decisions(s, shape)
 
-    monkeypatch.setattr(la, "rank_decision", straddle_at_parent_scale)
+    monkeypatch.setattr(la, "rank_decisions", straddle_at_parent_scale)
     u2 = dataclasses.replace(u2)  # a new datum, so nothing it keeps predates the patch
     report = scan_local_freeness(u2, ScanConfig(n_random=5, seed=1))
     assert report.indeterminate == tuple(p for p in report.points if p.kind == "structured")
@@ -756,6 +776,7 @@ def test_scan_assembles_once_per_point(u2, monkeypatch):
         return counting
 
     monkeypatch.setattr(monad, "monad_assembler", counting_assembler)
+    u2 = dataclasses.replace(u2)  # a new datum, whose kept assembler is built under the patch
     report = scan_local_freeness(u2, ScanConfig(n_random=6, seed=3))
     assert [] not in calls  # no empty stack is assembled, for its sizes or otherwise
     assert [x for chunk in calls for x in chunk] == [p.point for p in report.points]
@@ -797,6 +818,7 @@ def test_scan_report_independent_of_chunking(canon, monkeypatch, name):
         return recording
 
     monkeypatch.setattr(monad, "monad_assembler", recording_assembler)
+    d = dataclasses.replace(d)  # a new datum, whose kept assembler is built under the patch
     reports = []
     for size in (1, 2, 7, len(points)):
         chunks.clear()
@@ -832,18 +854,18 @@ def test_scan_shares_eta_only_work_across_chunks(monkeypatch, name, size):
 
     chain_blocks = 2 * d.topo.n + 1
     padded, kernels = [], []
-    padded_spectra, null_space = la.padded_spectra, la.null_space
+    padded_spectra, null_spaces = la.padded_spectra, la.null_spaces
 
     def counting_padded(blocks):
         padded.append((len(blocks), len(blocks[0])))
         return padded_spectra(blocks)
 
-    def counting_null_space(m, rank=None):
-        kernels.append(np.shape(m))
-        return null_space(m, rank)
+    def counting_null_spaces(ms, ranks):
+        kernels.extend(np.shape(m) for m in ms)
+        return null_spaces(ms, ranks)
 
     monkeypatch.setattr(la, "padded_spectra", counting_padded)
-    monkeypatch.setattr(la, "null_space", counting_null_space)
+    monkeypatch.setattr(la, "null_spaces", counting_null_spaces)
 
     def w_and_k(calls):  # W's SVDs take square blocks, K_i's take (d_i + 1) x d_i ones
         return sum(a == b for a, b in calls), sum(a != b for a, b in calls)
@@ -877,16 +899,18 @@ def test_shared_indeterminate_decision_reaches_every_point_of_its_eta(monkeypatc
     config = ScanConfig(n_random=8, seed=4)
     before = scan_local_freeness(d, config).points
     dim_c = monad_dimensions(d.dims)[2]
-    rank_decision = la.rank_decision
+    rank_decisions = la.rank_decisions
     straddles = []
 
     def straddle_where_gamma_is_deficient(s, shape, sigma_max=None):
-        if shape == (dim_c, dim_c) and sigma_max is None and s[-1] < 1e-8 * s[0]:
-            straddles.append(s)
-            raise RankIndeterminate(f"gamma decision {len(straddles)} straddles its cutoff")
-        return rank_decision(s, shape, sigma_max)
+        ranks = rank_decisions(s, shape, sigma_max)
+        for r, row in enumerate(s):
+            if shape == (dim_c, dim_c) and sigma_max is None and row[-1] < 1e-8 * row[0]:
+                straddles.append(row)
+                ranks[r] = RankIndeterminate(f"gamma decision {len(straddles)} straddles its cutoff")
+        return ranks
 
-    monkeypatch.setattr(la, "rank_decision", straddle_where_gamma_is_deficient)
+    monkeypatch.setattr(la, "rank_decisions", straddle_where_gamma_is_deficient)
     monkeypatch.setattr(monad, "CHUNK_BYTES", (size or len(before)) * block_layout(d.dims.d).point_bytes)
     after = scan_local_freeness(dataclasses.replace(d), config).points
 
