@@ -53,15 +53,6 @@ class ValidationReport:
     def failures(self) -> list[RelationCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def by_name(self, name: str) -> RelationCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
 
 def _freeze(m: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(m, dtype=np.complex128)

@@ -257,15 +257,9 @@ def _load_json(data) -> dict:
     return doc
 
 
-def parse_topology(data) -> TopologicalData:
-    doc = _load_json(data)
-    if doc.get("format") not in (FORMAT_TOPOLOGY, FORMAT_BOWFILE):
-        raise ParseError(f"unexpected format marker {doc.get('format')!r}")
-    return topology_from_doc(doc.get("topology"))
-
-
-def parse(data) -> BowFile:
-    """Parse a bow (or topology-only) file; validates shapes on the way in."""
+def _header(data) -> tuple[dict, TopologicalData, dict | None]:
+    """The document of a bow or topology file, its topology and its
+    metadata, with the format marker, version and metadata checked."""
     doc = _load_json(data)
     fmt = doc.get("format")
     if fmt not in (FORMAT_BOWFILE, FORMAT_TOPOLOGY):
@@ -281,6 +275,17 @@ def parse(data) -> BowFile:
         canonical_dumps(metadata)  # what cannot be written back is not read
     except ValueError as exc:
         raise ParseError(f"metadata: {exc}") from exc
+    return doc, topo, metadata
+
+
+def parse_topology(data) -> TopologicalData:
+    """The topology of a bow or topology file, its header checked as parse checks it."""
+    return _header(data)[1]
+
+
+def parse(data) -> BowFile:
+    """Parse a bow (or topology-only) file; validates shapes on the way in."""
+    doc, topo, metadata = _header(data)
 
     datum = None
     bow = doc.get("bow")

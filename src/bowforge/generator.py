@@ -156,19 +156,13 @@ def _build_p_chain(t: TopologicalData, dn: tuple[int, ...], rng: np.random.Gener
     Mxi: list = [None] * k
     Mpsi: list = [None] * k
 
-    def set_forward(j):  # node j-1 known, factor it, determine node j
+    def step(known, new, left, right):  # node `known` known, factor it, determine node `new`
+        j = max(known, new)
         z = t.z[j - 1]
-        C = betaN[j - 1] - z * np.eye(dn[j - 1], dtype=np.complex128)
-        L, R = rank_factorization(C, dn[j], rng)  # C = Mpsi @ Mxi
-        Mpsi[j - 1], Mxi[j - 1] = L, R
-        betaN[j] = R @ L + z * np.eye(dn[j], dtype=np.complex128)
-
-    def set_backward(j):  # node j known, factor it, determine node j-1
-        z = t.z[j - 1]
-        C = betaN[j] - z * np.eye(dn[j], dtype=np.complex128)
-        L, R = rank_factorization(C, dn[j - 1], rng)  # C = Mxi @ Mpsi
-        Mxi[j - 1], Mpsi[j - 1] = L, R
-        betaN[j - 1] = R @ L + z * np.eye(dn[j - 1], dtype=np.complex128)
+        C = betaN[known] - z * np.eye(dn[known], dtype=np.complex128)
+        L, R = rank_factorization(C, dn[new], rng)  # C = left @ right
+        left[j - 1], right[j - 1] = L, R
+        betaN[new] = R @ L + z * np.eye(dn[new], dtype=np.complex128)
 
     s = min(j0 + 1, k)  # seed the step right of the valley, or left of a right-end one
     z = t.z[s - 1]
@@ -176,10 +170,10 @@ def _build_p_chain(t: TopologicalData, dn: tuple[int, ...], rng: np.random.Gener
     Mxi[s - 1] = ginibre(rng, dn[s], dn[s - 1])
     betaN[s - 1] = Mpsi[s - 1] @ Mxi[s - 1] + z * np.eye(dn[s - 1], dtype=np.complex128)
     betaN[s] = Mxi[s - 1] @ Mpsi[s - 1] + z * np.eye(dn[s], dtype=np.complex128)
-    for j in range(s + 1, k + 1):
-        set_forward(j)
-    for j in range(s - 1, 0, -1):
-        set_backward(j)
+    for j in range(s + 1, k + 1):  # forward: node j - 1 = Mpsi Mxi + z
+        step(j - 1, j, Mpsi, Mxi)
+    for j in range(s - 1, 0, -1):  # backward: node j = Mxi Mpsi + z
+        step(j, j - 1, Mxi, Mpsi)
     return betaN, Mxi, Mpsi
 
 

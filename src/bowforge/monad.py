@@ -139,15 +139,15 @@ class MonadStack:
     BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G and mu's R rows
     one padded SVD, and the Ms of one width one more.  Each kind of rank
     decision is taken for the whole stack, one la.rank_decisions call per
-    shape, and so are the small SVDs (W^H delta, W, the K_i), one la.svd
-    call per shape.  The
-    P-blocks and gamma's blocks depend on eta alone: their padded SVD,
-    gamma's ranks, W and the K_i are computed once per eta of `shared`,
-    which scan_local_freeness passes to all its stacks of one datum, and
-    else once per point.  What depends on xi is per point: alpha's rank (G
-    is ranked with the P-blocks), M, W^H delta and rank(mu).  A per-point
-    result is a value or the RankIndeterminate raised when its point, or
-    each point of its eta, is asked.
+    shape, and so are the small SVDs (W^H delta, the K_i and W), one la.svd
+    call per shape; each matrix is ranked once.  The P-blocks and gamma's
+    blocks depend on eta alone: their padded SVD, gamma's ranks and the
+    kernels K_i and W_i are kept by _per_eta under keys (what, eta key, ...):
+    the eta key is the exact eta in `shared`, which scan_local_freeness passes
+    to all its stacks of one datum, else the point's index.  What depends on xi
+    is per point: alpha's rank (G is ranked with the P-blocks), M, W^H delta
+    and rank(mu).  A per-point result is a value or the RankIndeterminate
+    raised when its point, or each point of its eta, is asked.
     """
 
     points: tuple[SurfacePoint, ...]
@@ -200,21 +200,40 @@ class MonadStack:
             return list(range(len(self))), {}
         return [x.eta for x in self.points], self.shared
 
-    def _per_eta(self, name: str, compute: Callable[[list[int]], Sequence]) -> list:
-        """Per point, the eta-only result `name`: compute(js) returns those
-        of the points js, one point of each eta that has none kept yet."""
-        keys, kept = self._keys
-        new = {key: j for j, key in enumerate(keys) if (name, key) not in kept}
+    def _per_eta(self, keys: list[tuple], compute: Callable[[list[int]], Sequence]) -> list:
+        """The kept result of each key (what, eta key, ...) of `keys`:
+        compute(ts) returns those of keys[t] for one t of each key not kept yet."""
+        kept = self._keys[1]
+        new = {key: t for t, key in enumerate(keys) if key not in kept}
         if new:
-            kept.update(zip([(name, key) for key in new], compute(list(new.values()))))
-        return [kept[name, key] for key in keys]
+            kept.update(zip(new, compute(list(new.values()))))
+        return [kept[key] for key in keys]
+
+    def _kernels(self, what: str, ranks: list, sizes: list[int], block: Callable) -> list:
+        """Per point: the sum of its block ranks ranks[j] (or the
+        RankIndeterminate they raised), and (i, kernel of block(j, i)) for
+        each block i of rank below sizes[i].  Each kernel is kept per eta,
+        block and rank; the new ones take one SVD call per shape."""
+        deficient = [
+            (j, i, b)
+            for j, r in enumerate(ranks) if not isinstance(r, RankIndeterminate)
+            for i, (size, b) in enumerate(zip(sizes, r)) if b < size
+        ]
+        keys = [(what, self._keys[0][j], i, b) for j, i, b in deficient]
+        kernels = self._per_eta(keys, lambda ts: la.null_spaces(
+            [block(*deficient[t][:2]) for t in ts], [deficient[t][2] for t in ts]
+        ))
+        out = [r if isinstance(r, RankIndeterminate) else (sum(r), []) for r in ranks]
+        for (j, i, _), k in zip(deficient, kernels):
+            out[j][1].append((i, k))
+        return out
 
     @cached_property
     def _chain(self) -> np.ndarray:
         """Per point: the singular values of alpha's P-blocks then gamma's
         blocks, from one padded SVD (la.padded_spectra) of the new etas."""
-        ix = self.block_index
-        return np.array(self._per_eta("chain", lambda js: la.padded_spectra(
+        ix, keys = self.block_index, [("chain", key) for key in self._keys[0]]
+        return np.array(self._per_eta(keys, lambda js: la.padded_spectra(
             [self.Amap[js, r, c] for r, c in ix.alpha_p] + [self.Bmap[js, r, c] for r, c in ix.gamma]
         ).reshape(len(ix.alpha_p) + len(ix.gamma), len(js), -1).swapaxes(0, 1)))
 
@@ -227,31 +246,14 @@ class MonadStack:
 
     @cached_property
     def _alpha(self) -> list:
-        """Per point: rank(alpha), and (i, K_i) for each rank-deficient P-block
-        i; each K_i is kept per eta, block and rank, and the new ones of the
-        stack take one SVD call per shape (la.null_spaces)."""
+        """Per point: rank(alpha), decided with G, and (i, K_i) for each
+        rank-deficient P-block i, K_i its kernel (_kernels)."""
         ix = self.block_index
         sizes = [min(map(_len, s)) for s in ix.alpha_p]
         spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
         spectra.append(self._g_mu[0][:, : min(map(_len, ix.alpha_g))])
         ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
-        deficient = [
-            (j, i, b)
-            for j, r in enumerate(ranks) if not isinstance(r, RankIndeterminate)
-            for i, (size, b) in enumerate(zip(sizes, r)) if b < size
-        ]
-        out = [r if isinstance(r, RankIndeterminate) else (sum(r), []) for r in ranks]
-        if deficient:
-            keys, kept = self._keys
-            new = {}
-            for j, i, b in deficient:
-                if ("K", keys[j], i, b) not in kept:
-                    new.setdefault(("K", keys[j], i, b), (self.Amap[j][ix.alpha_p[i]], b))
-            if new:
-                kept.update(zip(new, la.null_spaces(*zip(*new.values()))))
-            for j, i, b in deficient:
-                out[j][1].append((i, kept["K", keys[j], i, b]))
-        return out
+        return self._kernels("K", ranks, sizes, lambda j, i: self.Amap[j][ix.alpha_p[i]])
 
     def _m(self, j: int) -> np.ndarray:
         """M of point j (see the class) without its zero rows: off the
@@ -288,42 +290,26 @@ class MonadStack:
 
     @cached_property
     def _gamma(self) -> list:
-        """Per point: rank(gamma), and (rows, W_i^H) for each rank-deficient
-        block i of gamma, W_i its left kernel; computed once per eta, the
-        new W_i of the stack with one SVD call per shape."""
+        """Per point: rank(gamma), decided once per eta key, and (i, W_i) for
+        each rank-deficient block i of gamma, W_i its left kernel (_kernels)."""
         ix = self.block_index
         n, dim_c = len(ix.alpha_p), self.Bmap.shape[1]
         sizes = [_len(r) for r, _ in ix.gamma]
-
-        def gamma(js):
-            spectra = [self._chain[js, n + i, :size] for i, size in enumerate(sizes)]
-            ranks = _block_ranks(spectra, (dim_c, dim_c))
-            deficient = [
-                (t, block, b)
-                for t, r in enumerate(ranks) if not isinstance(r, RankIndeterminate)
-                for block, size, b in zip(ix.gamma, sizes, r) if b < size
-            ]
-            out = [r if isinstance(r, RankIndeterminate) else (sum(r), []) for r in ranks]
-            if deficient:
-                kernels = la.null_spaces(
-                    [self.Bmap[js[t]][block].conj().T for t, block, _ in deficient], [b for *_, b in deficient]
-                )
-                for (t, block, _), w in zip(deficient, kernels):
-                    out[t][1].append((block[0], w.conj().T))
-            return out
-
-        return self._per_eta("gamma", gamma)
+        ranks = self._per_eta([("gamma", key) for key in self._keys[0]], lambda js: _block_ranks(
+            [self._chain[js, n + i, :size] for i, size in enumerate(sizes)], (dim_c, dim_c)
+        ))
+        return self._kernels("W", ranks, sizes, lambda j, i: self.Bmap[j][ix.gamma[i]].conj().T)
 
     @cached_property
     def _bmap_rank(self) -> list:
         """Per point: rank(gamma) + rank(W^H delta) (see the class); the W^H
         delta of one shape are one batched SVD and one stacked decision."""
-        dim_b = self.Bmap.shape[2] - self.Bmap.shape[1]
+        gamma, dim_b = self.block_index.gamma, self.Bmap.shape[2] - self.Bmap.shape[1]
         out = [g if isinstance(g, RankIndeterminate) else g[0] for g in self._gamma]
         by_shape: dict[tuple, list] = {}
         for j, g in enumerate(self._gamma):
             if not isinstance(g, RankIndeterminate) and g[1]:
-                w_delta = np.vstack([w @ self.Bmap[j, rows, :dim_b] for rows, w in g[1]])
+                w_delta = np.vstack([w.conj().T @ self.Bmap[j, gamma[i][0], :dim_b] for i, w in g[1]])
                 by_shape.setdefault(w_delta.shape, []).append((j, w_delta))
         for group in by_shape.values():
             js = [j for j, _ in group]
@@ -379,7 +365,8 @@ class MonadStack:
     def _amap_kernel(self, j: int) -> np.ndarray:
         """Orthonormal basis of ker(Amap) at point j: ker M with each K_i put back."""
         ix = self.block_index
-        y = la.null_space(self._m(j))
+        m = self._m(j)
+        y = la.null_space(m, m.shape[1] - self._amap_nullity[j])
         kernel = np.zeros((self.Amap.shape[2], y.shape[1]), dtype=np.complex128)
         off = 0
         for i, k in self._alpha[j][1]:

@@ -257,7 +257,7 @@ def test_generate_valley_profile():
     assert all(r.passed for r in check_exactness_all(d))
     # nd_1 = -1 exercises the reciprocal telescoping direction
     report = check_chain_invariants(d, tol=1e-6)
-    assert report.by_name("charpoly-telescope[1]").passed
+    assert {c.name: c for c in report.checks}["charpoly-telescope[1]"].passed
     assert report.passed
 
 

@@ -218,6 +218,21 @@ def test_cli_dims_invalid_topology_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("header", [{"version": 2}, {"version": "x"}, {"version": None}, {"metadata": "nope"}])
+def test_cli_every_reader_checks_the_header(tmp_path, capsys, header):
+    # dims and gen read the topology alone, and check the header as validate does
+    doc = json.loads((FIXTURES / "u2-topology.json").read_text())
+    doc.update(header)
+    bad = tmp_path / "bad-header.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "generated.json"
+    assert main(["dims", str(bad)]) == 2
+    assert main(["gen", str(bad), "--seed", "5", "-o", str(out)]) == 2
+    assert main(["validate", str(bad)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_cli_gen_validate_roundtrip(tmp_path, capsys):
     out = tmp_path / "generated.json"
     assert main(["gen", fixture("u2-topology"), "--seed", "5", "-o", str(out)]) == 0

@@ -586,6 +586,28 @@ def zeroed_p_column(m):
     return dataclasses.replace(m, Amap=amap)
 
 
+def test_each_matrix_ranked_once(u2, monkeypatch):
+    # M's rank is decided once for the stack, in numpy (a stack of at least
+    # STACKED_DECISION_ROWS hands no row off the band to the rule); the
+    # witness takes ker M at that rank and never decides it again
+    etas = np.linspace(-1.7 + 0.9j, 2.3 - 1.1j, la.STACKED_DECISION_ROWS)
+    broken = zeroed_p_column(monad_assembler(u2)([point(u2, 1.3, eta) for eta in etas]))
+    expected = [broken.locally_free(j) for j in range(len(broken))]
+    assert all(not r.passed and r.quotient_dim == 1 for r in expected)
+    m_shape, rank_decision = broken._m(0).shape, la.rank_decision
+
+    def never_for_m(s, shape, sigma_max=None):
+        assert shape != m_shape, "M ranked a second time"
+        return rank_decision(s, shape, sigma_max)
+
+    monkeypatch.setattr(la, "rank_decision", never_for_m)
+    fresh = dataclasses.replace(broken)  # nothing decided yet
+    for j, before in enumerate(expected):
+        after = fresh.locally_free(j)
+        assert (after.passed, after.quotient_dim) == (False, 1)
+        assert after.witness.tobytes() == before.witness.tobytes()
+
+
 def test_block_ranks_match_dense_oracle(u2):
     data = [generate(suite_topology(3, 3, m0), seed=s) for m0 in (3, 10) for s in (101, 202)]
     data += [e.datum for e in canonical_examples()] + [degenerate_example()[1]]

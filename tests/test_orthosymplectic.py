@@ -72,7 +72,7 @@ def test_identity_k_detects_asymmetric_beta():
         f=(1, 1),
     )
     report = verify_pairing_relations(datum, naive, tol=1e-9)
-    check = report.by_name("beta-adjoint[0]")
+    check = {c.name: c for c in report.checks}["beta-adjoint[0]"]
     expected = rel_residual(datum.beta[0].T, datum.beta[2])
     assert check.residual == pytest.approx(expected)
     assert expected > 1e-3 and not check.passed
