@@ -13,6 +13,11 @@ singular values per matrix: it counts every row in numpy and hands each row
 with a value on or inside the straddle band to `rank_decision`, so a stack
 gets, row by row, the rank or the exception that the rule gives.  `null_spaces` likewise takes the
 kernels of many matrices at ranks decided before, one SVD call per shape.
+`full_rank` proves, without an SVD, a full rank that the rule would give:
+where its Cholesky certificate holds, every singular value lies far above
+the straddle band.  It is not a second rule: where it proves nothing, the
+caller asks `rank_decision`, which alone defines the cutoff, the straddle
+test and its message.
 
 Every Schur form goes through `schur`, the one caller of LAPACK zgees, and
 `sylvester` solves P X - X Q = C from two of them with ztrsyl.  Both run
@@ -80,11 +85,15 @@ RANK_SAFETY = 64
 # Singular values within this factor of the cutoff (either side) make a
 # rank decision indeterminate.
 STRADDLE_FACTOR = np.sqrt(10.0)
+# full_rank proves every singular value above this factor times the straddle
+# band's upper edge; the margin covers the rounding of the rule's own SVD.
+FULL_RANK_MARGIN = 2.0
 # Below this many rows a stacked rank decision takes its rows one by one, the
 # cheaper way where numpy's cost per call exceeds the rule's cost per row.
 STACKED_DECISION_ROWS = 6
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def cmat(a) -> np.ndarray:
@@ -191,6 +200,38 @@ def _decided(s, shape: tuple[int, int], sigma_max) -> int | RankIndeterminate:
         return rank_decision(s, shape, sigma_max)
     except RankIndeterminate as exc:
         return exc
+
+
+def full_rank(a, shape: tuple[int, int], scale) -> np.ndarray:
+    """Per matrix A of the k x m x n stack `a` (m >= n): True where a Cholesky
+    factorization proves every singular value of A above FULL_RANK_MARGIN *
+    STRADDLE_FACTOR * rank_cutoff(scale, shape), so that rank_decision gives
+    rank n with no straddle; False proves nothing.
+
+    `scale`, one per matrix, is fro(A), which bounds sigma_max from above.
+    The proof is a Cholesky factor of A^H A - tau I, with tau that bound
+    squared plus 1.01 (m + n (n + 1)) eps fro(A)^2, the rounding of the Gram
+    product and of its factorization, which holds while tau is a normal
+    number.  A subnormal tau, or a non-finite entry or scale, leaves a
+    non-finite pivot, and proves nothing.  A failed batched factorization is
+    retried one matrix at a time.
+    """
+    a = np.asarray(a)
+    k, m, n = a.shape
+    scale = np.asarray(scale, dtype=float)
+    bound = FULL_RANK_MARGIN * STRADDLE_FACTOR * rank_cutoff(scale, shape)
+    tau = bound * bound + 1.01 * (m + n * (n + 1)) * _EPS * (scale * scale)
+    diagonal = np.arange(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.matmul(a.conj().transpose(0, 2, 1), a)
+        gram[:, diagonal, diagonal] -= np.where(tau >= _TINY, tau, np.nan)[:, None]
+    try:
+        pivots = np.linalg.cholesky(gram)[:, diagonal, diagonal]
+    except np.linalg.LinAlgError:  # some matrix has no factor: retry each alone
+        if k == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([full_rank(a[j : j + 1], shape, scale[j : j + 1]) for j in range(k)])
+    return np.isfinite(pivots).all(axis=1)
 
 
 def svd(m, compute_uv: bool = True):

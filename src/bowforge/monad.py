@@ -29,7 +29,7 @@ from .errors import RankIndeterminate, SurfaceViolation
 # overhead once for all its points.  2 MiB is one core's L2 cache on current
 # x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
 # this much more memory than a point-at-a-time scan.  On the benchmark ladder
-# suite_topology(3, 3, m0) a chunk holds 51 points at m0 = 3 (so all 46 of
+# suite_topology(3, 3, m0) a chunk holds 52 points at m0 = 3 (so all 46 of
 # a scan), 6 at m0 = 10 and one at m0 = 20 (1.2 MB a point), so it may end
 # among one eta's points; what depends on eta alone is kept across chunks
 # (see MonadStack).
@@ -84,8 +84,8 @@ class BlockIndex:
     def point_bytes(self) -> int:
         """Bytes one point holds while its stack is evaluated, counted whole
         (see CHUNK_BYTES): its three maps, S and T, the bands of both zero
-        products, its share of the two padded block stacks, and M as it is
-        where no P-block is deficient."""
+        products, its share of the chain blocks' padded stack, G, mu's Gram
+        matrix, and M as it is where no P-block is deficient."""
         dim_a, dim_b, dim_c, _ = self.dims
         dim_bc, dim_f = dim_b + dim_c, sum(size for _, size in self.F.values())
         chain = self.alpha_p + self.gamma
@@ -96,7 +96,7 @@ class BlockIndex:
             + self.A["R0"][1] ** 2 + self.A["R1"][1] ** 2  # S, T
             + sum(_len(r) * _len(c) for r, c, _ in self.bmap_amap) + m_rows * dim_f  # Bmap Amap, Amap mu
             + len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain)
-            + 2 * g_rows * r_cols  # G, mu's R rows
+            + g_rows * r_cols + dim_f**2  # G, mu's Gram matrix
             + m_rows * r_cols  # M
         )
         return max(entries, 1) * np.dtype(np.complex128).itemsize
@@ -117,12 +117,14 @@ class MonadStack:
     (delta, gamma) k x dimD x (dimB + dimC) and mu, which maps F into the
     R-blocks of A, k x dimA x dimF.  fiber_rank(j), fiber(j) and
     locally_free(j) rank blocks of the maps of point j, never a whole map,
-    from singular values; only a rank-deficient block has its singular
-    vectors computed.  Block by block:
+    from singular values, or from a proof of full rank; only a
+    rank-deficient block has its singular vectors computed.  Block by block:
       rank(alpha): alpha is block diagonal in its P-blocks
         [(eta - beta_i); -gamma_i] and its R-block G, each ranked at
         alpha's sigma_max and shape;
-      rank(mu): its R rows, the only nonzero ones, at mu's shape;
+      rank(mu): its R rows, the only nonzero ones, at mu's shape: dimF
+        where la.full_rank's Cholesky certificate proves it, else ranked
+        from their singular values;
       rank(Amap) = dimA - dim ker M: ker(Amap) lies in ker(alpha), whose
         P part is the kernels K_i of the deficient P-blocks.  M is Amap on
         the columns of those K_i and of the R-blocks, less the P rows of
@@ -136,11 +138,14 @@ class MonadStack:
     Each is evaluated for the whole stack on first use: a zero product is
     batched matmuls of slice views on the bands where the maps as
     monad_assembler builds them can make it nonzero (Bmap Amap on
-    BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G and mu's R rows
-    one padded SVD, and the Ms of one width one more.  Each kind of rank
-    decision is taken for the whole stack, one la.rank_decisions call per
-    shape, and so are the small SVDs (W^H delta, the K_i and W), one la.svd
-    call per shape; each matrix is ranked once.  The P-blocks and gamma's
+    BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G one SVD, mu's
+    R rows one Gram matrix and its Cholesky factorization (and one SVD of
+    those that it does not prove of full rank), and the Ms of one width one
+    more SVD; the M of a point with a deficient P-block is built once for
+    its nullity and its kernel.  Each kind of rank decision is taken for the
+    whole stack, one la.rank_decisions call per shape, and so are the small
+    SVDs (W^H delta, the K_i and W), one la.svd call per shape; each matrix
+    is ranked once.  The P-blocks and gamma's
     blocks depend on eta alone: their padded SVD, gamma's ranks and the
     kernels K_i and W_i are kept by _per_eta under keys (what, eta key, ...):
     the eta key is the exact eta in `shared`, which scan_local_freeness passes
@@ -176,7 +181,7 @@ class MonadStack:
         """Per point: fro(Amap mu) / (1 + fro(Amap) fro(mu)), the product
         taken as M times mu's R rows, the only nonzero ones."""
         mu_r = self.mu[:, self.block_index.alpha_g[1]]
-        return _fro(self._plain_m @ mu_r) / (1.0 + self._fro_amap * _fro(self.mu))
+        return _fro(self._plain_m @ mu_r) / (1.0 + self._fro_amap * self._fro_mu)
 
     @cached_property
     def _plain_m(self) -> np.ndarray:
@@ -191,6 +196,10 @@ class MonadStack:
     @cached_property
     def _fro_bmap(self) -> np.ndarray:
         return _fro(self.Bmap)
+
+    @cached_property
+    def _fro_mu(self) -> np.ndarray:
+        return _fro(self.mu)
 
     @cached_property
     def _keys(self) -> tuple[list, dict]:
@@ -238,33 +247,31 @@ class MonadStack:
         ).reshape(len(ix.alpha_p) + len(ix.gamma), len(js), -1).swapaxes(0, 1)))
 
     @cached_property
-    def _g_mu(self) -> np.ndarray:
-        """The singular values of G, then of mu's R rows, at each point."""
-        g_rows, r_cols = self.block_index.alpha_g
-        blocks = [self.Amap[:, g_rows, r_cols], self.mu[:, r_cols].transpose(0, 2, 1)]
-        return la.padded_spectra(blocks).reshape(2, len(self), -1)
-
-    @cached_property
     def _alpha(self) -> list:
         """Per point: rank(alpha), decided with G, and (i, K_i) for each
         rank-deficient P-block i, K_i its kernel (_kernels)."""
         ix = self.block_index
         sizes = [min(map(_len, s)) for s in ix.alpha_p]
         spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
-        spectra.append(self._g_mu[0][:, : min(map(_len, ix.alpha_g))])
+        spectra.append(la.svd(self.Amap[:, ix.alpha_g[0], ix.alpha_g[1]], compute_uv=False))
         ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
         return self._kernels("K", ranks, sizes, lambda j, i: self.Amap[j][ix.alpha_p[i]])
 
     def _m(self, j: int) -> np.ndarray:
-        """M of point j (see the class) without its zero rows: off the
-        deficient P-blocks' columns only G and the Q0 and Qn rows reach it."""
+        """M of point j (see the class), j with a deficient P-block, without
+        its zero rows: off those blocks' columns only G and the Q0 and Qn
+        rows reach it."""
         ix = self.block_index
         g_rows, r_cols = ix.alpha_g
-        kernels = self._alpha[j][1]
-        if not kernels:
-            return self._plain_m[j]
         rows = self.Amap[j, g_rows.start :]
-        return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in kernels] + [rows[:, r_cols]])
+        return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in self._alpha[j][1]] + [rows[:, r_cols]])
+
+    @cached_property
+    def _deficient_m(self) -> dict[int, np.ndarray]:
+        """_m(j) of each point j whose alpha has a deficient P-block, built once
+        for both its nullity and its kernel."""
+        alpha = enumerate(self._alpha)
+        return {j: self._m(j) for j, a in alpha if not isinstance(a, RankIndeterminate) and a[1]}
 
     @cached_property
     def _amap_nullity(self) -> list:
@@ -282,7 +289,7 @@ class MonadStack:
             if cols == r_cols:
                 m = self._plain_m if len(js) == len(self) else self._plain_m[js]
             else:
-                m = np.stack([self._m(j) for j in js])
+                m = np.stack([self._deficient_m[j] for j in js])
             ranks = la.rank_decisions(la.svd(m, compute_uv=False), (m_rows, cols))
             for j, rank in zip(js, ranks):
                 out[j] = rank if isinstance(rank, RankIndeterminate) else cols - rank
@@ -320,8 +327,16 @@ class MonadStack:
 
     @cached_property
     def _mu_rank(self) -> list:
-        """Per point: rank(mu), from its R rows at mu's shape."""
-        return la.rank_decisions(self._g_mu[1][:, : self.mu.shape[2]], self.mu.shape[1:])
+        """Per point: rank(mu), from its R rows at mu's shape: dimF where
+        la.full_rank proves it, else ranked from their singular values."""
+        shape, mu_r = self.mu.shape[1:], self.mu[:, self.block_index.alpha_g[1]]
+        out: list = [shape[1]] * len(self)
+        unproved = np.flatnonzero(~la.full_rank(mu_r, shape, self._fro_mu)).tolist()
+        if unproved:
+            spectra = la.svd(mu_r[unproved].transpose(0, 2, 1), compute_uv=False)
+            for j, rank in zip(unproved, la.rank_decisions(spectra, shape)):
+                out[j] = rank
+        return out
 
     def _amap_rank(self, j: int) -> int:
         """rank(Amap) at point j: dimA - dim ker M."""
@@ -365,7 +380,7 @@ class MonadStack:
     def _amap_kernel(self, j: int) -> np.ndarray:
         """Orthonormal basis of ker(Amap) at point j: ker M with each K_i put back."""
         ix = self.block_index
-        m = self._m(j)
+        m = self._deficient_m[j] if j in self._deficient_m else self._plain_m[j]
         y = la.null_space(m, m.shape[1] - self._amap_nullity[j])
         kernel = np.zeros((self.Amap.shape[2], y.shape[1]), dtype=np.complex128)
         off = 0

@@ -231,6 +231,74 @@ def test_stacked_rank_decisions_hand_only_rows_near_the_band_to_the_rule(monkeyp
     assert [r for i, r in enumerate(ranks) if i != 2] == [2, 2, 2, 3, 3] + [2] * (len(s) - 6)
 
 
+@st.composite
+def planted_stacks(draw):
+    """(a, shape, sigma): up to 5 tall complex matrices U diag(sigma) V^H
+    with planted singular values, each row of sigma sorted; the rule's shape
+    is at least the matrix's, as mu's is for its R rows.  The values sit on
+    the straddle band of the cutoff at the first, on the proof's bound
+    FULL_RANK_MARGIN * STRADDLE_FACTOR * cut and one ulp either side of it,
+    anywhere up to the first, or at 0; some matrices get a NaN or inf entry,
+    and n = 0 and k = 0 are drawn too."""
+    n = draw(st.integers(0, 5))
+    m = n + draw(st.integers(0, 4))
+    shape = (m + draw(st.integers(0, 30)), n)
+    k = draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats, sigmas = [], []
+    for _ in range(k):
+        top = 10.0 ** draw(st.floats(-6.0, 6.0))
+        cut = la.rank_cutoff(top, shape)
+        bound = la.FULL_RANK_MARGIN * la.STRADDLE_FACTOR * cut
+        value = st.one_of(
+            st.sampled_from(_band_edges(cut) + [np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 0.0]),
+            st.floats(-12.0, 0.0).map(lambda e, top=top: top * 10.0**e),
+        )
+        sigma = sorted(draw(st.lists(value, min_size=n, max_size=n)), reverse=True)
+        if n:
+            sigma[0] = top
+        u = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        a = (u * np.array(sigma)) @ v.conj().T
+        if m * n and draw(st.integers(0, 7)) == 0:
+            a[rng.integers(m), rng.integers(n)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        mats.append(a)
+        sigmas.append(sigma)
+    return np.array(mats, dtype=complex).reshape(k, m, n), shape, np.array(sigmas).reshape(k, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(planted_stacks())
+def test_full_rank_proves_only_what_the_rule_gives(case):
+    # where the Cholesky certificate holds, the rule gives rank n without a
+    # straddle; it never holds with a value at or below its bound, or with
+    # a non-finite entry
+    a, shape, sigma = case
+    proof = la.full_rank(a, shape, [la.fro(m) for m in a])
+    assert proof.shape == (len(a),) and proof.dtype == bool
+    for m, s, proved in zip(a, sigma, proof.tolist()):
+        if not proved:
+            continue
+        assert np.isfinite(m).all()
+        assert not len(s) or s[-1] > la.FULL_RANK_MARGIN * la.STRADDLE_FACTOR * la.rank_cutoff(s[0], shape)
+        assert la.rank_decision(la.svd(m, compute_uv=False), shape) == a.shape[2]
+
+
+def test_full_rank_proves_each_matrix_alone():
+    # a well-conditioned matrix is proved whatever its stack holds: a failed
+    # batched factorization is retried one matrix at a time
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 8, 4)) + 1j * rng.standard_normal((6, 8, 4))
+    a[1, :, 2] = a[1, :, 0]  # rank 3
+    a[3, 0, 0] = np.nan
+    a[4] *= 1e-100  # a matrix of small scale is still proved ...
+    a[5] *= 1e-160  # ... until its rounding bound tau leaves the normal numbers
+    proof = la.full_rank(a, a.shape[1:], [la.fro(m) for m in a])
+    assert proof.tolist() == [True, False, True, False, True, False]
+    assert la.full_rank(np.zeros((0, 8, 4)), (8, 4), []).shape == (0,)
+    assert la.full_rank(np.zeros((2, 3, 0)), (3, 0), [0.0, 0.0]).tolist() == [True, True]
+
+
 def test_complement_by_null_space_of_adjoint():
     m = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
     comp = la.null_space(m.conj().T)  # orthogonal complement of the column span

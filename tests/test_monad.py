@@ -601,11 +601,20 @@ def test_each_matrix_ranked_once(u2, monkeypatch):
         return rank_decision(s, shape, sigma_max)
 
     monkeypatch.setattr(la, "rank_decision", never_for_m)
+    # and M itself is built once at each point, for its nullity and its kernel
+    built, build = [], MonadStack._m
+
+    def counting_m(self, j):
+        built.append(j)
+        return build(self, j)
+
+    monkeypatch.setattr(MonadStack, "_m", counting_m)
     fresh = dataclasses.replace(broken)  # nothing decided yet
     for j, before in enumerate(expected):
         after = fresh.locally_free(j)
         assert (after.passed, after.quotient_dim) == (False, 1)
         assert after.witness.tobytes() == before.witness.tobytes()
+    assert sorted(built) == list(range(len(fresh)))
 
 
 def test_block_ranks_match_dense_oracle(u2):
@@ -709,7 +718,55 @@ def test_mu_loses_a_rank_where_p_repeats_an_eigenvalue_of_beta_0():
             m = assemble_monad(d, point(d, xi, eta))
             assert block_verdict(m, 0) == dense_verdict(m, 0) == ("fail", n, False, 1)
             assert dense_rank(m.mu[0]) == d0 + dn - 1
+            # la.full_rank proves nothing here, and the SVD of mu's R rows decides
+            assert not la.full_rank(mu_rows(m), m.mu.shape[1:], [la.fro(m.mu[0])])[0]
+            assert m._mu_rank == [d0 + dn - 1]
             assert block_verdict(assemble_monad(d, point(d, xi, eta + 1e-9)), 0) == ("ok", n, True, 0)
+
+
+def mu_rows(m):
+    """mu's R rows, its only nonzero ones, at each point of a stack."""
+    return m.mu[:, m.block_index.alpha_g[1]]
+
+
+@pytest.mark.parametrize("name", ["ladder-m0-3", "u2-basic", "so2-mirror"])
+def test_scan_is_the_same_without_the_full_rank_proof(canon, monkeypatch, name):
+    # la.full_rank proves only a rank that the rule gives: with a proof that
+    # proves nothing, every rank(mu) comes from the SVD of mu's R rows, and
+    # every report, reasons included, is the same
+    d = generate(suite_topology(3, 3, 3), seed=101) if name == "ladder-m0-3" else canon[name].datum
+    config = ScanConfig(n_random=20, seed=1)
+    proved, full_rank = [], la.full_rank
+
+    def recording(a, shape, scale):
+        proof = full_rank(a, shape, scale)
+        proved.extend(proof.tolist())
+        return proof
+
+    monkeypatch.setattr(la, "full_rank", recording)
+    with_proof = scan_local_freeness(d, config)
+    monkeypatch.setattr(la, "full_rank", lambda a, shape, scale: np.zeros(len(a), dtype=bool))
+    assert scan_local_freeness(d, config) == with_proof
+    assert len(proved) == len(with_proof.points) and sum(proved) > len(proved) / 2
+
+
+def test_mu_on_the_cutoff_is_indeterminate_with_the_rules_message(u2):
+    # mu with a singular value planted on the rule's cutoff: the proof
+    # declines, and locally_free raises the straddle that rank_decision
+    # raises on the singular values of mu's R rows
+    m = assemble_monad(u2, point(u2, 1.3, 1.9 - 0.7j))
+    rows = m.block_index.alpha_g[1]
+    u, s, vh = np.linalg.svd(m.mu[0, rows], full_matrices=False)
+    s[-1] = la.rank_cutoff(s[0], m.mu.shape[1:])
+    mu = m.mu.copy()
+    mu[0, rows] = (u * s) @ vh  # still inside ker(Amap): Amap mu stays zero
+    planted = dataclasses.replace(m, mu=mu)
+    assert not la.full_rank(mu_rows(planted), mu.shape[1:], [la.fro(mu[0])])[0]
+    with pytest.raises(RankIndeterminate) as rule:
+        la.rank_decision(la.svd(mu[0, rows].T, compute_uv=False), mu.shape[1:])
+    with pytest.raises(RankIndeterminate) as raised:
+        planted.locally_free(0)
+    assert str(raised.value) == str(rule.value) and "straddle" in str(rule.value)
 
 
 def test_degenerate_datum_tor_criterion():
