@@ -210,27 +210,29 @@ def full_rank(a, shape: tuple[int, int], scale) -> np.ndarray:
 
     `scale`, one per matrix, is fro(A), which bounds sigma_max from above.
     The proof is a Cholesky factor of A^H A - tau I, with tau that bound
-    squared plus 1.01 (m + n (n + 1)) eps fro(A)^2, the rounding of the Gram
-    product and of its factorization, which holds while tau is a normal
+    squared plus 2 ((m + 2) + (n + 1) (n + 2)) eps fro(A)^2, a bound on the
+    rounding of the complex Gram product (an inner product of length m
+    carries gamma_{m+2} in complex arithmetic) and of its complex Cholesky
+    factorization, with room to spare; it holds while tau is a normal
     number.  A subnormal tau, or a non-finite entry or scale, leaves a
-    non-finite pivot, and proves nothing.  A failed batched factorization is
-    retried one matrix at a time.
+    non-finite pivot, and proves nothing.  Where the batched factorization
+    fails (some matrix of the stack is not proved), the whole stack is left
+    unproved: the caller's SVD path decides every matrix as the rule would
+    have without the proof.
     """
     a = np.asarray(a)
     k, m, n = a.shape
     scale = np.asarray(scale, dtype=float)
     bound = FULL_RANK_MARGIN * STRADDLE_FACTOR * rank_cutoff(scale, shape)
-    tau = bound * bound + 1.01 * (m + n * (n + 1)) * _EPS * (scale * scale)
+    tau = bound * bound + 2.0 * ((m + 2) + (n + 1) * (n + 2)) * _EPS * (scale * scale)
     diagonal = np.arange(n)
     with np.errstate(invalid="ignore", over="ignore"):
         gram = np.matmul(a.conj().transpose(0, 2, 1), a)
         gram[:, diagonal, diagonal] -= np.where(tau >= _TINY, tau, np.nan)[:, None]
     try:
         pivots = np.linalg.cholesky(gram)[:, diagonal, diagonal]
-    except np.linalg.LinAlgError:  # some matrix has no factor: retry each alone
-        if k == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([full_rank(a[j : j + 1], shape, scale[j : j + 1]) for j in range(k)])
+    except np.linalg.LinAlgError:  # some matrix has no factor
+        return np.zeros(k, dtype=bool)
     return np.isfinite(pivots).all(axis=1)
 
 

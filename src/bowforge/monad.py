@@ -267,32 +267,30 @@ class MonadStack:
         return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in self._alpha[j][1]] + [rows[:, r_cols]])
 
     @cached_property
-    def _deficient_m(self) -> dict[int, np.ndarray]:
-        """_m(j) of each point j whose alpha has a deficient P-block, built once
-        for both its nullity and its kernel."""
-        alpha = enumerate(self._alpha)
-        return {j: self._m(j) for j, a in alpha if not isinstance(a, RankIndeterminate) and a[1]}
+    def _deficient_m(self) -> dict[int, tuple[list[int], np.ndarray]]:
+        """By the total nullity of their deficient P-blocks: the points j
+        with such blocks and their Ms (_m) stacked, each built once for both
+        its nullity and its kernel."""
+        by_nullity: dict[int, list[int]] = {}
+        for j, a in enumerate(self._alpha):
+            if not isinstance(a, RankIndeterminate) and a[1]:
+                by_nullity.setdefault(sum(k.shape[1] for _, k in a[1]), []).append(j)
+        return {cols: (js, np.stack([self._m(j) for j in js])) for cols, js in by_nullity.items()}
 
     @cached_property
     def _amap_nullity(self) -> list:
         """Per point: dim ker(Amap) = dim ker M, ranked at M's own sigma_max
         and shape.  The Ms of one width are one batched SVD: those with no
-        deficient P-block are _plain_m."""
-        ix = self.block_index
-        m_rows, r_cols = self.Amap.shape[1] - ix.alpha_g[0].start, _len(ix.alpha_g[1])
+        deficient P-block are _plain_m, the others _deficient_m."""
         out = list(self._alpha)  # a point whose alpha raised keeps that
-        by_width: dict[int, list[int]] = {}
-        for j, a in enumerate(self._alpha):
-            if not isinstance(a, RankIndeterminate):
-                by_width.setdefault(r_cols + sum(k.shape[1] for _, k in a[1]), []).append(j)
-        for cols, js in by_width.items():
-            if cols == r_cols:
-                m = self._plain_m if len(js) == len(self) else self._plain_m[js]
-            else:
-                m = np.stack([self._deficient_m[j] for j in js])
-            ranks = la.rank_decisions(la.svd(m, compute_uv=False), (m_rows, cols))
+        plain = [j for j, a in enumerate(self._alpha) if not isinstance(a, RankIndeterminate) and not a[1]]
+        stacks = list(self._deficient_m.values())
+        if plain:
+            stacks.insert(0, (plain, self._plain_m if len(plain) == len(self) else self._plain_m[plain]))
+        for js, m in stacks:
+            ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
             for j, rank in zip(js, ranks):
-                out[j] = rank if isinstance(rank, RankIndeterminate) else cols - rank
+                out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
         return out
 
     @cached_property
@@ -379,8 +377,12 @@ class MonadStack:
 
     def _amap_kernel(self, j: int) -> np.ndarray:
         """Orthonormal basis of ker(Amap) at point j: ker M with each K_i put back."""
-        ix = self.block_index
-        m = self._deficient_m[j] if j in self._deficient_m else self._plain_m[j]
+        ix, deficient = self.block_index, self._alpha[j][1]
+        if deficient:
+            js, stack = self._deficient_m[sum(k.shape[1] for _, k in deficient)]
+            m = stack[js.index(j)]
+        else:
+            m = self._plain_m[j]
         y = la.null_space(m, m.shape[1] - self._amap_nullity[j])
         kernel = np.zeros((self.Amap.shape[2], y.shape[1]), dtype=np.complex128)
         off = 0

@@ -284,17 +284,20 @@ def test_full_rank_proves_only_what_the_rule_gives(case):
         assert la.rank_decision(la.svd(m, compute_uv=False), shape) == a.shape[2]
 
 
-def test_full_rank_proves_each_matrix_alone():
-    # a well-conditioned matrix is proved whatever its stack holds: a failed
-    # batched factorization is retried one matrix at a time
+def test_full_rank_declines_what_it_cannot_prove():
+    # a NaN entry or a subnormal rounding bound tau proves nothing, and the
+    # other matrices of the stack are still proved; a rank-deficient matrix
+    # proves nothing
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((6, 8, 4)) + 1j * rng.standard_normal((6, 8, 4))
-    a[1, :, 2] = a[1, :, 0]  # rank 3
-    a[3, 0, 0] = np.nan
-    a[4] *= 1e-100  # a matrix of small scale is still proved ...
-    a[5] *= 1e-160  # ... until its rounding bound tau leaves the normal numbers
+    a = rng.standard_normal((5, 8, 4)) + 1j * rng.standard_normal((5, 8, 4))
+    a[1, 0, 0] = np.nan
+    a[3] *= 1e-100  # a matrix of small scale is still proved ...
+    a[4] *= 1e-160  # ... until its rounding bound tau leaves the normal numbers
     proof = la.full_rank(a, a.shape[1:], [la.fro(m) for m in a])
-    assert proof.tolist() == [True, False, True, False, True, False]
+    assert proof.tolist() == [True, False, True, True, False]
+    deficient = a[2:3].copy()
+    deficient[0, :, 2] = deficient[0, :, 0]  # rank 3
+    assert la.full_rank(deficient, (8, 4), [la.fro(deficient[0])]).tolist() == [False]
     assert la.full_rank(np.zeros((0, 8, 4)), (8, 4), []).shape == (0,)
     assert la.full_rank(np.zeros((2, 3, 0)), (3, 0), [0.0, 0.0]).tolist() == [True, True]
 
