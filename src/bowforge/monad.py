@@ -275,7 +275,7 @@ class MonadStack:
         for j, a in enumerate(self._alpha):
             if not isinstance(a, RankIndeterminate) and a[1]:
                 by_nullity.setdefault(sum(k.shape[1] for _, k in a[1]), []).append(j)
-        return {cols: (js, np.stack([self._m(j) for j in js])) for cols, js in by_nullity.items()}
+        return {nullity: (js, np.stack([self._m(j) for j in js])) for nullity, js in by_nullity.items()}
 
     @cached_property
     def _amap_nullity(self) -> list:
