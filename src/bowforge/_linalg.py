@@ -337,7 +337,9 @@ def null_space(m, rank: int | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of m.
 
     The rank of m is decided by rank_decision unless the caller has already
-    decided it (a block ranked within its whole matrix) and passes it.
+    decided it and passes it: an exactness stack ranked from its padded
+    spectrum, or the monad's stacked [left; right^H], whose rank is the sum
+    of the two maps' block ranks (monad._cohomology).
     """
     m = cmat(m)
     if fro(m) == 0.0:  # also when m has no rows or no columns

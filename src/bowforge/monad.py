@@ -115,10 +115,10 @@ class MonadStack:
 
     Amap = (alpha; -beta_tilde) is k x (dimB + dimC) x dimA, Bmap =
     (delta, gamma) k x dimD x (dimB + dimC) and mu, which maps F into the
-    R-blocks of A, k x dimA x dimF.  fiber_rank(j), fiber(j) and
-    locally_free(j) rank blocks of the maps of point j, never a whole map,
-    from singular values, or from a proof of full rank; only a
-    rank-deficient block has its singular vectors computed.  Block by block:
+    R-blocks of A, k x dimA x dimF.  fiber_rank(j) and locally_free(j) rank
+    blocks of the maps of point j, never a whole map, from singular values,
+    or from a proof of full rank; only a rank-deficient block has its
+    singular vectors computed.  Block by block:
       rank(alpha): alpha is block diagonal in its P-blocks
         [(eta - beta_i); -gamma_i] and its R-block G, each ranked at
         alpha's sigma_max and shape;
@@ -135,17 +135,24 @@ class MonadStack:
         the left kernels of its deficient blocks.  W^H delta sits at
         rounding level when it should be zero, so it is the one product
         ranked at its parent's scale: fro(Bmap) and Bmap's shape.
-    Each is evaluated for the whole stack on first use: a zero product is
-    batched matmuls of slice views on the bands where the maps as
+    Both cohomology questions are ker(left) / Im(right) with left right = 0:
+    the fiber is ker(Bmap) / Im(Amap), and freeness asks that ker(Amap) /
+    Im(mu) vanish.  Im(right) lies in ker(left), orthogonal to the row space
+    of left, so the singular values of [left; right^H] are those of left and
+    of right together, and its kernel at rank(left) + rank(right) is
+    ker(left) & Im(right)^perp (_cohomology).  fiber(j) and the witness of a
+    failing locally_free(j) take that kernel at the ranks above, so a basis
+    decides no rank of its own.
+    Each rank is evaluated for the whole stack on first use: a zero product
+    is batched matmuls of slice views on the bands where the maps as
     monad_assembler builds them can make it nonzero (Bmap Amap on
     BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G one SVD, mu's
     R rows one Gram matrix and its Cholesky factorization (and one SVD of
     those that it does not prove of full rank), and the Ms of one width one
-    more SVD; the M of a point with a deficient P-block is built once for
-    its nullity and its kernel.  Each kind of rank decision is taken for the
-    whole stack, one la.rank_decisions call per shape, and so are the small
-    SVDs (W^H delta, the K_i and W), one la.svd call per shape; each matrix
-    is ranked once.  The P-blocks and gamma's
+    more SVD; each M is built once, for its nullity only.  Each kind of rank
+    decision is taken for the whole stack, one la.rank_decisions call per
+    shape, and so are the small SVDs (W^H delta, the K_i and W), one la.svd
+    call per shape; each matrix is ranked once.  The P-blocks and gamma's
     blocks depend on eta alone: their padded SVD, gamma's ranks and the
     kernels K_i and W_i are kept by _per_eta under keys (what, eta key, ...):
     the eta key is the exact eta in `shared`, which scan_local_freeness passes
@@ -267,27 +274,21 @@ class MonadStack:
         return np.hstack([rows[:, ix.alpha_p[i][1]] @ k for i, k in self._alpha[j][1]] + [rows[:, r_cols]])
 
     @cached_property
-    def _deficient_m(self) -> dict[int, tuple[list[int], np.ndarray]]:
-        """By the total nullity of their deficient P-blocks: the points j
-        with such blocks and their Ms (_m) stacked, each built once for both
-        its nullity and its kernel."""
-        by_nullity: dict[int, list[int]] = {}
-        for j, a in enumerate(self._alpha):
-            if not isinstance(a, RankIndeterminate) and a[1]:
-                by_nullity.setdefault(sum(k.shape[1] for _, k in a[1]), []).append(j)
-        return {nullity: (js, np.stack([self._m(j) for j in js])) for nullity, js in by_nullity.items()}
-
-    @cached_property
     def _amap_nullity(self) -> list:
         """Per point: dim ker(Amap) = dim ker M, ranked at M's own sigma_max
-        and shape.  The Ms of one width are one batched SVD: those with no
-        deficient P-block are _plain_m, the others _deficient_m."""
+        and shape.  The Ms of one width, set by the total nullity of the
+        deficient P-blocks, are one batched SVD: _plain_m where no P-block
+        is deficient, else each point's _m."""
         out = list(self._alpha)  # a point whose alpha raised keeps that
-        plain = [j for j, a in enumerate(self._alpha) if not isinstance(a, RankIndeterminate) and not a[1]]
-        stacks = list(self._deficient_m.values())
-        if plain:
-            stacks.insert(0, (plain, self._plain_m if len(plain) == len(self) else self._plain_m[plain]))
-        for js, m in stacks:
+        by_nullity: dict[int, list[int]] = {}
+        for j, a in enumerate(self._alpha):
+            if not isinstance(a, RankIndeterminate):
+                by_nullity.setdefault(sum(k.shape[1] for _, k in a[1]), []).append(j)
+        for nullity, js in by_nullity.items():
+            if nullity:
+                m = np.stack([self._m(j) for j in js])
+            else:
+                m = self._plain_m if len(js) == len(self) else self._plain_m[js]
             ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
             for j, rank in zip(js, ranks):
                 out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
@@ -351,11 +352,11 @@ class MonadStack:
     def fiber(self, j: int) -> np.ndarray:
         """Orthonormal basis of the cohomology ker(Bmap)/Im(Amap) at point j:
         (dimB + dimC) x fiber_rank(j), spanning ker(Bmap) & Im(Amap)^perp,
-        with ker(Bmap) at fiber_rank's block rank.  Raises RankIndeterminate
-        where fiber_rank(j) does, or when the basis has another width."""
+        the kernel of [Bmap; Amap^H] at the block ranks of Bmap and Amap
+        that fiber_rank(j) uses (see the class).  Raises RankIndeterminate
+        where fiber_rank(j) does, or where those ranks sum past the columns."""
         _require_zero(self.composition_residuals[j], "image of Amap not contained in ker(Bmap)")
-        kernel = la.null_space(self.Bmap[j], _value(self._bmap_rank[j]))
-        return _quotient(kernel, self.Amap[j], self._amap_rank(j))
+        return _cohomology(self.Bmap[j], self.Amap[j], _value(self._bmap_rank[j]), self._amap_rank(j))
 
     def locally_free(self, j: int) -> LocalFreenessResult:
         """Pointwise local-freeness criterion at point j: dim ker(Amap) = rank(mu).
@@ -363,34 +364,17 @@ class MonadStack:
         beta_tilde must be injective on ker(alpha) / Im(mu).  As Amap mu = 0,
         Im(mu) lies in ker(Amap) = ker(alpha) & ker(beta_tilde), so injectivity
         means the two are equal; quotient_dim is dim ker(alpha) - rank(mu).
-        A failure returns a witness in ker(Amap), built from ker M, orthogonal
-        to Im(mu).  Raises RankIndeterminate on a rank too close to call, on
-        Amap mu != 0, or when the witnesses number other than
-        dim ker(Amap) - rank(mu)."""
+        A failure returns a witness in ker(Amap) & Im(mu)^perp: column 0 of
+        the kernel of [Amap; mu^H] at the block ranks of Amap and mu (see the
+        class).  Raises RankIndeterminate on a rank too close to call, on
+        Amap mu != 0, or where those ranks sum past the columns."""
         _require_zero(self._mu_residuals[j], "image of mu not contained in ker(Amap)")
         rank_mu = _value(self._mu_rank[j])
         quotient_dim = self.Amap.shape[2] - _value(self._alpha[j])[0] - rank_mu
         if _value(self._amap_nullity[j]) == rank_mu:
             return LocalFreenessResult(passed=True, quotient_dim=quotient_dim)
-        witnesses = _quotient(self._amap_kernel(j), self.mu[j], rank_mu)
+        witnesses = _cohomology(self.Amap[j], self.mu[j], self._amap_rank(j), rank_mu)
         return LocalFreenessResult(passed=False, witness=witnesses[:, 0], quotient_dim=quotient_dim)
-
-    def _amap_kernel(self, j: int) -> np.ndarray:
-        """Orthonormal basis of ker(Amap) at point j: ker M with each K_i put back."""
-        ix, deficient = self.block_index, self._alpha[j][1]
-        if deficient:
-            js, stack = self._deficient_m[sum(k.shape[1] for _, k in deficient)]
-            m = stack[js.index(j)]
-        else:
-            m = self._plain_m[j]
-        y = la.null_space(m, m.shape[1] - self._amap_nullity[j])
-        kernel = np.zeros((self.Amap.shape[2], y.shape[1]), dtype=np.complex128)
-        off = 0
-        for i, k in self._alpha[j][1]:
-            kernel[ix.alpha_p[i][1]] = k @ y[off : off + k.shape[1]]
-            off += k.shape[1]
-        kernel[ix.alpha_g[1]] = y[off:]
-        return kernel
 
 
 def _len(s: slice) -> int:
@@ -439,18 +423,18 @@ def _require_zero(residual: float, what: str) -> None:
         raise RankIndeterminate(f"{what}: residual {residual:.3e}")
 
 
-def _quotient(kernel: np.ndarray, right: np.ndarray, rank_right: int) -> np.ndarray:
-    """Orthonormal basis of span(kernel) & Im(right)^perp.
-
-    `kernel` is an orthonormal basis of ker(left) for some left with
-    left @ right = 0.  Raises RankIndeterminate on a rank too close to call,
-    or when the basis found has other than kernel columns - rank_right.
-    """
-    basis = kernel @ la.null_space(right.conj().T @ kernel)
-    expected = kernel.shape[1] - rank_right
-    if basis.shape[1] != expected:
-        raise RankIndeterminate(f"cohomology basis has {basis.shape[1]} columns, expected {expected}")
-    return basis
+def _cohomology(left: np.ndarray, right: np.ndarray, rank_left: int, rank_right: int) -> np.ndarray:
+    """Orthonormal basis of ker(left) & Im(right)^perp, for left right = 0 of
+    ranks rank_left and rank_right: the kernel of [left; right^H] at rank
+    rank_left + rank_right (see MonadStack).  Raises RankIndeterminate where
+    the two kept ranks sum past the columns, as exact ranks of such a pair
+    never do."""
+    rank = rank_left + rank_right
+    if rank > left.shape[1]:
+        raise RankIndeterminate(
+            f"kernel and image ranks {rank_left} and {rank_right} sum past the {left.shape[1]} columns"
+        )
+    return la.null_space(np.vstack([left, right.conj().T]), rank)
 
 
 def _offsets(sizes: list[tuple[str, int]]) -> tuple[dict, int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .bowdata import BowDatum, RelationCheck, ValidationReport, aggregate_maps
+from .bowdata import BowDatum, ValidationReport, _report, aggregate_maps
 from .errors import (
     DegenerateForm,
     FlavorChargeMismatch,
@@ -101,71 +101,31 @@ def verify_pairing_relations(
     K_n Mpsi_hat = Mpsi_hat^T K_0 and K_0 Mxi_hat = Mxi_hat^T K_n.
     """
     _check_flavor_charges(b, p)
-    n = b.topo.n
-    checks: list[RelationCheck] = []
-
-    sign_ok = tuple(p.f) == expected_signs(p.flavor, n)
-    checks.append(RelationCheck("sign-pattern", 0.0 if sign_ok else 1.0, tol))
-
-    for i in range(n + 1):
-        Ki = p.k_matrix(i)
-        if Ki.size == 0:
-            continue
-        s = la.svd(Ki, compute_uv=False)
-        ok = s[-1] > la.K_CONDITION_FLOOR * s[0]
-        checks.append(RelationCheck(f"K-invertible[{i}]", 0.0 if ok else 1.0, tol))
-
-    for i in range(n + 1):
-        checks.append(
-            RelationCheck(
-                f"beta-adjoint[{i}]",
-                la.rel_residual(b.beta[i].T @ p.k_matrix(i), p.k_matrix(i) @ b.beta[n - i]),
-                tol,
-            )
-        )
+    n, K = b.topo.n, [p.k_matrix(i) for i in range(b.topo.n + 1)]
+    named = [("sign-pattern", 0.0 if tuple(p.f) == expected_signs(p.flavor, n) else 1.0)]
+    for i, k in enumerate(K):
+        if k.size:
+            s = la.svd(k, compute_uv=False)
+            named.append((f"K-invertible[{i}]", 0.0 if s[-1] > la.K_CONDITION_FLOOR * s[0] else 1.0))
+    named += [
+        (f"beta-adjoint[{i}]", la.rel_residual(b.beta[i].T @ K[i], K[i] @ b.beta[n - i])) for i in range(n + 1)
+    ]
     for i in range(n):
-        Ki, Kn = p.k_matrix(i), p.k_matrix(i + 1)
-        checks.append(
-            RelationCheck(
-                f"A-adjoint[{i}]",
-                la.rel_residual(Ki @ b.A[n - i - 1], b.A[i].T @ Kn),
-                tol,
-            )
-        )
-        checks.append(
-            RelationCheck(
-                f"alpha-gamma[{i}]",
-                la.rel_residual(Ki @ b.alpha[n - i - 1], p.f[i] * b.gamma[i].T),
-                tol,
-            )
-        )
-        checks.append(
-            RelationCheck(
-                f"gamma-alpha[{i}]",
-                la.rel_residual(-b.alpha[i].T @ Kn, p.f[i] * b.gamma[n - i - 1]),
-                tol,
-            )
-        )
+        named += [
+            (f"A-adjoint[{i}]", la.rel_residual(K[i] @ b.A[n - i - 1], b.A[i].T @ K[i + 1])),
+            (f"alpha-gamma[{i}]", la.rel_residual(K[i] @ b.alpha[n - i - 1], p.f[i] * b.gamma[i].T)),
+            (f"gamma-alpha[{i}]", la.rel_residual(-b.alpha[i].T @ K[i + 1], p.f[i] * b.gamma[n - i - 1])),
+        ]
 
     # Aggregate self-adjointness; the only block-consistent orientation is
     # K_0 Mpsi_hat = Mpsi_hat^T K_n (and the xi-mirror), matching the typed
     # slots of the section pairings.
     mxi_hat, mpsi_hat = aggregate_maps(b)
-    checks.append(
-        RelationCheck(
-            "Mpsi-self-adjoint",
-            la.rel_residual(p.k_matrix(0) @ mpsi_hat, mpsi_hat.T @ p.k_matrix(n)),
-            tol,
-        )
-    )
-    checks.append(
-        RelationCheck(
-            "Mxi-self-adjoint",
-            la.rel_residual(p.k_matrix(n) @ mxi_hat, mxi_hat.T @ p.k_matrix(0)),
-            tol,
-        )
-    )
-    return ValidationReport(checks=tuple(checks), tol=tol)
+    named += [
+        ("Mpsi-self-adjoint", la.rel_residual(K[0] @ mpsi_hat, mpsi_hat.T @ K[n])),
+        ("Mxi-self-adjoint", la.rel_residual(K[n] @ mxi_hat, mxi_hat.T @ K[0])),
+    ]
+    return _report(named, tol)
 
 
 def _resolvent_column(b: BowDatum, i: int, eta: complex) -> np.ndarray:

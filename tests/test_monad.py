@@ -579,17 +579,19 @@ def test_locally_free_fails_with_witness(u2):
     assert np.linalg.norm(m.mu[0].conj().T @ w) < 1e-10
 
 
-def zeroed_p_column(m):
-    """m with a zeroed P-block column of Amap: a real freeness failure."""
+def zeroed_p_column(m, width=1):
+    """m with the first `width` columns of Amap's P0 block zeroed: a real
+    freeness failure, of quotient dimension `width` off the chain spectra."""
     amap = m.Amap.copy()
-    amap[..., m.block_index.A["P0"][0]] = 0.0
+    off = m.block_index.A["P0"][0]
+    amap[..., off : off + width] = 0.0
     return dataclasses.replace(m, Amap=amap)
 
 
 def test_each_matrix_ranked_once(u2, monkeypatch):
     # M's rank is decided once for the stack, in numpy (a stack of at least
     # STACKED_DECISION_ROWS hands no row off the band to the rule); the
-    # witness takes ker M at that rank and never decides it again
+    # witness is taken at the kept ranks and never decides M's again
     etas = np.linspace(-1.7 + 0.9j, 2.3 - 1.1j, la.STACKED_DECISION_ROWS)
     broken = zeroed_p_column(monad_assembler(u2)([point(u2, 1.3, eta) for eta in etas]))
     expected = [broken.locally_free(j) for j in range(len(broken))]
@@ -615,6 +617,61 @@ def test_each_matrix_ranked_once(u2, monkeypatch):
         assert (after.passed, after.quotient_dim) == (False, 1)
         assert after.witness.tobytes() == before.witness.tobytes()
     assert sorted(built) == list(range(len(fresh)))
+
+
+def test_bases_decide_no_rank_of_their_own(u2, monkeypatch):
+    # fiber(j) and the witness of a failing locally_free(j) are kernels of
+    # [left; right^H] at the sum of the kept block ranks: once those are
+    # decided, neither takes a rank decision
+    stack = monad_assembler(u2)(random_points(u2, 3, seed=5) + structured_points(u2))
+    stacks = [stack, zeroed_p_column(stack)]
+    kept = [[(s.fiber_rank(j), s.locally_free(j)) for j in range(len(s))] for s in stacks]
+    assert all(free.passed for _, free in kept[0]) and not any(free.passed for _, free in kept[1])
+
+    def no_decision(*args, **kwargs):
+        raise AssertionError("a basis decided a rank of its own")
+
+    monkeypatch.setattr(la, "rank_decision", no_decision)
+    monkeypatch.setattr(la, "rank_decisions", no_decision)
+    for s, answers in zip(stacks, kept):
+        for j, (rank, free) in enumerate(answers):
+            assert s.fiber(j).shape[1] == rank
+            if not free.passed:
+                assert s.locally_free(j).witness.tobytes() == free.witness.tobytes()
+
+
+def test_witness_of_a_two_dimensional_quotient(u2):
+    stack = zeroed_p_column(monad_assembler(u2)(random_points(u2, 4, seed=9)), width=2)
+    for j in range(len(stack)):
+        res = stack.locally_free(j)
+        assert (res.passed, res.quotient_dim) == oracle_locally_free(stack, j) == (False, 2)
+        assert block_verdict(stack, j) == dense_verdict(stack, j)
+        w, amap, mu = res.witness, stack.Amap[j], stack.mu[j]
+        assert np.linalg.norm(w) == pytest.approx(1.0)
+        assert np.linalg.norm(amap @ w) < 1e-10 * (1 + np.linalg.norm(amap))
+        assert np.linalg.norm(mu.conj().T @ w) < 1e-10 * (1 + np.linalg.norm(mu))
+
+
+def test_kept_ranks_past_the_columns_raise_naming_both(u2):
+    # the one check the kept ranks can fail: their sum exceeds the columns
+    # of [left; right^H]
+    stack = zeroed_p_column(monad_assembler(u2)(random_points(u2, 2, seed=9)))
+    dim_a, dim_bc = stack.Amap.shape[2], stack.Bmap.shape[2]
+    rank_amap = dim_a - stack._amap_nullity[0]
+    vars(stack)["_bmap_rank"] = [dim_bc] * len(stack)
+    with pytest.raises(RankIndeterminate, match=f"ranks {dim_bc} and {rank_amap} sum past the {dim_bc} columns"):
+        stack.fiber(0)
+    rank_mu = stack._mu_rank[1]
+    vars(stack)["_amap_nullity"] = [0] * len(stack)
+    with pytest.raises(RankIndeterminate, match=f"ranks {dim_a} and {rank_mu} sum past the {dim_a} columns"):
+        stack.locally_free(1)
+
+
+def test_null_space_is_called_only_by_the_cohomology_helper():
+    from test_linalg import scoped_calls
+
+    calls = scoped_calls(lambda name, _: name.split(".")[-1] == "null_space")
+    assert [c for c in calls if c[0].startswith("monad.")] == [("monad._cohomology", "la.null_space")]
 
 
 def test_block_ranks_match_dense_oracle(u2):
