@@ -1,12 +1,20 @@
 """Command-line interface: thin wrappers over the library operations.
 
 Exit codes: 0 all checks pass, 1 a validation check failed, 2 structural
-or I/O error (unreadable file, shape mismatch, bad arguments).
+or I/O error (unreadable file, shape mismatch, bad arguments, a closed or
+failing standard output).
+
+``entrypoint``, behind ``bowforge`` and ``python -m bowforge.cli``, ends the
+process itself once ``main`` returns: it runs the ``atexit`` callbacks,
+flushes standard output and error and calls ``os._exit``, so the interpreter
+does not tear down the numpy and scipy module state.  An exception that escapes
+``main`` ends the interpreter the normal way.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import math
 import os
 import sys
@@ -34,6 +42,8 @@ PASS_EXIT, FAIL_EXIT, ERROR_EXIT = 0, 1, 2
 
 
 def _emit(document: dict, fmt: str) -> None:
+    if sys.stdout is None:  # started with file descriptor 1 closed; print would drop it
+        raise OSError("standard output is closed")
     if fmt == "machine":
         sys.stdout.write(bowfile.canonical_dumps(document))
         return
@@ -311,7 +321,22 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` on ``sys.argv`` and end the process with its exit code.
+
+    The ``atexit`` callbacks run before the flush, in the interpreter's own
+    order, so what they write is flushed too.  A final flush that fails (a
+    reader gone, a full disk) is an I/O error and exits 2.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = ERROR_EXIT
+    os._exit(code)
 
 
 if __name__ == "__main__":

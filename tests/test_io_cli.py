@@ -532,3 +532,116 @@ def test_cli_deterministic_output(capsys):
     assert main(["scan", fixture("u2-basic"), "--n", "5", "--seed", "9",
                  "--format", "machine"]) == 0
     assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------- entry point
+
+SRC = str(Path(bowforge.__file__).resolve().parents[1])
+
+
+def run_entry_point(args, env=None, stdout=subprocess.PIPE, **kw):
+    """`python -m bowforge.cli ARGS` in a fresh interpreter, from this source tree."""
+    env = {**os.environ, "PYTHONPATH": SRC} if env is None else env
+    return subprocess.run([sys.executable, "-m", "bowforge.cli", *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120, **kw)
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize(
+    "command, name, options",
+    [
+        ("dims", "u2-topology", []),
+        ("gen", "u2-topology", ["--seed", "5", "-o", "{out}"]),
+        ("validate", "u2-basic", []),
+        ("exactness", "u2-basic", []),
+        ("invariants", "u2-basic", []),
+        ("scan", "u2-basic", ["--n", "3"]),
+        ("fiber", "u2-basic", ["--xi", "1.0", "--eta", "2.1+0.4j"]),
+        ("pairing", "so2-mirror", []),
+        ("export-bow", "u2-basic", ["-o", "{out}"]),
+    ],
+)
+def test_entry_point_matches_main(command, name, options, fmt, tmp_path, capsys):
+    # the process ends in os._exit: its exit code, stdout and written file
+    # are still those of main() in this process
+    out = tmp_path / "out.json"
+    argv = [command, fixture(name), "--format", fmt] + [o.format(out=out) for o in options]
+    crashes = (command, fmt) == ("invariants", "machine")  # the known crash, ROADMAP item 1
+    if crashes:
+        with pytest.raises(TypeError) as crash:
+            main(argv)
+        code = 1
+    else:
+        code = main(argv)
+    stdout = capsys.readouterr().out.encode()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+
+    proc = run_entry_point(argv)
+    assert proc.returncode == code
+    assert proc.stdout == stdout
+    assert (out.read_bytes() if out.exists() else None) == written
+    if crashes:  # still a traceback and exit 1, through the normal interpreter exit
+        assert b"Traceback (most recent call last)" in proc.stderr
+        assert proc.stderr.decode().splitlines()[-1] == f"TypeError: {crash.value}"
+    else:
+        assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_entry_point_with_stdout_closed_exits_2(fmt):
+    # a process started with descriptor 1 closed has sys.stdout None, and
+    # print to None drops its text: the verdict would vanish behind exit 0
+    proc = run_entry_point(["validate", fixture("u2-basic"), "--format", fmt],
+                           stdout=None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "args",
+    [["validate", fixture("u2-basic"), "--format", "machine"],
+     ["scan", fixture("u2-basic"), "--n", "3"],
+     ["dims", fixture("u2-topology")]],
+    ids=["validate", "scan", "dims"],
+)
+def test_entry_point_into_a_closed_pipe_exits_2(args, buffered):
+    # unbuffered, the write inside the command fails and main reports it;
+    # buffered, the output is still pending when main returns, and the
+    # entry point's final flush fails instead
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_entry_point(args, env=env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+FAILING_FLUSH_PROBE = """
+import errno, io, sys
+from bowforge.cli import entrypoint
+
+class FullDisk(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+sys.stdout = FullDisk()
+sys.argv = ["bowforge", *sys.argv[1:]]
+entrypoint()
+"""
+
+
+def test_entry_point_failing_final_flush_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_FLUSH_PROBE, "dims", fixture("u2-topology")],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 28] No space left on device\n"

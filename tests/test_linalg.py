@@ -572,3 +572,14 @@ def test_polynomials_stay_in_root_form():
                 steps += [f"{path.name}:{n.lineno}" for n in ast.walk(node) if horner_step(n)]
     assert callers == {"bowdata.py"}
     assert steps == []
+
+
+def test_only_the_cli_entry_point_ends_the_process():
+    # os._exit skips the caller's cleanup; a library function that called it
+    # would end an embedding process, so only the command line may
+    calls = scoped_calls(
+        lambda name, _: name.split(".")[-1] in ("_exit", "_run_exitfuncs")
+    )
+    assert sorted(calls) == [
+        ("cli.entrypoint", "atexit._run_exitfuncs"), ("cli.entrypoint", "os._exit"),
+    ]
