@@ -8,16 +8,15 @@ retries with gesvd where gesdd fails to converge.  Every rank decision goes
 through `rank_decision`, so the convention (the ranked matrix's own sigma_max *
 max(dim) * eps * 64) and the straddle rule are set once.  There is one rule: a
 singular value too close to the cutoff to call raises RankIndeterminate and is
-never rounded.  Its stacked form, `rank_decisions`, decides one row of
-singular values per matrix: it counts every row in numpy and hands each row
-with a value on or inside the straddle band to `rank_decision`, so a stack
-gets, row by row, the rank or the exception that the rule gives.  `null_spaces` likewise takes the
-kernels of many matrices at ranks decided before, one SVD call per shape.
-`full_rank` proves, without an SVD, a full rank that the rule would give:
-where its Cholesky certificate holds, every singular value lies far above
-the straddle band.  It is not a second rule: where it proves nothing, the
-caller asks `rank_decision`, which alone defines the cutoff, the straddle
-test and its message.
+never rounded.  Its stacked form, `rank_decisions`, gives each row of a stack
+of singular values the rank or the exception that the rule gives.  There is one
+kernel routine, `null_spaces`: the kernels of many matrices, each at a rank
+decided before or by the rule, one SVD call per shape (`null_space` is its call
+for one matrix).  `full_rank` proves, without an SVD, a full rank that the rule
+would give: where its Cholesky certificate holds, every singular value lies far
+above the straddle band.  It is not a second rule: where it proves nothing, the
+caller asks `rank_decision`, which alone defines the cutoff, the straddle test
+and its message.
 
 Every Schur form goes through `schur`, the one caller of LAPACK zgees, and
 `sylvester` solves P X - X Q = C from two of them with ztrsyl.  Both run
@@ -88,8 +87,9 @@ STRADDLE_FACTOR = np.sqrt(10.0)
 # full_rank proves every singular value above this factor times the straddle
 # band's upper edge; the margin covers the rounding of the rule's own SVD.
 FULL_RANK_MARGIN = 2.0
-# Below this many rows a stacked rank decision takes its rows one by one, the
-# cheaper way where numpy's cost per call exceeds the rule's cost per row.
+# Below this many rows a stacked rank decision takes its rows one by one (about
+# 7 us a row, against 25-30 us a call in numpy): fiber_form's one-point stacks
+# and an m0 = 20 scan's one-point chunks; 40 mirror forms took 14 % longer without it.
 STACKED_DECISION_ROWS = 6
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -334,26 +334,16 @@ def sylvester(P, Q, C) -> np.ndarray:
 
 
 def null_space(m, rank: int | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m.
-
-    The rank of m is decided by rank_decision unless the caller has already
-    decided it and passes it: an exactness stack ranked from its padded
-    spectrum, or the monad's stacked [left; right^H], whose rank is the sum
-    of the two maps' block ranks (monad._cohomology).
-    """
-    m = cmat(m)
-    if fro(m) == 0.0:  # also when m has no rows or no columns
-        return np.eye(m.shape[1], dtype=np.complex128)
-    _, s, vh = svd(m)
-    if rank is None:
-        rank = rank_decision(s, m.shape)
-    return vh[rank:].conj().T
+    """Orthonormal basis (columns) of the kernel of m: null_spaces([m], [rank])[0]."""
+    return null_spaces([cmat(m)], [rank])[0]
 
 
-def null_spaces(ms: Sequence[np.ndarray], ranks: Sequence[int]) -> list[np.ndarray]:
-    """null_space(m, rank) of each complex matrix m of `ms`, at its rank
-    decided by the caller: the SVDs of the nonzero matrices of one shape
-    are one svd call, which gives each matrix the bits of its own SVD."""
+def null_spaces(ms: Sequence[np.ndarray], ranks: Sequence[int | None]) -> list[np.ndarray]:
+    """Orthonormal bases (columns) of the kernels of the complex matrices `ms`,
+    each at its rank in `ranks`, decided by the caller, or None: decided by
+    rank_decision from the matrix's own singular values.  The SVDs of the
+    nonzero matrices of one shape are one svd call, which gives each matrix
+    the bits of its own SVD."""
     out: list = [None] * len(ms)
     by_shape: dict[tuple, list[int]] = {}
     for t, m in enumerate(ms):
@@ -362,9 +352,10 @@ def null_spaces(ms: Sequence[np.ndarray], ranks: Sequence[int]) -> list[np.ndarr
         else:
             by_shape.setdefault(m.shape, []).append(t)
     for ts in by_shape.values():
-        vhs = svd(np.stack([ms[t] for t in ts]))[2]
-        for t, vh in zip(ts, vhs):
-            out[t] = vh[ranks[t] :].conj().T
+        _, ss, vhs = svd(np.stack([ms[t] for t in ts]) if len(ts) > 1 else ms[ts[0]][None])
+        for t, s, vh in zip(ts, ss, vhs):
+            rank = rank_decision(s, ms[t].shape) if ranks[t] is None else ranks[t]
+            out[t] = vh[rank:].conj().T
     return out
 
 

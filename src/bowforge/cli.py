@@ -307,17 +307,20 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (StructuralError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR_EXIT
+        code, line = ERROR_EXIT, f"error: {exc}"
     except RankIndeterminate as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return FAIL_EXIT
+        code, line = FAIL_EXIT, f"indeterminate: {exc}"
     except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return FAIL_EXIT
+        code, line = FAIL_EXIT, f"validation failure: {exc}"
     except BowforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR_EXIT
+        code, line = ERROR_EXIT, f"error: {exc}"
+    _diagnose(line)
+    return code
+
+
+def _diagnose(line: str) -> None:
+    if sys.stderr is not None:  # None with descriptor 2 closed: print would write to stdout
+        print(line, file=sys.stderr)
 
 
 def entrypoint() -> None:
@@ -334,7 +337,7 @@ def entrypoint() -> None:
             if stream is not None:
                 stream.flush()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _diagnose(f"error: {exc}")
         code = ERROR_EXIT
     os._exit(code)
 

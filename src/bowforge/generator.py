@@ -197,20 +197,20 @@ def _diagonalizable_with_eigs(rng, eigs) -> np.ndarray:
     return V @ np.diag(np.asarray(eigs, dtype=np.complex128)) @ np.linalg.inv(V)
 
 
-def _lambda_maps_shared_spectrum(beta0, beta1, rng):
-    """(A, alpha, gamma) for one step whose endpoints share eigenvalues.
+def _lambda_maps_shared_spectrum(eig0, eig1, rng):
+    """(A, alpha, gamma) for one step whose endpoints share eigenvalues, from
+    the eigendecompositions (w, V), beta = V diag(w) V^-1, of its endpoints.
 
     Happens for rank-one structure groups, where the chain forces the two
     endpoint spectra to agree away from the NUT positions.  gamma is set to
     vanish on the shared eigendirections; the corresponding entries of A are
     homogeneous solutions and are drawn freely.
     """
-    d0, d1 = beta0.shape[0], beta1.shape[0]
+    (w0, V0), (w1, V1) = eig0, eig1
+    d0, d1 = len(w0), len(w1)
     alpha = ginibre(rng, d1, 1)
     if d0 == 0 or d1 == 0:
         return np.zeros((d1, d0), dtype=np.complex128), alpha, ginibre(rng, 1, d0)
-    w0, V0 = np.linalg.eig(beta0)
-    w1, V1 = np.linalg.eig(beta1)
     V0inv, V1inv = np.linalg.inv(V0), np.linalg.inv(V1)
     gamma_t = ginibre(rng, 1, d0)
     shared = np.abs(w1[:, None] - w0[None, :]) < la.SYLVESTER_GAP
@@ -233,7 +233,10 @@ def _attempt(t: TopologicalData, dims, rng) -> BowDatum:
     beta[0] = betaN[-1]
     beta[n] = betaN[0]
 
-    spectra = {0: la.eigenvalues(beta[0]), n: la.eigenvalues(beta[n])}  # one per beta_i
+    # one eigendecomposition per beta_i, with eigenvectors for n = 1's shared-spectrum step
+    ends = [np.linalg.eig(b) if n == 1 and len(b) else (la.eigenvalues(b), None)
+            for b in (beta[0], beta[n])]
+    spectra = {0: ends[0][0], n: ends[1][0]}
     pool = [*spectra[0], *spectra[n]]
     for i in range(1, n):
         eigs = _draw_separated(rng, dims.d[i], pool)
@@ -244,7 +247,7 @@ def _attempt(t: TopologicalData, dims, rng) -> BowDatum:
     A, alpha, gamma = [], [], []
     for i in range(n):
         if n == 1:
-            Ai, ai, gi = _lambda_maps_shared_spectrum(beta[0], beta[1], rng)
+            Ai, ai, gi = _lambda_maps_shared_spectrum(*ends, rng)
         else:
             ai = ginibre(rng, dims.d[i + 1], 1)
             gi = ginibre(rng, 1, dims.d[i])
@@ -281,8 +284,9 @@ def generate(t: TopologicalData, seed: int) -> BowDatum:
     solve each A_i from the Sylvester relation.  Resamples up to ATTEMPTS
     times if a genericity check fails or a rank is too close to call.
 
-    Each attempt decomposes each beta_i once and hands the spectra to the
-    datum it builds (BowDatum.assemble), which decomposes only its interior
+    Each attempt decomposes each beta_i once (for n = 1 with eigenvectors,
+    which the shared-spectrum step reuses) and hands the spectra to the datum
+    it builds (BowDatum.assemble), which decomposes only its interior
     betaN_j.  The datum has passed the three validators and keeps their
     reports (see BowDatum), so validating it again only applies the
     caller's tol.

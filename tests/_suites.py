@@ -69,16 +69,21 @@ def oracle_dimensions(t: TopologicalData) -> tuple[list[int], list[int]]:
 
 
 def count_eigensolver_calls(monkeypatch, record):
-    """Call record(a) on each eigvals(a), through np.linalg's binding or the
-    one np.poly imported for itself, which patching np.linalg cannot reach."""
+    """Call record(a) on each eig(a) and eigvals(a), through np.linalg's
+    bindings or the eigvals np.poly imported for itself, which patching
+    np.linalg cannot reach."""
     import numpy.lib._polynomial_impl as polynomial_impl
 
-    eigvals = np.linalg.eigvals
-    assert polynomial_impl.eigvals is eigvals
+    assert polynomial_impl.eigvals is np.linalg.eigvals
 
-    def counting(a, *args, **kwargs):
-        record(a)
-        return eigvals(a, *args, **kwargs)
+    def counting(solver):
+        def call(a, *args, **kwargs):
+            record(a)
+            return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
-    monkeypatch.setattr(polynomial_impl, "eigvals", counting)
+        return call
+
+    eigvals = counting(np.linalg.eigvals)
+    monkeypatch.setattr(np.linalg, "eig", counting(np.linalg.eig))
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(polynomial_impl, "eigvals", eigvals)

@@ -92,7 +92,8 @@ def test_datum_exactness_matches_per_stack_reference(monkeypatch, group, budget)
 @pytest.mark.parametrize("group", GROUPS)
 def test_one_values_only_svd_per_datum(monkeypatch, group):
     # one batched values-only SVD per datum, and a kernel only for each
-    # deficient stack, which takes a full SVD unless the stack is zero
+    # deficient stack, which takes a full SVD (of a stack of one, through
+    # la.null_spaces) unless the stack is zero
     svd, null_space = np.linalg.svd, la.null_space
     calls, kernels = [], []
 
@@ -113,7 +114,7 @@ def test_one_values_only_svd_per_datum(monkeypatch, group):
         kernels.clear()
         results = datum_exactness(d)
         assert len(kernels) == sum(len(r.witnesses) for r in results)
-        assert calls == [(3, False)] + [(2, True)] * sum(kernels)
+        assert calls == [(3, False)] + [(3, True)] * sum(kernels)
 
 
 def test_a_large_datum_ranks_one_side_per_svd(monkeypatch):

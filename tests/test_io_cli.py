@@ -598,6 +598,16 @@ def test_entry_point_with_stdout_closed_exits_2(fmt):
     assert proc.stderr == b"error: standard output is closed\n"
 
 
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_entry_point_with_stderr_closed_keeps_stdout_clean(fmt):
+    # a process started with descriptor 2 closed has sys.stderr None, and
+    # print to None writes to stdout: the diagnostic is dropped instead
+    proc = run_entry_point(["validate", "/nonexistent.json", "--format", fmt],
+                           preexec_fn=lambda: os.close(2))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize(
     "args",

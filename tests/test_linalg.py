@@ -61,6 +61,66 @@ def test_null_space_survives_svd_nonconvergence(monkeypatch):
     assert np.linalg.norm(m @ basis) < 1e-14
 
 
+SHAPES = [(3, 3), (2, 4), (4, 2), (0, 3), (3, 0)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(ms, ranks): up to 7 complex matrices of a few shapes, so that some
+    share one, each zero, rank-deficient, of full rank or with a singular
+    value on the cutoff, at a given rank or None; at most one matrix with a
+    value on the cutoff and no given rank, so at most one raises."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ms, ranks, raising = [], [], False
+    for _ in range(draw(st.integers(1, 7))):
+        r, c = draw(st.sampled_from(SHAPES))
+        kind = draw(st.sampled_from(["zero", "deficient", "full", "straddle"]))
+        rank = draw(st.none() | st.integers(0, c))
+        u = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+        v = np.linalg.qr(rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))[0]
+        sigma = np.zeros((r, c))
+        diagonal = np.arange(min(r, c))
+        if kind != "zero":
+            sigma[diagonal, diagonal] = rng.uniform(0.5, 2.0, len(diagonal))
+        if kind == "deficient" and len(diagonal):
+            sigma[diagonal[-1], diagonal[-1]] = 0.0
+        if kind == "straddle" and len(diagonal) > 1 and not (rank is None and raising):
+            sigma[diagonal[-1], diagonal[-1]] = la.rank_cutoff(sigma[0, 0], (r, c))
+            raising |= rank is None
+        ms.append(u @ sigma.astype(complex) @ v.conj().T)
+        ranks.append(rank)
+    return ms, ranks
+
+
+def kernel_oracle(m, rank):
+    """The kernel of m from numpy's SVD of m alone, sliced at `rank` or at the
+    rule's rank; the identity where m has no nonzero entry."""
+    if not m.any():
+        return np.eye(m.shape[1], dtype=np.complex128)
+    _, s, vh = np.linalg.svd(m)
+    return vh[(la.rank_decision(s, m.shape) if rank is None else rank) :].conj().T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_null_spaces_is_each_matrix_own_svd(case):
+    # a batched SVD gives each matrix the bits of its own, and a rank of
+    # None is the rule's: a straddle raises the rule's message
+    ms, ranks = case
+    try:
+        expected = [kernel_oracle(m, rank) for m, rank in zip(ms, ranks)]
+    except RankIndeterminate as exc:
+        with pytest.raises(RankIndeterminate) as raised:
+            la.null_spaces(ms, ranks)
+        assert str(raised.value) == str(exc)
+        return
+    got = la.null_spaces(ms, ranks)
+    assert [(k.shape, k.tobytes()) for k in got] == [(k.shape, k.tobytes()) for k in expected]
+    for m, rank, k in zip(ms, ranks, expected):
+        one = la.null_space(m, rank)
+        assert (one.shape, one.tobytes()) == (k.shape, k.tobytes())
+
+
 def svd_rank(m):
     return la.rank_decision(np.linalg.svd(m, compute_uv=False), m.shape)
 
@@ -490,6 +550,20 @@ def test_eigensolver_is_called_only_in_linalg_eigenvalues():
         lambda name, _: name.split(".")[-1] == "eigvals" or name in ("np.poly", "numpy.poly")
     )
     assert calls == [("_linalg.eigenvalues", "np.linalg.eigvals")]
+
+
+def test_eigenvectors_are_taken_once_per_n1_attempt():
+    # an n = 1 attempt decomposes each nonempty chain endpoint once, with its
+    # eigenvectors, for the spectra and the shared-spectrum step alike
+    calls = scoped_calls(lambda name, _: name.split(".")[-1] == "eig")
+    assert calls == [("generator._attempt", "np.linalg.eig")]
+
+
+def test_null_space_is_null_spaces_of_one_matrix():
+    # one kernel routine: the zero shortcut, the SVD and the kernel slice
+    # are written once, in null_spaces
+    calls = scoped_calls(lambda name, _: True)
+    assert [name for scope, name in calls if scope == "_linalg.null_space"] == ["null_spaces", "cmat"]
 
 
 def test_lapack_is_reached_only_through_linalg():
