@@ -30,10 +30,17 @@ from .errors import RankIndeterminate, SurfaceViolation
 # x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
 # this much more memory than a point-at-a-time scan.  On the benchmark ladder
 # suite_topology(3, 3, m0) a chunk holds 52 points at m0 = 3 (so all 46 of
-# a scan), 6 at m0 = 10 and one at m0 = 20 (1.2 MB a point), so it may end
+# a scan), 5 at m0 = 10 and one at m0 = 20 (1.4 MB a point), so it may end
 # among one eta's points; what depends on eta alone is kept across chunks
 # (see MonadStack).
 CHUNK_BYTES = 2 << 20
+# A stack whose M has at least this many columns tries to prove G's rank and
+# M's nullity from the kept chain spectra before it takes their SVDs (see
+# MonadStack).  On the ladder's scans, the proofs at every width cost 11-15 %
+# at 14 columns (m0 = 3), came within 2 % either way from 22 to 34, and
+# saved 3-6 % at 38 and 42 (m0 = 9 and 10).  A stack of one point gains only
+# from about 70 columns.
+CHAIN_PROOF_COLUMNS = 36
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,9 @@ class BlockIndex:
         """Bytes one point holds while its stack is evaluated, counted whole
         (see CHUNK_BYTES): its three maps, S and T, the bands of both zero
         products, its share of the chain blocks' padded stack, G, mu's Gram
-        matrix, and M as it is where no P-block is deficient."""
+        matrix, M as it is where no P-block is deficient, and, where the
+        stack tries the chain proofs, the arrays of la.trailing_bound, the
+        most that the proofs hold at once."""
         dim_a, dim_b, dim_c, _ = self.dims
         dim_bc, dim_f = dim_b + dim_c, sum(size for _, size in self.F.values())
         chain = self.alpha_p + self.gamma
@@ -99,6 +108,8 @@ class BlockIndex:
             + g_rows * r_cols + dim_f**2  # G, mu's Gram matrix
             + m_rows * r_cols  # M
         )
+        if r_cols >= CHAIN_PROOF_COLUMNS:  # Q, |Q|, Q^H (for Q^H Q), Q^H Q, M Q; |M| and |M| |Q| packed
+            entries += 3 * r_cols * dim_f + dim_f**2 + m_rows * dim_f + m_rows * (r_cols + dim_f) // 2
         return max(entries, 1) * np.dtype(np.complex128).itemsize
 
 
@@ -121,7 +132,8 @@ class MonadStack:
     singular vectors computed.  Block by block:
       rank(alpha): alpha is block diagonal in its P-blocks
         [(eta - beta_i); -gamma_i] and its R-block G, each ranked at
-        alpha's sigma_max and shape;
+        alpha's sigma_max and shape (G with no SVD where a chain proof
+        below holds);
       rank(mu): its R rows, the only nonzero ones, at mu's shape: dimF
         where la.full_rank's Cholesky certificate proves it, else ranked
         from their singular values;
@@ -129,12 +141,21 @@ class MonadStack:
         P part is the kernels K_i of the deficient P-blocks.  M is Amap on
         the columns of those K_i and of the R-blocks, less the P rows of
         alpha (zero there); it holds G and beta_tilde at full scale, so it
-        is ranked at its own sigma_max;
+        is ranked at its own sigma_max (with no SVD where a chain proof
+        holds);
       rank(Bmap) = rank(gamma) + rank(W^H delta): gamma is block diagonal
         in eta - beta_i, ranked at gamma's sigma_max and shape, and W holds
         the left kernels of its deficient blocks.  W^H delta sits at
         rounding level when it should be zero, so it is the one product
         ranked at its parent's scale: fro(Bmap) and Bmap's shape.
+    The chain proofs, on stacks whose M has at least CHAIN_PROOF_COLUMNS
+    columns: G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and R1,
+    whose singular values are gamma's first and last blocks' in _chain.  By
+    Courant-Fischer, G's values and M's top rows(G) values are at least
+    sigma_min(E), above the straddle band off the spectra of beta_0 and
+    beta_n (_proved_alpha, _proved_nullity; M's other dimF values are
+    bounded through the QR of mu's R rows).  A proof gives what the SVD and
+    the rule give, or declines, and the SVD decides.
     Both cohomology questions are ker(left) / Im(right) with left right = 0:
     the fiber is ker(Bmap) / Im(Amap), and freeness asks that ker(Amap) /
     Im(mu) vanish.  Im(right) lies in ker(left), orthogonal to the row space
@@ -146,10 +167,11 @@ class MonadStack:
     Each rank is evaluated for the whole stack on first use: a zero product
     is batched matmuls of slice views on the bands where the maps as
     monad_assembler builds them can make it nonzero (Bmap Amap on
-    BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G one SVD, mu's
-    R rows one Gram matrix and its Cholesky factorization (and one SVD of
-    those that it does not prove of full rank), and the Ms of one width one
-    more SVD; each M is built once, for its nullity only.  Each kind of rank
+    BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G one SVD of
+    the points the chain proof does not prove, mu's R rows one Gram matrix
+    and its Cholesky factorization (and one SVD of those that it does not
+    prove of full rank), and the Ms of one width one more SVD of the points
+    not proved; each M is built once, for its nullity only.  Each kind of rank
     decision is taken for the whole stack, one la.rank_decisions call per
     shape, and so are the small SVDs (W^H delta, the K_i and W), one la.svd
     call per shape; each matrix is ranked once.  The P-blocks and gamma's
@@ -181,14 +203,14 @@ class MonadStack:
             reduce(operator.iadd, (bmap[:, r, s] @ amap[:, s, c] for s in inner)).reshape(len(self), -1)
             for r, c, inner in self.block_index.bmap_amap
         ]
-        return _fro(np.concatenate(bands, axis=1)) / (1.0 + self._fro_bmap * self._fro_amap)
+        return la.fros(np.concatenate(bands, axis=1)) / (1.0 + self._fro_bmap * self._fro_amap)
 
     @cached_property
     def _mu_residuals(self) -> np.ndarray:
         """Per point: fro(Amap mu) / (1 + fro(Amap) fro(mu)), the product
         taken as M times mu's R rows, the only nonzero ones."""
         mu_r = self.mu[:, self.block_index.alpha_g[1]]
-        return _fro(self._plain_m @ mu_r) / (1.0 + self._fro_amap * self._fro_mu)
+        return la.fros(self._plain_m @ mu_r) / (1.0 + self._fro_amap * self._fro_mu)
 
     @cached_property
     def _plain_m(self) -> np.ndarray:
@@ -198,15 +220,15 @@ class MonadStack:
 
     @cached_property
     def _fro_amap(self) -> np.ndarray:
-        return _fro(self.Amap)
+        return la.fros(self.Amap)
 
     @cached_property
     def _fro_bmap(self) -> np.ndarray:
-        return _fro(self.Bmap)
+        return la.fros(self.Bmap)
 
     @cached_property
     def _fro_mu(self) -> np.ndarray:
-        return _fro(self.mu)
+        return la.fros(self.mu)
 
     @cached_property
     def _keys(self) -> tuple[list, dict]:
@@ -254,15 +276,62 @@ class MonadStack:
         ).reshape(len(ix.alpha_p) + len(ix.gamma), len(js), -1).swapaxes(0, 1)))
 
     @cached_property
+    def _e_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Per point: lower bounds on sigma_min(E) and sigma_max(E), E G's
+        block on A's R0 and R1, from the chain spectra of gamma's first and
+        last blocks less their SVD's rounding; NaN, proving nothing, where E
+        is not exactly those two blocks of Bmap.  None where the stack does
+        not try the chain proofs: M narrower than CHAIN_PROOF_COLUMNS, d0 =
+        0 or dn = 0."""
+        ix = self.block_index
+        n = len(ix.alpha_p)
+        d0, dn = _len(ix.gamma[0][0]), _len(ix.gamma[n][0])
+        if _len(ix.alpha_g[1]) < CHAIN_PROOF_COLUMNS or not (d0 and dn):
+            return None
+        start = ix.alpha_g[1].start
+        expected = np.zeros((len(self), d0 + dn, d0 + dn), dtype=np.complex128)
+        expected[:, :d0, :d0] = self.Bmap[:, ix.gamma[0][0], ix.gamma[0][1]]
+        expected[:, d0:, d0:] = self.Bmap[:, ix.gamma[n][0], ix.gamma[n][1]]
+        diagonal = (self.Amap[:, ix.alpha_g[0], start : start + d0 + dn] == expected).all(axis=(1, 2))
+        values = np.concatenate([self._chain[:, n, :d0], self._chain[:, 2 * n, :dn]], axis=1)
+        chain = ix.alpha_p + ix.gamma
+        padded = (max(_len(r) for r, _ in chain), max(_len(c) for _, c in chain))
+        top = np.where(diagonal, values.max(axis=1), np.nan)
+        rounding = la.svd_rounding(top, padded)
+        return np.where(diagonal, values.min(axis=1), np.nan) - rounding, top - rounding
+
+    @cached_property
     def _alpha(self) -> list:
         """Per point: rank(alpha), decided with G, and (i, K_i) for each
-        rank-deficient P-block i, K_i its kernel (_kernels)."""
+        rank-deficient P-block i, K_i its kernel (_kernels).  G's SVD is
+        taken only at the points where _proved_alpha proves nothing."""
         ix = self.block_index
         sizes = [min(map(_len, s)) for s in ix.alpha_p]
         spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
-        spectra.append(la.svd(self.Amap[:, ix.alpha_g[0], ix.alpha_g[1]], compute_uv=False))
-        ranks = _block_ranks(spectra, (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2]))
+        g = self.Amap[:, ix.alpha_g[0], ix.alpha_g[1]]
+        shape = (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2])
+        ranks = [None] * len(self) if self._e_bounds is None else self._proved_alpha(shape)
+        js = [j for j, r in enumerate(ranks) if r is None]
+        if len(js) == len(self):
+            ranks = _block_ranks(spectra + [la.svd(g, compute_uv=False)], shape)
+        elif js:
+            decided = _block_ranks([s[js] for s in spectra] + [la.svd(g[js], compute_uv=False)], shape)
+            for j, r in zip(js, decided):
+                ranks[j] = r
         return self._kernels("K", ranks, sizes, lambda j, i: self.Amap[j][ix.alpha_p[i]])
+
+    def _proved_alpha(self, shape: tuple[int, int]) -> list:
+        """Per point: alpha's block ranks (as _block_ranks gives them) where
+        la.proved_block_ranks proves them without G's SVD, else None: G's
+        values are at least sigma_min(E), as G G^H >= E E^H, and sigma_max(G)
+        lies between sigma_max(E) and fro(Amap)."""
+        floor, top = self._e_bounds
+        ix = self.block_index
+        g_shape = tuple(map(_len, ix.alpha_g))
+        proved, counts = la.proved_block_ranks(
+            self._chain[:, : len(ix.alpha_p)], floor, top, la.norm_bounds(self.Amap, self._fro_amap), shape, g_shape
+        )
+        return [row + [g_shape[0]] if ok else None for ok, row in zip(proved.tolist(), counts.tolist())]
 
     def _m(self, j: int) -> np.ndarray:
         """M of point j (see the class), j with a deficient P-block, without
@@ -278,7 +347,8 @@ class MonadStack:
         """Per point: dim ker(Amap) = dim ker M, ranked at M's own sigma_max
         and shape.  The Ms of one width, set by the total nullity of the
         deficient P-blocks, are one batched SVD: _plain_m where no P-block
-        is deficient, else each point's _m."""
+        is deficient, else each point's _m.  A plain M whose nullity
+        _proved_nullity proves takes no SVD."""
         out = list(self._alpha)  # a point whose alpha raised keeps that
         by_nullity: dict[int, list[int]] = {}
         for j, a in enumerate(self._alpha):
@@ -289,10 +359,28 @@ class MonadStack:
                 m = np.stack([self._m(j) for j in js])
             else:
                 m = self._plain_m if len(js) == len(self) else self._plain_m[js]
+                if self._e_bounds is not None:
+                    proved = self._proved_nullity(js, m)
+                    for j in np.asarray(js)[proved].tolist():
+                        out[j] = m.shape[2] - _len(self.block_index.alpha_g[0])
+                    if proved.all():
+                        continue
+                    if proved.any():
+                        js, m = [j for j, ok in zip(js, proved.tolist()) if not ok], m[~proved]
             ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
             for j, rank in zip(js, ranks):
                 out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
         return out
+
+    def _proved_nullity(self, js: list[int], m: np.ndarray) -> np.ndarray:
+        """Per point js[t], M = m[t] plain: True where la.proved_nullity
+        proves dim ker M = dimF without M's SVD.  M is square, of G's rows
+        and the Q0 and Qn rows; M^H M >= G^H G, so its top rows(G) values
+        are at least sigma_min(E), and it annihilates Im(mu's R rows) up to
+        rounding."""
+        mu_r = self.mu[:, self.block_index.alpha_g[1]]
+        floor, top = (b[js] for b in self._e_bounds)
+        return la.proved_nullity(m, mu_r if len(js) == len(self) else mu_r[js], floor, top)
 
     @cached_property
     def _gamma(self) -> list:
@@ -410,12 +498,6 @@ def _block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
         for j, count in zip(partial, ((union[partial] >= least[:, None]) @ owner).tolist()):
             out[j] = count
     return out
-
-
-def _fro(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a complex stack."""
-    rows = np.ascontiguousarray(stack).reshape(len(stack), 1, -1).view(np.float64)
-    return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(stack))
 
 
 def _require_zero(residual: float, what: str) -> None:

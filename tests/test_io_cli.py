@@ -300,6 +300,19 @@ def test_cli_fiber_indeterminate_exit_1(capsys, monkeypatch):
     assert capsys.readouterr().err == "indeterminate: singular value straddles the cutoff\n"
 
 
+def test_cli_fiber_straddle_at_a_real_point(capsys):
+    # no rank decision patched: at xi = 1 and eta 1e-13 off an eigenvalue
+    # of u2-basic's beta_0, a singular value sits on the straddle band, and
+    # fiber reports it indeterminate, exit 1, with the rule's own message
+    datum = bowfile.parse((FIXTURES / "u2-basic.json").read_bytes()).require_datum()
+    eta = complex(datum.eigenvalues[0][0]) + 1e-13
+    with pytest.raises(RankIndeterminate, match=r"straddle cutoff 1\.432e-13"):
+        monad.assemble_monad(datum, SurfacePoint.from_xi_eta(datum.topo.z, 1.0, eta)).fiber_rank(0)
+    assert main(["fiber", fixture("u2-basic"), "--xi", "1.0", "--eta", repr(eta)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("indeterminate: singular values") and "straddle cutoff 1.432e-13" in err
+
+
 @pytest.mark.parametrize("method", ["fiber_rank", "locally_free"])
 def test_cli_fiber_indeterminate_explains_itself(capsys, monkeypatch, method):
     args = ["fiber", fixture("u2-basic"), "--xi", "1.0", "--eta", "2.1+0.4j", "--format", "machine"]

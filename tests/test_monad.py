@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import re
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bowforge.bowdata import gauge_transform, with_perturbed_entry
 from bowforge import _linalg as la
@@ -1182,3 +1185,246 @@ def test_random_points_avoid_eigenvalue_tube(u2):
     for pt in random_points(u2, 40, seed=9):
         assert min(abs(pt.eta - v) for v in spectrum) >= 1e-4
         assert 0.1 <= abs(pt.xi) <= 10.0
+
+
+# ------------------------------------------------ the chain proofs of G and M
+
+
+@functools.lru_cache(maxsize=None)
+def ladder(m0):
+    return generate(suite_topology(3, 3, m0), seed=101)
+
+
+@functools.lru_cache(maxsize=None)
+def example(name):
+    if name == "degenerate":
+        return degenerate_example()[1]
+    if name.startswith("ladder-m0-"):
+        return ladder(int(name.removeprefix("ladder-m0-")))
+    return {e.name: e.datum for e in canonical_examples()}[name]
+
+
+def alpha_shape(stack):
+    return (stack.Bmap.shape[2] - stack.Bmap.shape[1], stack.Amap.shape[2])
+
+
+def _len(s):
+    return s.stop - s.start
+
+
+def plant_in_q_rows(stack, j, value, rng):
+    """Point j's plain M plus value * w v^H, v its last right singular vector
+    and w a unit vector on M's Q0 and Qn rows, so that G, and E in it, keep
+    their entries: one trailing singular value of M moves to about value."""
+    ix, amap = stack.block_index, stack.Amap.copy()
+    rows = np.r_[ix.r_rows[0], ix.r_rows[1]][_len(ix.alpha_g[0]) :]
+    w = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    v_h = np.linalg.svd(stack._plain_m[j])[2][-1]  # v^H
+    amap[j][np.ix_(rows, np.arange(ix.alpha_g[1].start, ix.alpha_g[1].stop))] += value * np.outer(w / np.linalg.norm(w), v_h)
+    return dataclasses.replace(stack, Amap=amap)
+
+
+@st.composite
+def chain_proof_cases(draw):
+    """A stack of 2 random points and 2 structured ones (over interior
+    eigenvalues, where a P-block is deficient, and over beta_0's and
+    beta_n's, where E is singular) of a datum with d0, dn > 0, perturbed:
+    not at all; a trailing value of one point's M planted at cut /
+    STRADDLE_FACTOR times 1/2, 1 or 2; P0's first column zeroed; one
+    column of the R-blocks zeroed; or noise on every entry of Amap but E's."""
+    d = example(draw(st.sampled_from(["ladder-m0-3", "u2-basic", "so2-mirror"])))
+    structured = structured_points(d)
+    points = random_points(d, 2, seed=draw(st.integers(0, 20)))
+    points += [structured[draw(st.integers(0, len(structured) - 1))] for _ in range(2)]
+    stack = monad_assembler(d)(points)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["none", "planted", "deficient", "zeroed", "noise"]))
+    if kind == "planted":
+        j = draw(st.integers(0, len(stack) - 1))
+        s = np.linalg.svd(stack._plain_m[j], compute_uv=False)
+        cut = la.rank_cutoff(s[0], stack._plain_m.shape[1:])
+        stack = plant_in_q_rows(stack, j, draw(st.sampled_from([0.5, 1.0, 2.0])) * cut / la.STRADDLE_FACTOR, rng)
+    elif kind == "deficient":
+        stack = zeroed_p_column(stack)
+    elif kind == "zeroed":
+        cols = stack.block_index.alpha_g[1]
+        amap = stack.Amap.copy()
+        amap[..., draw(st.integers(cols.start, cols.stop - 1))] = 0.0
+        stack = dataclasses.replace(stack, Amap=amap)
+    elif kind == "noise":
+        ix, amap = stack.block_index, stack.Amap.copy()
+        e = (slice(None), ix.alpha_g[0], slice(ix.alpha_g[1].start, ix.alpha_g[1].start + _len(ix.alpha_g[0])))
+        kept = amap[e].copy()
+        amap += 10.0 ** draw(st.integers(-16, -8)) * (rng.standard_normal(amap.shape) + 1j * rng.standard_normal(amap.shape))
+        amap[e] = kept
+        stack = dataclasses.replace(stack, Amap=amap)
+    return stack
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(chain_proof_cases())
+def test_chain_proofs_answer_as_the_rule(case):
+    # wherever a chain proof answers, the SVD and the rule give its answer:
+    # alpha's block ranks from the kept P-block spectra and G's singular
+    # values, and dimF for the nullity of the plain M, with no straddle
+    from bowforge import monad
+
+    stack = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
+        shape, m = alpha_shape(stack), stack._plain_m
+        alpha = stack._proved_alpha(shape)
+        nullity = stack._proved_nullity(list(range(len(stack))), m)
+    ix, dim_f = stack.block_index, stack.mu.shape[2]
+    sizes = [min(map(_len, s)) for s in ix.alpha_p]
+    for j in range(len(stack)):
+        if alpha[j] is not None:
+            p = [stack._chain[j, i, :size] for i, size in enumerate(sizes)]
+            g = np.linalg.svd(stack.Amap[j][ix.alpha_g], compute_uv=False)
+            union = np.sort(np.concatenate(p + [g]))[::-1]
+            cut = la.rank_cutoff(union[0], shape)
+            assert sum(alpha[j]) == la.rank_decision(union, shape)
+            assert alpha[j] == [int((b > cut).sum()) for b in p + [g]]
+        if nullity[j]:
+            s = np.linalg.svd(m[j], compute_uv=False)
+            assert m.shape[2] - la.rank_decision(s, m.shape[1:]) == dim_f
+
+
+def test_chain_proofs_decline_on_the_band_and_off_e(u2, monkeypatch):
+    # planted on the band, a trailing value of M leaves M's nullity to the
+    # SVD, which raises; an E that is not Bmap's pair of blocks, or that has
+    # a value on the band, proves nothing
+    from bowforge import monad
+
+    monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
+    rng = np.random.default_rng(5)
+    stack = monad_assembler(u2)(random_points(u2, 2, seed=3))
+    s = np.linalg.svd(stack._plain_m[0], compute_uv=False)
+    edge = la.rank_cutoff(s[0], stack._plain_m.shape[1:]) / la.STRADDLE_FACTOR
+    assert stack._proved_nullity([0, 1], stack._plain_m).tolist() == [True, True]
+    on_band = plant_in_q_rows(stack, 0, 2.0 * edge, rng)
+    assert on_band._proved_nullity([0, 1], on_band._plain_m).tolist() == [False, True]
+    with pytest.raises(RankIndeterminate, match="straddle"):
+        on_band.locally_free(0)
+    assert on_band.locally_free(1).passed
+    amap = stack.Amap.copy()
+    amap[0][stack.block_index.alpha_g[0].start, stack.block_index.alpha_g[1].start] *= 1 + 1e-15
+    off_e = dataclasses.replace(stack, Amap=amap)
+    assert np.isnan(off_e._e_bounds[0][0]) and not np.isnan(off_e._e_bounds[0][1])
+    assert off_e._proved_alpha(alpha_shape(off_e))[0] is None
+    # 1e-13 off an eigenvalue of beta_0, E has a value on alpha's band
+    straddle = monad_assembler(u2)([point(u2, 1.0, complex(u2.eigenvalues[0][0]) + 1e-13)])
+    assert straddle._proved_alpha(alpha_shape(straddle)) == [None]
+    with pytest.raises(RankIndeterminate, match=r"straddle cutoff 1\.432e-13"):
+        straddle.fiber_rank(0)
+
+
+@pytest.mark.parametrize("name, shift", [
+    (name, "") for name in (
+        "u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror", "degenerate",
+        "ladder-m0-3", "ladder-m0-10", "ladder-m0-20",
+    )
+] + [(name, shift) for name in ("u2-basic", "so2-mirror", "ladder-m0-10") for shift in ("A[0]", "Mxi[0]")])
+def test_scan_is_the_same_without_the_chain_proofs(monkeypatch, name, shift):
+    # the chain proofs prove only what the SVDs and the rule decide: with
+    # them off, at their floor and on every stack, every report is equal
+    from bowforge import monad
+
+    d = example(name)
+    if shift:
+        d = with_perturbed_entry(d, shift, (0, 0), 1e-3)
+    config = ScanConfig(n_random=20, seed=1)
+    reports, proved = [], []
+    above = la.above_band
+
+    def recording(*args):
+        out = above(*args)
+        proved.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(la, "above_band", recording)
+    for floor in (10**9, monad.CHAIN_PROOF_COLUMNS, 0):
+        monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", floor)
+        reports.append(scan_local_freeness(dataclasses.replace(d), config))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    if not shift:  # a shifted datum's points may raise at the zero-product checks, before any rank
+        assert any(proved) == bool(d.dims.d[0] * d.dims.d[-1])
+
+
+def chain_svd_shapes(run, monkeypatch):
+    """The shapes of every matrix whose SVD `run()` takes."""
+    svd, shapes = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        shapes.extend([np.shape(a)[-2:]] * (len(a) if np.ndim(a) == 3 else 1))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    run()
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return shapes
+
+
+def g_and_m_shapes(d):
+    ix = block_layout(d.dims.d)
+    g = (_len(ix.alpha_g[0]), _len(ix.alpha_g[1]))
+    return g, (sum(map(_len, ix.r_rows)), g[1])
+
+
+def test_no_svd_of_g_or_m_off_the_boundary_spectra(monkeypatch):
+    # suite_topology(3, 3, 10): a stack of random points takes no SVD of G's
+    # or M's shape; over an eigenvalue of beta_0, E is singular and both are
+    # taken
+    from bowforge import monad
+
+    d = ladder(10)
+    g_shape, m_shape = g_and_m_shapes(d)
+    assert m_shape[1] >= monad.CHAIN_PROOF_COLUMNS
+    off = monad_assembler(d)(random_points(d, 6, seed=4))
+    shapes = chain_svd_shapes(lambda: [(off.fiber_rank(j), off.locally_free(j)) for j in range(len(off))], monkeypatch)
+    assert shapes and g_shape not in shapes and m_shape not in shapes
+    lam = complex(d.eigenvalues[0][0])
+    over = monad_assembler(d)([point(d, 1.0, lam)])
+    shapes = chain_svd_shapes(lambda: over.fiber_rank(0), monkeypatch)
+    assert shapes.count(g_shape) == 1 and shapes.count(m_shape) == 1
+
+
+def test_ladder_scan_takes_svds_of_g_and_m_over_the_boundary_spectra_only(monkeypatch):
+    # m0 = 20, seed 101, 20 random points: of the 148 points, 104 are off
+    # the spectra of beta_0 and beta_n and take neither SVD
+    d = ladder(20)
+    g_shape, m_shape = g_and_m_shapes(d)
+    report = []
+    shapes = chain_svd_shapes(lambda: report.append(scan_local_freeness(d, ScanConfig(n_random=20, seed=1))), monkeypatch)
+    assert len(report[0].points) == 148 and not report[0].indeterminate
+    assert 0 < shapes.count(m_shape) <= 46 and 0 < shapes.count(g_shape) <= 44
+
+
+@pytest.mark.parametrize("d, ends", [
+    ((0, 1), "d0 = 0"), ((1, 0), "dn = 0"), ((0, 0), "all empty"), ((1, 0, 1), "an empty interior P-block"),
+])
+def test_chain_proofs_decline_on_empty_blocks(monkeypatch, d, ends):
+    # with no floor, the proofs decline where d0 or dn is 0 (nothing to
+    # bound G's values by) and run where only an interior block is empty;
+    # the reports are those of the SVD path either way
+    from bowforge import monad
+
+    topologies = {
+        (0, 1): TopologicalData(n=1, k=1, ell=1.0, lam=(0.5,), m=(-1,), nd=(-1,), m0=0, z=(0.3 - 0.2j,)),
+        (1, 0): TopologicalData(n=1, k=1, ell=1.0, lam=(0.5,), m=(1,), nd=(1,), m0=0, z=(0.3 - 0.2j,)),
+        (0, 0): TopologicalData(n=1, k=1, ell=1.0, lam=(0.5,), m=(0,), nd=(0,), m0=0, z=(0.0,)),
+        (1, 0, 1): TopologicalData(
+            n=2, k=3, ell=1.0, lam=(0.1, 0.2), m=(1, -1), nd=(0, -1, 1), m0=0, z=(-0.2 + 0.2j, -0.6 + 0.4j, 0.9 + 0.6j)
+        ),
+    }
+    datum = generate(topologies[d], seed=0)
+    assert datum.dims.d == d, ends
+    config = ScanConfig(n_random=8, seed=2)
+    monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", 10**9)
+    unproved = scan_local_freeness(datum, config)
+    monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
+    stack = monad_assembler(datum)(random_points(datum, 3, seed=1))
+    assert (stack._e_bounds is None) == (not d[0] * d[-1])
+    assert scan_local_freeness(dataclasses.replace(datum), config) == unproved
+    for j in range(len(stack)):
+        assert stack.fiber_rank(j) == datum.topo.n

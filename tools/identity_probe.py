@@ -8,7 +8,7 @@ leaves every output byte-identical prints the same lines as its parent:
     OPENBLAS_NUM_THREADS=1 python tools/identity_probe.py [CATEGORY ...]
 
 Run it in both checkouts (copy this file into one that lacks it) and diff
-the output.  The categories, all by default:
+the output.  The default categories, all run when none is named:
 
   suite      the 720-datum suite, 36 topologies x seeds 0-19: every matrix,
              kept spectrum and cluster, relation and invariant residual
@@ -29,6 +29,14 @@ the output.  The categories, all by default:
              that shares eta-only results, and a stack of one each:
              fiber_rank, locally_free with its witness and, below m0 = 20,
              the fiber basis
+
+Opt-in categories, run only when named:
+
+  ladder40   suite_topology(3, 3, 40), seed 101: the scan report at 20
+             random points (seed 1), and the same points plus the
+             structured ones through stacks of 8 consecutive points and
+             stacks of one: fiber_rank and locally_free with its witness (a
+             stack of all 268 points would hold about 1.5 GB)
 """
 
 from __future__ import annotations
@@ -163,17 +171,32 @@ def scan(out: Digest) -> None:
                 out.outcome("fiber", lambda: stack.fiber(j))
 
 
+def ladder40(out: Digest) -> None:
+    d = generator.generate(suite_topology(3, 3, 40), 101)
+    config = ScanConfig(n_random=20, seed=1)
+    for p in scan_local_freeness(d, config).points:
+        out.add(p.point, p.kind, p.fiber_rank, p.locally_free, p.status, p.reason)
+    points = random_points(d, config.n_random, config.seed) + structured_points(d)
+    for size in (8, 1):
+        for start in range(0, len(points), size):
+            stack = d.monad_assembler(points[start : start + size])
+            for j in range(len(stack)):
+                out.outcome("fiber_rank", lambda: stack.fiber_rank(j))
+                out.outcome("locally_free", lambda: freeness(stack.locally_free(j)))
+
+
 def freeness(result) -> tuple:
     return (result.passed, result.quotient_dim) + (() if result.witness is None else (result.witness,))
 
 
 CATEGORIES = {"suite": suite, "canonical": canonical, "mirror": mirror, "scan": scan}
+OPT_IN = {"ladder40": ladder40}
 
 
 def main(names: list[str]) -> None:
     for name in names or CATEGORIES:
         out = Digest()
-        CATEGORIES[name](out)
+        {**CATEGORIES, **OPT_IN}[name](out)
         print(f"{name} {out.records} {out.sha.hexdigest()}", flush=True)
 
 
