@@ -130,14 +130,16 @@ def rel_residual(lhs, rhs) -> float:
     """Scale-free mismatch ||lhs - rhs||_F / (1 + ||lhs||_F + ||rhs||_F).
 
     fro squares the entries, so a norm of entries above about 1e154
-    overflows; only then are both sides divided by their largest magnitude
-    first, which keeps the residual finite unless an entry is not.
+    overflows, with no warning; only then are both sides divided by their
+    largest magnitude first, which keeps the residual finite unless an
+    entry is not.
     """
     lhs = np.asarray(lhs, dtype=np.complex128)
     rhs = np.asarray(rhs, dtype=np.complex128)
     if lhs.shape != rhs.shape:
         raise ValueError(f"residual of mismatched shapes {lhs.shape} vs {rhs.shape}")
-    diff, lnorm, rnorm = fro(lhs - rhs), fro(lhs), fro(rhs)
+    with np.errstate(over="ignore"):  # handled below
+        diff, lnorm, rnorm = fro(lhs - rhs), fro(lhs), fro(rhs)
     if not math.isfinite(diff + lnorm + rnorm):
         scale = float(np.abs(np.concatenate((lhs.ravel(), rhs.ravel()))).max())
         if math.isfinite(scale):

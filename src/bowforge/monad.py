@@ -24,16 +24,21 @@ from . import _linalg as la
 from .bowdata import BowDatum, aggregate_maps
 from .errors import RankIndeterminate, SurfaceViolation
 
-# Bytes that one chunk of scan_local_freeness may hold, every array of its
-# evaluation counted (BlockIndex.point_bytes).  A chunk pays numpy's per-call
-# overhead once for all its points.  2 MiB is one core's L2 cache on current
-# x86 servers, so a chunk's arrays stay in cache, and a scan holds at most
-# this much more memory than a point-at-a-time scan.  On the benchmark ladder
-# suite_topology(3, 3, m0) a chunk holds 52 points at m0 = 3 (so all 46 of
-# a scan), 5 at m0 = 10 and one at m0 = 20 (1.4 MB a point), so it may end
-# among one eta's points; what depends on eta alone is kept across chunks
-# (see MonadStack).
-CHUNK_BYTES = 2 << 20
+# Bytes of arrays that one chunk of scan_local_freeness may hold, at
+# BlockIndex.point_bytes a point.  A chunk is one MonadStack, which pays a
+# fixed cost of some 400 Python and 440 numpy calls however many points it
+# holds, so larger chunks scan faster, up to a crossover, and hold more
+# memory.  tools/chunk_sweep.py times the ladder suite_topology(3, 3, m0) in
+# one process with one BLAS thread (Xeon, 2 MiB of L2 a core): at m0 = 10 a
+# scan took 102 / 58 / 53 / 51 / 62 ms at 1 / 4 / 7 / 8 / 9 points a chunk
+# (2.3 and 2.5 MB traced at 7 and 8), and at m0 = 20, 362 / 318 / 264 / 250
+# / 341 ms at 1 / 2 / 4 / 6 / 9.  2.75 MiB gives 46 points a chunk at m0 = 3
+# (all of a scan), 8 at m0 = 10, 2 at m0 = 20 and 1 at m0 = 40; four at
+# m0 = 20 would hold 4.4 MB.  With it the benchmark's scan-ladder
+# peak_rss_mb rose by 1.6 % (51.7 -> 52.5 MB).  A chunk may end among one
+# eta's points; what depends on eta alone is kept across chunks (see
+# MonadStack).  A failing point's witness comes on top (see point_bytes).
+CHUNK_BYTES = 11 << 18
 # A stack whose M has at least this many columns tries to prove G's rank and
 # M's nullity from the kept chain spectra before it takes their SVDs (see
 # MonadStack).  On the ladder's scans, the proofs at every width cost 11-15 %
@@ -89,27 +94,32 @@ class BlockIndex:
 
     @property
     def point_bytes(self) -> int:
-        """Bytes one point holds while its stack is evaluated, counted whole
-        (see CHUNK_BYTES): its three maps, S and T, the bands of both zero
-        products, its share of the chain blocks' padded stack, G, mu's Gram
-        matrix, M as it is where no P-block is deficient, and, where the
-        stack tries the chain proofs, the arrays of la.trailing_bound, the
-        most that the proofs hold at once."""
+        """Bytes one point holds at most while its stack is evaluated (see
+        CHUNK_BYTES), its largest live set: its three maps and M as it is
+        where no P-block is deficient, which last as long as the stack, and
+        the most that one phase holds beside them: the bands of Bmap Amap
+        and their concatenation, its share of the chain blocks' padded
+        stack, or, where the stack tries the chain proofs, M's proof (a copy
+        of M and of mu's R rows where the proof goes on at only some points,
+        then la.trailing_bound's Q, |Q|, packed |M| and numpy's buffer for
+        writing it).  Every other phase holds less.  Not counted: a stack's
+        few kB of its own, a second such copy, taken where another point of
+        the stack has a deficient P-block, and the witness of a failing
+        point, one full SVD of [Amap; mu^H] at a time, whose input, U, s
+        and Vh come on top of the stack (1.4 point_bytes at m0 = 10 and 20
+        on the benchmark ladder)."""
         dim_a, dim_b, dim_c, _ = self.dims
         dim_bc, dim_f = dim_b + dim_c, sum(size for _, size in self.F.values())
         chain = self.alpha_p + self.gamma
-        g_rows, r_cols = map(_len, self.alpha_g)
-        m_rows = sum(map(_len, self.r_rows))
-        entries = (
-            dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
-            + self.A["R0"][1] ** 2 + self.A["R1"][1] ** 2  # S, T
-            + sum(_len(r) * _len(c) for r, c, _ in self.bmap_amap) + m_rows * dim_f  # Bmap Amap, Amap mu
-            + len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain)
-            + g_rows * r_cols + dim_f**2  # G, mu's Gram matrix
-            + m_rows * r_cols  # M
-        )
-        if r_cols >= CHAIN_PROOF_COLUMNS:  # Q, |Q|, Q^H (for Q^H Q), Q^H Q, M Q; |M| and |M| |Q| packed
-            entries += 3 * r_cols * dim_f + dim_f**2 + m_rows * dim_f + m_rows * (r_cols + dim_f) // 2
+        r_cols, m_rows = _len(self.alpha_g[1]), sum(map(_len, self.r_rows))
+        phases = [
+            2 * sum(_len(r) * _len(c) for r, c, _ in self.bmap_amap),  # the bands, then concatenated
+            len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain),
+        ]
+        if r_cols >= CHAIN_PROOF_COLUMNS:  # M and mu's R rows copied, Q, |Q|; packed |M| and its buffer
+            phases.append(m_rows * r_cols + 3 * r_cols * dim_f + 2 * -(-m_rows // 2) * r_cols)
+        maps = dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
+        entries = maps + m_rows * r_cols + max(phases)
         return max(entries, 1) * np.dtype(np.complex128).itemsize
 
 
@@ -851,7 +861,8 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
     the report keeps each one's reason.
 
     The points are assembled by the datum's kept monad_assembler and ranked
-    in chunks of as many as fit in CHUNK_BYTES, and at least one.  Each
+    in chunks of as many as fit in CHUNK_BYTES at BlockIndex.point_bytes,
+    the largest live set of a point, each, and at least one.  Each
     chunk is a MonadStack (see there), which ranks its points from blocks,
     never from a whole Amap, Bmap or alpha, and takes each kind of rank
     decision for the whole chunk at once.  What depends on eta alone (the SVD of alpha's P-blocks and

@@ -169,9 +169,9 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_validate_residuals_finite_at_huge_scale(tmp_path, capsys):
-    # entries near 1e200 overflow the Frobenius norms; the residuals stay
-    # finite and the relations still fail (A and alpha gamma scale apart)
+def huge_fixture(tmp_path) -> Path:
+    """u2-basic with A, alpha and gamma scaled by 1e100: entries near 1e200,
+    whose Frobenius norms overflow."""
     doc = json.loads((FIXTURES / "u2-basic.json").read_text())
 
     def scaled(x):
@@ -181,6 +181,13 @@ def test_cli_validate_residuals_finite_at_huge_scale(tmp_path, capsys):
         doc["bow"][key] = scaled(doc["bow"][key])
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(doc))
+    return huge
+
+
+def test_cli_validate_residuals_finite_at_huge_scale(tmp_path, capsys):
+    # entries near 1e200 overflow the Frobenius norms; the residuals stay
+    # finite and the relations still fail (A and alpha gamma scale apart)
+    huge = huge_fixture(tmp_path)
     with np.errstate(over="ignore"):
         assert main(["validate", str(huge), "--format", "machine"]) == 1
     out = json.loads(capsys.readouterr().out)
@@ -557,6 +564,17 @@ def run_entry_point(args, env=None, stdout=subprocess.PIPE, **kw):
     env = {**os.environ, "PYTHONPATH": SRC} if env is None else env
     return subprocess.run([sys.executable, "-m", "bowforge.cli", *args], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120, **kw)
+
+
+@pytest.mark.parametrize("command, options", [("validate", []), ("export-bow", ["-o", "{out}"])])
+def test_entry_point_silent_where_rel_residual_rescales(command, options, tmp_path):
+    # rel_residual rescales a norm that overflows, so numpy's overflow
+    # warning would report nothing the command does not handle: stderr
+    # stays empty, and the relations still fail
+    options = [o.format(out=tmp_path / "out.json") for o in options]
+    proc = run_entry_point([command, str(huge_fixture(tmp_path)), *options])
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert proc.stdout
 
 
 @pytest.mark.parametrize("fmt", ["human", "machine"])
