@@ -44,12 +44,14 @@ binding and no other part of scipy.  Only the gesvd retry of `svd` imports
 scipy.linalg.
 
 A block-diagonal matrix is ranked from the union of its blocks' singular
-values, which is its own spectrum.  Independent matrices share one padded
-SVD (padded_spectra), each ranked at its own shape and sigma_max.  One
-product is ranked against its parent's scale instead of its own: the
-monad's W^H delta (the cokernel of gamma applied to delta) sits at rounding
-level when it should be zero, so it is ranked at fro(Bmap) and Bmap's
-shape, as a rank of the whole Bmap would see it (see monad.MonadStack).
+values, which is its own spectrum; a block's rank is the count of its values
+above that decision's cutoff, in `block_ranks` and `proved_block_ranks`
+alike.  Independent matrices share one padded SVD (padded_spectra), each
+ranked at its own shape and sigma_max.  One product is ranked against its
+parent's scale instead of its own: the monad's W^H delta (the cokernel of
+gamma applied to delta) sits at rounding level when it should be zero, so
+it is ranked at fro(Bmap) and Bmap's shape, as a rank of the whole Bmap
+would see it (see monad.MonadStack).
 """
 
 from __future__ import annotations
@@ -294,7 +296,8 @@ def fros(stack) -> np.ndarray:
     entries (a complex entry as its real and imaginary parts)."""
     rows = np.ascontiguousarray(stack).reshape(len(stack), 1, -1)
     rows = rows.view(np.float64) if rows.dtype.kind == "c" else rows
-    return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(stack))
+    with np.errstate(over="ignore"):  # entries above about 1e154: an inf norm, and an inf residual
+        return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(stack))
 
 
 def norm_bounds(stack, norms=None) -> np.ndarray:
@@ -372,6 +375,23 @@ def trailing_bound(m, q) -> np.ndarray:
     drift = norm_bounds(gram) + rounding * norm_bounds(q) ** 2 + f * _EPS
     with np.errstate(invalid="ignore", divide="ignore"):
         return product / np.sqrt(1.0 - drift)
+
+
+def block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
+    """Per matrix of a stack, block diagonal in blocks whose singular values
+    are spectra[b] (k x size_b): its block ranks, or the RankIndeterminate
+    that rank_decisions raised on the union of its blocks' values (its own
+    spectrum) at `shape`.  A block's rank is the count of its values above
+    the decision's cutoff, rank_cutoff of the union's largest value."""
+    sizes = [s.shape[1] for s in spectra]
+    union = np.concatenate(spectra, axis=1)
+    ranks = rank_decisions(np.sort(union, axis=1)[:, ::-1], shape)
+    if all(r == union.shape[1] for r in ranks):  # every row full: each block at its size, no count to take
+        return [sizes] * len(ranks)
+    cut = rank_cutoff(union.max(axis=1, initial=0.0), shape)
+    owner = np.repeat(np.eye(len(sizes), dtype=np.intp), sizes, axis=0)
+    counts = ((union > cut[:, None]) @ owner).tolist()
+    return [r if isinstance(r, RankIndeterminate) else row for r, row in zip(ranks, counts)]
 
 
 def proved_block_ranks(p, floor, top, scale, shape: tuple[int, int], block_shape: tuple[int, int]):

@@ -181,10 +181,11 @@ class MonadStack:
     the points the chain proof does not prove, mu's R rows one Gram matrix
     and its Cholesky factorization (and one SVD of those that it does not
     prove of full rank), and the Ms of one width one more SVD of the points
-    not proved; each M is built once, for its nullity only.  Each kind of rank
-    decision is taken for the whole stack, one la.rank_decisions call per
-    shape, and so are the small SVDs (W^H delta, the K_i and W), one la.svd
-    call per shape; each matrix is ranked once.  The P-blocks and gamma's
+    not proved; each M is built once, for its nullity only.  Each kind of
+    rank is proved where a proof holds, else decided in one call for the
+    rest of the stack (la.block_ranks or la.rank_decisions, per shape), and
+    the small SVDs (W^H delta, the K_i and W) are one la.svd call per shape;
+    each matrix is ranked once.  The P-blocks and gamma's
     blocks depend on eta alone: their padded SVD, gamma's ranks and the
     kernels K_i and W_i are kept by _per_eta under keys (what, eta key, ...):
     the eta key is the exact eta in `shared`, which scan_local_freeness passes
@@ -322,16 +323,15 @@ class MonadStack:
         shape = (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2])
         ranks = [None] * len(self) if self._e_bounds is None else self._proved_alpha(shape)
         js = [j for j, r in enumerate(ranks) if r is None]
-        if len(js) == len(self):
-            ranks = _block_ranks(spectra + [la.svd(g, compute_uv=False)], shape)
-        elif js:
-            decided = _block_ranks([s[js] for s in spectra] + [la.svd(g[js], compute_uv=False)], shape)
+        if js:
+            rows = _rows(js, len(self))
+            decided = la.block_ranks([s[rows] for s in spectra] + [la.svd(g[rows], compute_uv=False)], shape)
             for j, r in zip(js, decided):
                 ranks[j] = r
         return self._kernels("K", ranks, sizes, lambda j, i: self.Amap[j][ix.alpha_p[i]])
 
     def _proved_alpha(self, shape: tuple[int, int]) -> list:
-        """Per point: alpha's block ranks (as _block_ranks gives them) where
+        """Per point: alpha's block ranks (as la.block_ranks gives them) where
         la.proved_block_ranks proves them without G's SVD, else None: G's
         values are at least sigma_min(E), as G G^H >= E E^H, and sigma_max(G)
         lies between sigma_max(E) and fro(Amap)."""
@@ -368,18 +368,17 @@ class MonadStack:
             if nullity:
                 m = np.stack([self._m(j) for j in js])
             else:
-                m = self._plain_m if len(js) == len(self) else self._plain_m[js]
+                m = self._plain_m[_rows(js, len(self))]
                 if self._e_bounds is not None:
                     proved = self._proved_nullity(js, m)
                     for j in np.asarray(js)[proved].tolist():
                         out[j] = m.shape[2] - _len(self.block_index.alpha_g[0])
-                    if proved.all():
-                        continue
-                    if proved.any():
-                        js, m = [j for j, ok in zip(js, proved.tolist()) if not ok], m[~proved]
-            ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
-            for j, rank in zip(js, ranks):
-                out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
+                    ts = np.flatnonzero(~proved)
+                    js, m = [js[t] for t in ts], m[_rows(ts, len(m))]
+            if js:
+                ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
+                for j, rank in zip(js, ranks):
+                    out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
         return out
 
     def _proved_nullity(self, js: list[int], m: np.ndarray) -> np.ndarray:
@@ -388,9 +387,8 @@ class MonadStack:
         and the Q0 and Qn rows; M^H M >= G^H G, so its top rows(G) values
         are at least sigma_min(E), and it annihilates Im(mu's R rows) up to
         rounding."""
-        mu_r = self.mu[:, self.block_index.alpha_g[1]]
         floor, top = (b[js] for b in self._e_bounds)
-        return la.proved_nullity(m, mu_r if len(js) == len(self) else mu_r[js], floor, top)
+        return la.proved_nullity(m, self.mu[_rows(js, len(self)), self.block_index.alpha_g[1]], floor, top)
 
     @cached_property
     def _gamma(self) -> list:
@@ -399,7 +397,7 @@ class MonadStack:
         ix = self.block_index
         n, dim_c = len(ix.alpha_p), self.Bmap.shape[1]
         sizes = [_len(r) for r, _ in ix.gamma]
-        ranks = self._per_eta([("gamma", key) for key in self._keys[0]], lambda js: _block_ranks(
+        ranks = self._per_eta([("gamma", key) for key in self._keys[0]], lambda js: la.block_ranks(
             [self._chain[js, n + i, :size] for i, size in enumerate(sizes)], (dim_c, dim_c)
         ))
         return self._kernels("W", ranks, sizes, lambda j, i: self.Bmap[j][ix.gamma[i]].conj().T)
@@ -486,28 +484,9 @@ def _value(result):
     return result
 
 
-def _block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
-    """Per point, the ranks of the blocks of a block-diagonal matrix of
-    `shape`, from their singular values (spectra[b][point]), or the
-    RankIndeterminate its decision raised.
-
-    A point's union of block spectra is the spectrum of its whole matrix,
-    ranked in one decision for all points (la.rank_decisions); a block's
-    rank is the count of its values among the union's top `rank`.
-    """
-    sizes = [s.shape[1] for s in spectra]
-    union = np.concatenate(spectra, axis=1)
-    ranked = np.sort(union, axis=1)[:, ::-1]
-    ranks = la.rank_decisions(ranked, shape)
-    out = [r if isinstance(r, RankIndeterminate) else sizes for r in ranks]
-    partial = [j for j, r in enumerate(ranks) if not isinstance(r, RankIndeterminate) and r < union.shape[1]]
-    if partial:  # the union's top `rank` values are those >= its rank-th largest
-        rank = np.array([ranks[j] for j in partial])
-        least = np.where(rank > 0, ranked[partial, rank - 1], np.inf)
-        owner = np.repeat(np.eye(len(sizes), dtype=np.intp), sizes, axis=0)
-        for j, count in zip(partial, ((union[partial] >= least[:, None]) @ owner).tolist()):
-            out[j] = count
-    return out
+def _rows(ts, n: int):
+    """An index of the rows ts of an n-row array: all of them without a copy."""
+    return slice(None) if len(ts) == n else ts
 
 
 def _require_zero(residual: float, what: str) -> None:

@@ -445,13 +445,22 @@ def test_cli_tolerance_env_override(tmp_path, capsys, monkeypatch):
         assert "finite and positive" in capsys.readouterr().err
 
 
+MISSING = object()  # an edited entry that is deleted
+
+
 def edited_fixture(name, keys, value, tmp_path):
-    """A copy of a fixture with the entry at `keys` replaced by `value`."""
+    """A copy of a fixture with the entry at `keys` replaced by `value`, or
+    deleted where it is MISSING; no keys replace the whole document."""
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
     target = doc
     for key in keys[:-1]:
         target = target[key]
-    target[keys[-1]] = value
+    if not keys:
+        doc = value
+    elif value is MISSING:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))  # json writes NaN / Infinity
     return bad
@@ -512,6 +521,31 @@ def test_cli_malformed_numbers_exit_2(field, value, command, tmp_path, capsys, m
     assert f"{field}: expected an integer" in capsys.readouterr().err
 
 
+MALFORMED_MATRIX_FIELDS = {  # field path and error -> (fixture, keys into the document, value)
+    "bow.beta[0][1]: ragged matrix rows": ("u2-basic", ("bow", "beta", 0, 1), [[0.0, 0.0]]),
+    "bow.beta[0][1]: matrix row must be an array": ("u2-basic", ("bow", "beta", 0, 1), 1.0),
+    "bow.beta[0]: matrix must be a nested array": ("u2-basic", ("bow", "beta", 0), []),
+    "bow.A[0]: shape record {'rows': 2, 'cols': 2}": ("u2-basic", ("bow", "A", 0), {"rows": 2, "cols": 2}),
+    "bow.A[1]: shape record {'rows': -1, 'cols': 0}": ("u2-basic", ("bow", "A", 1), {"rows": -1, "cols": 0}),
+    "bow.alpha[0]: empty matrix record needs rows/cols": ("u2-basic", ("bow", "alpha", 0), {"rows": 0}),
+    "bow.gamma[0][0][1]: complex scalar must be a [re, im] pair": ("u2-basic", ("bow", "gamma", 0, 0, 1), [1.0]),
+    "bow: expected an object": ("u2-basic", ("bow",), []),
+    "topology: expected an object": ("u2-basic", ("topology",), "u2"),
+    "top level must be an object": ("u2-basic", (), []),
+    "topology: missing field 'm0'": ("u2-basic", ("topology", "m0"), MISSING),
+    "bow.Mxi: expected 1 matrices": ("u2-basic", ("bow", "Mxi"), []),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED_MATRIX_FIELDS)
+@bow_commands
+def test_cli_malformed_matrices_exit_2(field, command, tmp_path, capsys, monkeypatch):
+    bad = edited_fixture(*MALFORMED_MATRIX_FIELDS[field], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(bad), *command[1:]]) == 2
+    assert f"error: {field}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("m", float("inf")), ("lambda", "0.5"), ("z", 1.0), ("ell", [1.0]), ("ell", "1.0"),
@@ -566,14 +600,20 @@ def run_entry_point(args, env=None, stdout=subprocess.PIPE, **kw):
                           stdout=stdout, stderr=subprocess.PIPE, timeout=120, **kw)
 
 
-@pytest.mark.parametrize("command, options", [("validate", []), ("export-bow", ["-o", "{out}"])])
+@pytest.mark.parametrize(
+    "command, options",
+    [("validate", []), ("export-bow", ["-o", "{out}"]), ("scan", ["--n", "5"]),
+     ("fiber", ["--xi", "1.0", "--eta", "3.0"])],
+)
 def test_entry_point_silent_where_rel_residual_rescales(command, options, tmp_path):
-    # rel_residual rescales a norm that overflows, so numpy's overflow
-    # warning would report nothing the command does not handle: stderr
-    # stays empty, and the relations still fail
+    # rel_residual rescales a norm that overflows, and la.fros (the monad's
+    # residuals) lets it overflow to inf, so numpy's overflow warning would
+    # report nothing the command does not handle: the relations still fail
+    # and stderr holds no RuntimeWarning, only fiber's one verdict line
     options = [o.format(out=tmp_path / "out.json") for o in options]
     proc = run_entry_point([command, str(huge_fixture(tmp_path)), *options])
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    verdict = b"indeterminate: image of Amap not contained in ker(Bmap): residual inf\n"
+    assert (proc.returncode, proc.stderr) == (1, verdict if command == "fiber" else b"")
     assert proc.stdout
 
 

@@ -292,6 +292,81 @@ def test_stacked_rank_decisions_hand_only_rows_near_the_band_to_the_rule(monkeyp
 
 
 @st.composite
+def block_spectra(draw):
+    """(spectra, shape): up to 12 block-diagonal matrices' singular values in
+    1-4 blocks of 0-4 values each (spectra[b], k x size_b), empty blocks
+    included.  Each row holds its largest value, at a drawn scale, in one
+    block, beside values on and one ulp either side of the straddle band's
+    edges at that scale, 0 or anything below it; some rows are all zero, or
+    hold a NaN or an inf."""
+    sizes = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    width = sum(sizes)
+    shape = (width + draw(st.integers(0, 20)), width + draw(st.integers(0, 20)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+        value = st.one_of(
+            st.sampled_from(_band_edges(la.rank_cutoff(scale, shape)) + [0.0]),
+            st.floats(-20.0, 0.0).map(lambda e, scale=scale: scale * 10.0**e),
+        )
+        row = draw(st.lists(value, min_size=width, max_size=width))
+        kind = draw(st.sampled_from(["values", "values", "values", "zero", np.nan, np.inf]))
+        if width:
+            row[draw(st.integers(0, width - 1))] = scale
+            if kind == "zero":
+                row = [0.0] * width
+            elif kind != "values":
+                row[draw(st.integers(0, width - 1))] = kind
+        rows.append(row)
+    union = np.array(rows, dtype=float).reshape(len(rows), width)
+    return np.split(union, np.cumsum(sizes)[:-1], axis=1), shape
+
+
+def _selected_block_ranks(spectra, shape):
+    """The selection that block_ranks replaced, kept as a reference: per
+    decided row, a block's rank is the count of its values among the union's
+    top `rank`, those at least the union's rank-th largest value (inf at
+    rank 0), and every block's size at full rank."""
+    sizes = [s.shape[1] for s in spectra]
+    union = np.concatenate(spectra, axis=1)
+    ranked = np.sort(union, axis=1)[:, ::-1]
+    out = []
+    for rank, row, values in zip(la.rank_decisions(ranked, shape), union, ranked):
+        if isinstance(rank, RankIndeterminate) or rank == len(row):
+            out.append(rank if isinstance(rank, RankIndeterminate) else sizes)
+            continue
+        least = values[rank - 1] if rank else np.inf
+        out.append([int(np.count_nonzero(b >= least)) for b in np.split(row, np.cumsum(sizes)[:-1])])
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block_spectra())
+def test_block_ranks_count_values_above_the_rules_cutoff(case):
+    # where the rule raises on the union of a row's blocks, so does
+    # block_ranks; else its counts sum to the rule's rank and, on a finite
+    # row, equal the selection's.  A row holding NaN or inf has a cutoff
+    # that no value is above: rank 0, and no block counts a value, where
+    # the selection counted each inf toward its block
+    spectra, shape = case
+    union = np.concatenate(spectra, axis=1)
+    ranks = la.block_ranks(spectra, shape)
+    assert len(ranks) == len(union)
+    for r, (counts, selected) in enumerate(zip(ranks, _selected_block_ranks(spectra, shape))):
+        try:
+            rank = la.rank_decision(np.sort(union[r])[::-1], shape)
+        except RankIndeterminate as exc:
+            assert isinstance(counts, RankIndeterminate) and str(counts) == str(exc)
+            continue
+        assert len(counts) == len(spectra) and sum(counts) == rank
+        if np.isfinite(union[r]).all():
+            assert counts == selected
+        else:
+            assert rank == 0 and counts == [0] * len(spectra)
+            assert selected == [int(np.isposinf(s[r]).sum()) for s in spectra]
+
+
+@st.composite
 def planted_stacks(draw):
     """(a, shape, sigma): up to 5 tall complex matrices U diag(sigma) V^H
     with planted singular values, each row of sigma sorted; the rule's shape

@@ -1111,13 +1111,11 @@ def test_kernels_kept_per_eta_follow_each_points_rank(canon, monkeypatch):
     # alpha's rank is decided with G, which reads xi, so two points of one
     # eta may give a P-block two ranks: K_i is kept by eta, block and rank,
     # and each point reads the kernel of its own decision
-    from bowforge import monad
-
     d = canon["sp1-mirror"].datum
     x, y = [p for p in structured_points(d) if p.xi != 0][:2]
     assert x.eta == y.eta and (x.xi, y.xi) == (1, 10)
     dim_a, dim_b, _, _ = monad_dimensions(d.dims)
-    block_ranks = monad._block_ranks
+    block_ranks = la.block_ranks
 
     def one_less_at_the_second_point(spectra, shape):
         ranks = block_ranks(spectra, shape)
@@ -1125,7 +1123,7 @@ def test_kernels_kept_per_eta_follow_each_points_rank(canon, monkeypatch):
             ranks[1] = [r - (i == 1) for i, r in enumerate(ranks[1])]
         return ranks
 
-    monkeypatch.setattr(monad, "_block_ranks", one_less_at_the_second_point)
+    monkeypatch.setattr(la, "block_ranks", one_less_at_the_second_point)
     unshared = monad_assembler(d)([x, y])
     shared = dataclasses.replace(unshared, shared={})
     kernels = [[(i, k.shape) for i, k in stack._alpha[j][1]] for stack in (unshared, shared) for j in (0, 1)]
