@@ -16,14 +16,13 @@ for one matrix).  `full_rank` proves, without an SVD, a full rank that the rule
 would give: where its Cholesky certificate holds, every singular value lies far
 above the straddle band.  It is not a second rule: where it proves nothing, the
 caller asks `rank_decision`, which alone defines the cutoff, the straddle test
-and its message.  So are `proved_block_ranks` and `proved_nullity`, which
-prove the rule's decision on a matrix whose singular values are known only
-within bounds (the monad's chain proofs): through `above_band` for values at
-least a floor, `below_band` for values at most a ceiling and `clear_of_band`
-for known values at a sigma_max known within bounds, from the bounds of
-`sigma_max_bounds` and `trailing_bound`, with `svd_rounding` the allowance
-for svd's own rounding.  Each states the rounding it allows for (gamma_n,
-Higham's n eps / (1 - n eps)).
+and its message.  Nor is `proved_block_ranks`, which proves the rule's
+decision on a block-diagonal matrix with one block whose singular values are
+known only to lie above a floor (the monad's chain proof of G's rank):
+through `above_band` for those values and `clear_of_band` for the known ones,
+at a sigma_max known within bounds (`norm_bounds`), with `svd_rounding` the
+allowance for svd's own rounding.  Each states the rounding it allows for
+(gamma_n, Higham's n eps / (1 - n eps)).
 
 Every Schur form goes through `schur`, the one caller of LAPACK zgees, and
 `sylvester` solves P X - X Q = C from two of them with ztrsyl.  Both run
@@ -97,8 +96,9 @@ STRADDLE_FACTOR = np.sqrt(10.0)
 # band's upper edge; the margin covers the rounding of the rule's own SVD.
 FULL_RANK_MARGIN = 2.0
 # Below this many rows a stacked rank decision takes its rows one by one (about
-# 7 us a row, against 25-30 us a call in numpy): fiber_form's one-point stacks
-# and an m0 = 20 scan's one-point chunks; 40 mirror forms took 14 % longer without it.
+# 7 us a row, against 25-30 us a call in numpy): fiber_form's one-point stacks,
+# the two-point chunks of an m0 = 20 scan and the one-point chunks of m0 = 40;
+# 40 mirror forms took 14 % longer without it.
 STACKED_DECISION_ROWS = 6
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -280,17 +280,6 @@ def clear_of_band(s, low, high, shape: tuple[int, int]) -> np.ndarray:
     return ((s > top) | (s < bottom)).all(axis=1) & np.isfinite(top[:, 0] + bottom[:, 0])
 
 
-def below_band(ceiling, low, high, shape: tuple[int, int]) -> np.ndarray:
-    """Per matrix: True where singular values known to be at most `ceiling`,
-    computed by svd of a matrix whose computed sigma_max is at least `low`
-    and whose sigma_max is at most `high`, lie below the straddle band:
-    ceiling + svd_rounding(high, shape) < rank_cutoff(low, shape) /
-    STRADDLE_FACTOR, so that rank_decision counts none of them and none
-    straddles.  A non-finite bound proves nothing."""
-    ceiling, low, high = (np.asarray(x, dtype=float) for x in (ceiling, low, high))
-    return ceiling + svd_rounding(high, shape) < rank_cutoff(low, shape) / STRADDLE_FACTOR
-
-
 def fros(stack) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, as one dot product of its
     entries (a complex entry as its real and imaginary parts)."""
@@ -300,81 +289,13 @@ def fros(stack) -> np.ndarray:
         return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(stack))
 
 
-def norm_bounds(stack, norms=None) -> np.ndarray:
-    """Per matrix of a stack: an upper bound on its Frobenius norm, fros(stack),
-    or the `norms` it gave before, times 1 + gamma_{N+1} for the rounding of
+def norm_bounds(stack, norms) -> np.ndarray:
+    """Per matrix of a stack: an upper bound on its Frobenius norm, from the
+    `norms` that fros(stack) gave, times 1 + gamma_{N+1} for the rounding of
     the N real squares that it sums and of their square root."""
     stack = np.asarray(stack)
     terms = stack.shape[-2] * stack.shape[-1] * (2 if stack.dtype.kind == "c" else 1)
-    return (fros(stack) if norms is None else norms) * (1.0 + _gamma(terms + 1))
-
-
-def sigma_max_bounds(m) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix M of the stack `m`, each with at least one column: (low,
-    high) with low <= sigma_max(M) <= high.
-
-    high is sqrt(||M||_1 ||M||_inf), from the largest column and row sums of
-    |M|, times 1 + gamma_{n+3} (n the longer sum) for the rounding of the
-    moduli and the sums.  low is ||M x|| / ||x|| for x = M^H y, y the column
-    of M with the largest sum of moduli: one power step.  Any x gives a
-    lower bound; the computed M x is within sqrt(2) gamma_{c+2} |M| |x| of
-    the exact one (c columns), and || |M| ||_2 is at most high, so that much
-    of high is taken off, and each norm is corrected by its own rounding.  A
-    zero M gives NaN: no bound.
-    """
-    k, rows, cols = m.shape
-    abs_m = np.abs(m)
-    column_sums = abs_m.sum(axis=1)
-    sums = column_sums.max(axis=1) * abs_m.sum(axis=2).max(axis=1, initial=0.0)
-    del abs_m
-    high = np.sqrt(sums) * (1.0 + _gamma(max(rows, cols) + 3))
-    y = m[np.arange(k), :, column_sums.argmax(axis=1)]
-    x = np.matmul(y[:, None, :].conj(), m)[:, 0].conj()  # M^H y
-    mx = np.matmul(m, x[:, :, None])[:, :, 0]
-    x_norm = np.linalg.norm(x, axis=1) * (1.0 + _gamma(2 * cols + 1))
-    mx_norm = np.linalg.norm(mx, axis=1) * (1.0 - _gamma(2 * rows + 1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        low = mx_norm / x_norm - math.sqrt(2.0) * _gamma(cols + 2) * high
-    return low, high
-
-
-def trailing_bound(m, q) -> np.ndarray:
-    """Per pair (M, Q) of the stacks `m` (k x p x c) and `q` (k x c x f, the
-    orthonormal factor of a QR, its columns near orthonormal): an upper
-    bound on the f smallest singular values of M.
-
-    By Courant-Fischer they lie at or below max ||M x|| over unit x in
-    Im(Q), so at or below ||M Q||_2 / sigma_min(Q).  The product M Q that
-    numpy computes carries, entry by entry, at most sqrt(2) gamma_{c+2}
-    (|M| |Q|) of rounding (complex inner products of length c), so ||M Q||_F
-    is at most the computed product's norm plus sqrt(2) gamma_{c+2}
-    || |M| |Q| ||_F.  sigma_min(Q)^2 is at least 1 - ||Q^H Q - I||_2, and
-    the computed Q^H Q, less I, is within sqrt(2) gamma_{c+2} ||Q||_F^2
-    plus f eps of the exact one.  Every norm is an upper bound
-    (norm_bounds).  Where that bound on ||Q^H Q - I|| reaches 1, or a value
-    is not finite, the bound is NaN or infinite: it proves nothing.  Each
-    product is reduced to its norm before the next is formed.  |M| |Q| is
-    one complex product, the two halves of |M|'s rows as the real and
-    imaginary parts of one matrix, because a real matrix product would load
-    a second BLAS kernel (about 0.4 MB more resident memory).
-    """
-    k, p, c = m.shape
-    f = q.shape[2]
-    rounding = math.sqrt(2.0) * _gamma(c + 2)
-    half = -(-p // 2)
-    packed, abs_q = np.zeros((k, half, c), dtype=np.complex128), np.zeros(q.shape, dtype=np.complex128)
-    np.abs(m[:, :half], out=packed.real)
-    np.abs(m[:, half:], out=packed.imag[:, : p - half])
-    np.abs(q, out=abs_q.real)
-    product = rounding * norm_bounds(packed @ abs_q)  # the norm of [|M_1| |Q|, |M_2| |Q|]
-    del packed, abs_q
-    product += norm_bounds(m @ q)
-    gram = np.matmul(q.conj().transpose(0, 2, 1), q)
-    diagonal = np.arange(f)
-    gram[:, diagonal, diagonal] -= 1.0
-    drift = norm_bounds(gram) + rounding * norm_bounds(q) ** 2 + f * _EPS
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return product / np.sqrt(1.0 - drift)
+    return norms * (1.0 + _gamma(terms + 1))
 
 
 def block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
@@ -410,28 +331,6 @@ def proved_block_ranks(p, floor, top, scale, shape: tuple[int, int], block_shape
     low, high = np.maximum(p_max, top - rounding), np.maximum(p_max, scale + rounding)
     proved = above_band(floor, high, shape) & clear_of_band(p.reshape(len(p), -1), low, high, shape)
     return proved, (p > rank_cutoff(high, shape)[:, None, None]).sum(axis=2)
-
-
-def proved_nullity(m, basis, floor, top) -> np.ndarray:
-    """Per square matrix M of the stack `m` (k x c x c), given `basis` (k x c
-    x f) of a subspace that M annihilates up to rounding, floor[j] at most
-    M's c - f largest singular values and top[j] at most sigma_max(M): True
-    where rank_decision on svd's values of M gives rank c - f with no
-    straddle.  svd's sigma_max of M lies in sigma_max_bounds, the lower one
-    raised to top, less or plus svd_rounding.  Lower half: above_band(floor).
-    Upper half, only where the lower one holds: below_band of
-    trailing_bound(M, Q), Q the orthonormal factor of basis's QR."""
-    shape = m.shape[1:]
-    low, high = sigma_max_bounds(m)
-    high += svd_rounding(high, shape)
-    low = np.maximum(low, top) - svd_rounding(high, shape)
-    proved = above_band(floor, high, shape)
-    ts = np.flatnonzero(proved)
-    if len(ts) < len(m):
-        m, basis, low, high = m[ts], basis[ts], low[ts], high[ts]
-    if len(ts):
-        proved[ts] = below_band(trailing_bound(m, np.linalg.qr(basis)[0]), low, high, shape)
-    return proved
 
 
 def _gamma(n: int) -> float:

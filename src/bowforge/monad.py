@@ -26,25 +26,26 @@ from .errors import RankIndeterminate, SurfaceViolation
 
 # Bytes of arrays that one chunk of scan_local_freeness may hold, at
 # BlockIndex.point_bytes a point.  A chunk is one MonadStack, which pays a
-# fixed cost of some 400 Python and 440 numpy calls however many points it
+# fixed cost of a few hundred Python and numpy calls however many points it
 # holds, so larger chunks scan faster, up to a crossover, and hold more
 # memory.  tools/chunk_sweep.py times the ladder suite_topology(3, 3, m0) in
-# one process with one BLAS thread (Xeon, 2 MiB of L2 a core): at m0 = 10 a
-# scan took 102 / 58 / 53 / 51 / 62 ms at 1 / 4 / 7 / 8 / 9 points a chunk
-# (2.3 and 2.5 MB traced at 7 and 8), and at m0 = 20, 362 / 318 / 264 / 250
-# / 341 ms at 1 / 2 / 4 / 6 / 9.  2.75 MiB gives 46 points a chunk at m0 = 3
-# (all of a scan), 8 at m0 = 10, 2 at m0 = 20 and 1 at m0 = 40; four at
-# m0 = 20 would hold 4.4 MB.  With it the benchmark's scan-ladder
-# peak_rss_mb rose by 1.6 % (51.7 -> 52.5 MB).  A chunk may end among one
+# one process with one BLAS thread (Xeon, 2 MiB of L2 a core; medians of
+# two sweeps): at m0 = 10 a scan took 77-79 / 44-47 / 38-40 / 37.5-37.7 /
+# 44-46 ms at 1 / 4 / 7 / 8 / 9 points a chunk (2.2 and 2.5 MB traced at 8
+# and 9), and at m0 = 20, 270-272 / 237 / 204-210 / 189-198 / 236-248 ms at
+# 1 / 2 / 4 / 8 / 9.  2.25 MiB, below nine m0 = 10 points, gives 46 points a
+# chunk at m0 = 3 (all of a scan), 8 at m0 = 10, 2 at m0 = 20 and 1 at
+# m0 = 40; four at m0 = 20 would hold 3.9 MB.  A chunk may end among one
 # eta's points; what depends on eta alone is kept across chunks (see
 # MonadStack).  A failing point's witness comes on top (see point_bytes).
-CHUNK_BYTES = 11 << 18
-# A stack whose M has at least this many columns tries to prove G's rank and
-# M's nullity from the kept chain spectra before it takes their SVDs (see
-# MonadStack).  On the ladder's scans, the proofs at every width cost 11-15 %
-# at 14 columns (m0 = 3), came within 2 % either way from 22 to 34, and
-# saved 3-6 % at 38 and 42 (m0 = 9 and 10).  A stack of one point gains only
-# from about 70 columns.
+CHUNK_BYTES = 9 << 18
+# A stack whose M has at least this many columns tries to prove G's rank from
+# the kept chain spectra before it takes G's SVD (see MonadStack).  With
+# every stack trying it, the ladder's scans ran 0-9 % faster from 14 to 34
+# columns (m0 = 3 to 8), but a one-point stack ran 10-14 % slower at 14
+# columns (fiber_at, is_locally_free_at) and the mirror data's fiber_form
+# (4 and 8 columns) 13-17 % slower.  From 38 columns on, a stack of one
+# point runs within 1.5 % of no proof, or faster.
 CHAIN_PROOF_COLUMNS = 36
 
 
@@ -98,13 +99,11 @@ class BlockIndex:
         CHUNK_BYTES), its largest live set: its three maps and M as it is
         where no P-block is deficient, which last as long as the stack, and
         the most that one phase holds beside them: the bands of Bmap Amap
-        and their concatenation, its share of the chain blocks' padded
-        stack, or, where the stack tries the chain proofs, M's proof (a copy
-        of M and of mu's R rows where the proof goes on at only some points,
-        then la.trailing_bound's Q, |Q|, packed |M| and numpy's buffer for
-        writing it).  Every other phase holds less.  Not counted: a stack's
-        few kB of its own, a second such copy, taken where another point of
-        the stack has a deficient P-block, and the witness of a failing
+        and their concatenation, or its share of the chain blocks' padded
+        stack.  Every other phase holds less.  Not counted: a stack's few kB
+        of its own; the one copy of M that _amap_nullity takes,
+        self._plain_m[js], and only where the stack mixes points with a
+        deficient P-block and plain ones; and the witness of a failing
         point, one full SVD of [Amap; mu^H] at a time, whose input, U, s
         and Vh come on top of the stack (1.4 point_bytes at m0 = 10 and 20
         on the benchmark ladder)."""
@@ -116,8 +115,6 @@ class BlockIndex:
             2 * sum(_len(r) * _len(c) for r, c, _ in self.bmap_amap),  # the bands, then concatenated
             len(chain) * max(_len(r) for r, _ in chain) * max(_len(c) for _, c in chain),
         ]
-        if r_cols >= CHAIN_PROOF_COLUMNS:  # M and mu's R rows copied, Q, |Q|; packed |M| and its buffer
-            phases.append(m_rows * r_cols + 3 * r_cols * dim_f + 2 * -(-m_rows // 2) * r_cols)
         maps = dim_bc * dim_a + dim_c * dim_bc + dim_a * dim_f  # Amap, Bmap, mu
         entries = maps + m_rows * r_cols + max(phases)
         return max(entries, 1) * np.dtype(np.complex128).itemsize
@@ -151,21 +148,19 @@ class MonadStack:
         P part is the kernels K_i of the deficient P-blocks.  M is Amap on
         the columns of those K_i and of the R-blocks, less the P rows of
         alpha (zero there); it holds G and beta_tilde at full scale, so it
-        is ranked at its own sigma_max (with no SVD where a chain proof
-        holds);
+        is ranked at its own sigma_max;
       rank(Bmap) = rank(gamma) + rank(W^H delta): gamma is block diagonal
         in eta - beta_i, ranked at gamma's sigma_max and shape, and W holds
         the left kernels of its deficient blocks.  W^H delta sits at
         rounding level when it should be zero, so it is the one product
         ranked at its parent's scale: fro(Bmap) and Bmap's shape.
-    The chain proofs, on stacks whose M has at least CHAIN_PROOF_COLUMNS
+    G's chain proof, on stacks whose M has at least CHAIN_PROOF_COLUMNS
     columns: G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and R1,
     whose singular values are gamma's first and last blocks' in _chain.  By
-    Courant-Fischer, G's values and M's top rows(G) values are at least
-    sigma_min(E), above the straddle band off the spectra of beta_0 and
-    beta_n (_proved_alpha, _proved_nullity; M's other dimF values are
-    bounded through the QR of mu's R rows).  A proof gives what the SVD and
-    the rule give, or declines, and the SVD decides.
+    Courant-Fischer, G's values are at least sigma_min(E), above the
+    straddle band off the spectra of beta_0 and beta_n (_proved_alpha).  The
+    proof gives what the SVD and the rule give, or declines, and the SVD
+    decides.
     Both cohomology questions are ker(left) / Im(right) with left right = 0:
     the fiber is ker(Bmap) / Im(Amap), and freeness asks that ker(Amap) /
     Im(mu) vanish.  Im(right) lies in ker(left), orthogonal to the row space
@@ -180,9 +175,9 @@ class MonadStack:
     BlockIndex.bmap_amap, Amap mu as M times mu's R rows), G one SVD of
     the points the chain proof does not prove, mu's R rows one Gram matrix
     and its Cholesky factorization (and one SVD of those that it does not
-    prove of full rank), and the Ms of one width one more SVD of the points
-    not proved; each M is built once, for its nullity only.  Each kind of
-    rank is proved where a proof holds, else decided in one call for the
+    prove of full rank), and the Ms of one width one more SVD; each M is
+    built once, for its nullity only.  G's and mu's ranks are proved where
+    a proof holds, and each kind of rank is decided in one call for the
     rest of the stack (la.block_ranks or la.rank_decisions, per shape), and
     the small SVDs (W^H delta, the K_i and W) are one la.svd call per shape;
     each matrix is ranked once.  The P-blocks and gamma's
@@ -292,7 +287,7 @@ class MonadStack:
         block on A's R0 and R1, from the chain spectra of gamma's first and
         last blocks less their SVD's rounding; NaN, proving nothing, where E
         is not exactly those two blocks of Bmap.  None where the stack does
-        not try the chain proofs: M narrower than CHAIN_PROOF_COLUMNS, d0 =
+        not try G's chain proof: M narrower than CHAIN_PROOF_COLUMNS, d0 =
         0 or dn = 0."""
         ix = self.block_index
         n = len(ix.alpha_p)
@@ -356,39 +351,20 @@ class MonadStack:
     def _amap_nullity(self) -> list:
         """Per point: dim ker(Amap) = dim ker M, ranked at M's own sigma_max
         and shape.  The Ms of one width, set by the total nullity of the
-        deficient P-blocks, are one batched SVD: _plain_m where no P-block
-        is deficient, else each point's _m.  A plain M whose nullity
-        _proved_nullity proves takes no SVD."""
+        deficient P-blocks, are one values-only SVD and one stacked decision
+        (la.rank_decisions): _plain_m where no P-block is deficient, else
+        each point's _m."""
         out = list(self._alpha)  # a point whose alpha raised keeps that
         by_nullity: dict[int, list[int]] = {}
         for j, a in enumerate(self._alpha):
             if not isinstance(a, RankIndeterminate):
                 by_nullity.setdefault(sum(k.shape[1] for _, k in a[1]), []).append(j)
         for nullity, js in by_nullity.items():
-            if nullity:
-                m = np.stack([self._m(j) for j in js])
-            else:
-                m = self._plain_m[_rows(js, len(self))]
-                if self._e_bounds is not None:
-                    proved = self._proved_nullity(js, m)
-                    for j in np.asarray(js)[proved].tolist():
-                        out[j] = m.shape[2] - _len(self.block_index.alpha_g[0])
-                    ts = np.flatnonzero(~proved)
-                    js, m = [js[t] for t in ts], m[_rows(ts, len(m))]
-            if js:
-                ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
-                for j, rank in zip(js, ranks):
-                    out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
+            m = np.stack([self._m(j) for j in js]) if nullity else self._plain_m[_rows(js, len(self))]
+            ranks = la.rank_decisions(la.svd(m, compute_uv=False), m.shape[1:])
+            for j, rank in zip(js, ranks):
+                out[j] = rank if isinstance(rank, RankIndeterminate) else m.shape[2] - rank
         return out
-
-    def _proved_nullity(self, js: list[int], m: np.ndarray) -> np.ndarray:
-        """Per point js[t], M = m[t] plain: True where la.proved_nullity
-        proves dim ker M = dimF without M's SVD.  M is square, of G's rows
-        and the Q0 and Qn rows; M^H M >= G^H G, so its top rows(G) values
-        are at least sigma_min(E), and it annihilates Im(mu's R rows) up to
-        rounding."""
-        floor, top = (b[js] for b in self._e_bounds)
-        return la.proved_nullity(m, self.mu[_rows(js, len(self)), self.block_index.alpha_g[1]], floor, top)
 
     @cached_property
     def _gamma(self) -> list:

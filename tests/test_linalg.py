@@ -437,62 +437,9 @@ def test_full_rank_declines_what_it_cannot_prove():
     assert la.full_rank(np.zeros((2, 3, 0)), (3, 0), [0.0, 0.0]).tolist() == [True, True]
 
 
-@st.composite
-def near_kernels(draw):
-    """(m, q): k complex p x c matrices M whose f smallest singular values
-    are planted at a drawn scale (down to 0), and the orthonormal factor Q
-    of the QR of their trailing right singular vectors, perturbed by a
-    drawn amount (up to far from orthonormal), as the chain proof's M and
-    the QR of mu's R rows are."""
-    k, c = draw(st.integers(1, 4)), draw(st.integers(2, 12))
-    f, p = draw(st.integers(1, c - 1)), c + draw(st.integers(0, 4))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ms, qs = [], []
-    for _ in range(k):
-        u = np.linalg.qr(rng.standard_normal((p, c)) + 1j * rng.standard_normal((p, c)))[0]
-        v = np.linalg.qr(rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c)))[0]
-        top = 10.0 ** draw(st.floats(-3.0, 6.0))
-        sigma = np.sort(top * 10.0 ** rng.uniform(-3.0, 0.0, c))[::-1]
-        sigma[0] = top
-        sigma[c - f :] = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-6])) * top * rng.uniform(0.0, 1.0, f)
-        ms.append((u * sigma) @ v.conj().T)
-        tilt = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
-        basis = v[:, c - f :] + tilt * (rng.standard_normal((c, f)) + 1j * rng.standard_normal((c, f)))
-        qs.append(np.linalg.qr(basis)[0] * draw(st.sampled_from([1.0, 1.0, 1.5])))
-    return np.array(ms), np.array(qs)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(near_kernels())
-def test_trailing_bound_bounds_the_trailing_singular_values(case):
-    # Courant-Fischer on Im(Q) with every rounding bounded: the bound is at
-    # or above the f smallest singular values, or NaN where Q is too far
-    # from orthonormal to bound sigma_min(Q)
-    m, q = case
-    bound = la.trailing_bound(m, q)
-    f = q.shape[2]
-    for a, b in zip(m, bound.tolist()):
-        s = np.linalg.svd(a, compute_uv=False)
-        assert np.isnan(b) or s[-f] <= b * (1 + 1e-12)
-    scaled = la.trailing_bound(m, 1.5 * q)
-    assert np.isnan(scaled).all()  # ||Q^H Q - I|| >= 1.25: no bound on sigma_min(Q)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(near_kernels())
-def test_sigma_max_bounds_bracket_the_largest_singular_value(case):
-    m, _ = case
-    low, high = la.sigma_max_bounds(m)
-    top = np.linalg.svd(m, compute_uv=False)[:, 0]
-    assert (low <= top).all() and (top <= high).all()
-    assert (low > 0).all()
-    zero_low, zero_high = la.sigma_max_bounds(np.zeros((1, 3, 2), complex))
-    assert np.isnan(zero_low).all() and (zero_high == 0).all()
-
-
 def test_band_predicates_decide_as_the_rule():
-    # above_band, below_band and clear_of_band prove what rank_decision
-    # gives at every sigma_max that the bounds allow, and decline on the band
+    # above_band and clear_of_band prove what rank_decision gives at every
+    # sigma_max that the bounds allow, and decline on the band
     shape = (40, 30)
     cut = la.rank_cutoff(1.0, shape)
     edge_up, edge_down = la.STRADDLE_FACTOR * cut, cut / la.STRADDLE_FACTOR
@@ -500,8 +447,6 @@ def test_band_predicates_decide_as_the_rule():
     assert la.above_band([margin * 1.001, margin, np.nan], [1.0] * 3, shape).tolist() == [True, False, False]
     rounding = la.svd_rounding(2.0, shape)
     assert rounding == la.rank_cutoff(2.0, shape) / la.RANK_SAFETY
-    below = la.below_band([0.99 * edge_down - rounding, edge_down - rounding, np.inf], [1.0] * 3, [2.0] * 3, shape)
-    assert below.tolist() == [True, False, False]
     # the band moves with sigma_max in [low, high] = [1, 2]: a value clear at
     # sigma_max 1 alone but on the band at 2 is not clear
     rows = np.array([

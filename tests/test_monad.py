@@ -1223,7 +1223,7 @@ def test_random_points_avoid_eigenvalue_tube(u2):
         assert 0.1 <= abs(pt.xi) <= 10.0
 
 
-# ------------------------------------------------ the chain proofs of G and M
+# ------------------------------------------------ the chain proof of G
 
 
 @functools.lru_cache(maxsize=None)
@@ -1300,18 +1300,17 @@ def chain_proof_cases(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(chain_proof_cases())
 def test_chain_proofs_answer_as_the_rule(case):
-    # wherever a chain proof answers, the SVD and the rule give its answer:
-    # alpha's block ranks from the kept P-block spectra and G's singular
-    # values, and dimF for the nullity of the plain M, with no straddle
+    # wherever G's chain proof answers, the SVD and the rule give its
+    # answer: alpha's block ranks from the kept P-block spectra and G's
+    # singular values, with no straddle
     from bowforge import monad
 
     stack = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
-        shape, m = alpha_shape(stack), stack._plain_m
+        shape = alpha_shape(stack)
         alpha = stack._proved_alpha(shape)
-        nullity = stack._proved_nullity(list(range(len(stack))), m)
-    ix, dim_f = stack.block_index, stack.mu.shape[2]
+    ix = stack.block_index
     sizes = [min(map(_len, s)) for s in ix.alpha_p]
     for j in range(len(stack)):
         if alpha[j] is not None:
@@ -1321,15 +1320,12 @@ def test_chain_proofs_answer_as_the_rule(case):
             cut = la.rank_cutoff(union[0], shape)
             assert sum(alpha[j]) == la.rank_decision(union, shape)
             assert alpha[j] == [int((b > cut).sum()) for b in p + [g]]
-        if nullity[j]:
-            s = np.linalg.svd(m[j], compute_uv=False)
-            assert m.shape[2] - la.rank_decision(s, m.shape[1:]) == dim_f
 
 
 def test_chain_proofs_decline_on_the_band_and_off_e(u2, monkeypatch):
-    # planted on the band, a trailing value of M leaves M's nullity to the
-    # SVD, which raises; an E that is not Bmap's pair of blocks, or that has
-    # a value on the band, proves nothing
+    # planted on the band, a trailing value of M makes M's SVD raise; an E
+    # that is not Bmap's pair of blocks, or that has a value on the band,
+    # proves nothing
     from bowforge import monad
 
     monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
@@ -1337,9 +1333,7 @@ def test_chain_proofs_decline_on_the_band_and_off_e(u2, monkeypatch):
     stack = monad_assembler(u2)(random_points(u2, 2, seed=3))
     s = np.linalg.svd(stack._plain_m[0], compute_uv=False)
     edge = la.rank_cutoff(s[0], stack._plain_m.shape[1:]) / la.STRADDLE_FACTOR
-    assert stack._proved_nullity([0, 1], stack._plain_m).tolist() == [True, True]
     on_band = plant_in_q_rows(stack, 0, 2.0 * edge, rng)
-    assert on_band._proved_nullity([0, 1], on_band._plain_m).tolist() == [False, True]
     with pytest.raises(RankIndeterminate, match="straddle"):
         on_band.locally_free(0)
     assert on_band.locally_free(1).passed
@@ -1409,8 +1403,7 @@ def g_and_m_shapes(d):
 
 def test_no_svd_of_g_or_m_off_the_boundary_spectra(monkeypatch):
     # suite_topology(3, 3, 10): a stack of random points takes no SVD of G's
-    # or M's shape; over an eigenvalue of beta_0, E is singular and both are
-    # taken
+    # shape; over an eigenvalue of beta_0, E is singular and G's is taken
     from bowforge import monad
 
     d = ladder(10)
@@ -1418,22 +1411,23 @@ def test_no_svd_of_g_or_m_off_the_boundary_spectra(monkeypatch):
     assert m_shape[1] >= monad.CHAIN_PROOF_COLUMNS
     off = monad_assembler(d)(random_points(d, 6, seed=4))
     shapes = chain_svd_shapes(lambda: [(off.fiber_rank(j), off.locally_free(j)) for j in range(len(off))], monkeypatch)
-    assert shapes and g_shape not in shapes and m_shape not in shapes
+    assert shapes and g_shape not in shapes
     lam = complex(d.eigenvalues[0][0])
     over = monad_assembler(d)([point(d, 1.0, lam)])
     shapes = chain_svd_shapes(lambda: over.fiber_rank(0), monkeypatch)
-    assert shapes.count(g_shape) == 1 and shapes.count(m_shape) == 1
+    assert shapes.count(g_shape) == 1
 
 
 def test_ladder_scan_takes_svds_of_g_and_m_over_the_boundary_spectra_only(monkeypatch):
     # m0 = 20, seed 101, 20 random points: of the 148 points, 104 are off
-    # the spectra of beta_0 and beta_n and take neither SVD
+    # the spectra of beta_0 and beta_n and take no SVD of G; every point
+    # takes one of its plain M
     d = ladder(20)
     g_shape, m_shape = g_and_m_shapes(d)
     report = []
     shapes = chain_svd_shapes(lambda: report.append(scan_local_freeness(d, ScanConfig(n_random=20, seed=1))), monkeypatch)
     assert len(report[0].points) == 148 and not report[0].indeterminate
-    assert 0 < shapes.count(m_shape) <= 46 and 0 < shapes.count(g_shape) <= 44
+    assert shapes.count(m_shape) == 148 and 0 < shapes.count(g_shape) <= 44
 
 
 @pytest.mark.parametrize("d, ends", [
