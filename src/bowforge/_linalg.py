@@ -18,11 +18,10 @@ above the straddle band.  It is not a second rule: where it proves nothing, the
 caller asks `rank_decision`, which alone defines the cutoff, the straddle test
 and its message.  Nor is `proved_block_ranks`, which proves the rule's
 decision on a block-diagonal matrix with one block whose singular values are
-known only to lie above a floor (the monad's chain proof of G's rank):
-through `above_band` for those values and `clear_of_band` for the known ones,
-at a sigma_max known within bounds (`norm_bounds`), with `svd_rounding` the
-allowance for svd's own rounding.  Each states the rounding it allows for
-(gamma_n, Higham's n eps / (1 - n eps)).
+known only to lie above a floor (the monad's chain proof of G's rank),
+with one allowance for the rounding of every svd it reasons about: max(shape)
+eps times a bound on every sigma_max involved.  Each states the rounding it
+allows for (gamma_n, Higham's n eps / (1 - n eps)).
 
 Every Schur form goes through `schur`, the one caller of LAPACK zgees, and
 `sylvester` solves P X - X Q = C from two of them with ztrsyl.  Both run
@@ -92,8 +91,10 @@ RANK_SAFETY = 64
 # Singular values within this factor of the cutoff (either side) make a
 # rank decision indeterminate.
 STRADDLE_FACTOR = np.sqrt(10.0)
-# full_rank proves every singular value above this factor times the straddle
-# band's upper edge; the margin covers the rounding of the rule's own SVD.
+# full_rank and proved_block_ranks prove singular values above this factor
+# times the straddle band's upper edge.  In full_rank the margin covers the
+# rounding of the rule's own SVD; proved_block_ranks allows for that rounding
+# in its floor, and keeps the margin as room to spare.
 FULL_RANK_MARGIN = 2.0
 # Below this many rows a stacked rank decision takes its rows one by one (about
 # 7 us a row, against 25-30 us a call in numpy): fiber_form's one-point stacks,
@@ -247,39 +248,6 @@ def full_rank(a, shape: tuple[int, int], scale) -> np.ndarray:
     return np.isfinite(pivots).all(axis=1)
 
 
-def svd_rounding(scale, shape: tuple[int, int]):
-    """Allowance for the rounding of each singular value that svd computes of
-    a matrix of `shape` whose sigma_max is at most `scale`: max(shape) * eps *
-    scale, above LAPACK's bound p(m, n) eps sigma_max (p a modest function of
-    the shape; the LAPACK Users' Guide takes p = 1).  rank_cutoff is
-    RANK_SAFETY such allowances."""
-    return rank_cutoff(scale, shape) / RANK_SAFETY
-
-
-def above_band(floor, scale, shape: tuple[int, int]) -> np.ndarray:
-    """Per matrix: True where singular values known to be at least `floor`
-    are counted by rank_decision with no straddle, at any sigma_max up to
-    `scale`: floor > FULL_RANK_MARGIN * STRADDLE_FACTOR * rank_cutoff(scale,
-    shape).  As in full_rank, the margin covers svd's rounding of those
-    values (svd_rounding is rank_cutoff / RANK_SAFETY).  A non-finite bound
-    proves nothing."""
-    return np.asarray(floor) > FULL_RANK_MARGIN * STRADDLE_FACTOR * rank_cutoff(np.asarray(scale), shape)
-
-
-def clear_of_band(s, low, high, shape: tuple[int, int]) -> np.ndarray:
-    """Per row r of the k x m array `s`: True where every value of the row
-    lies clear of the straddle band at each sigma_max in [low[r], high[r]],
-    above STRADDLE_FACTOR * rank_cutoff(high[r], shape) or below
-    rank_cutoff(low[r], shape) / STRADDLE_FACTOR.  rank_decision, at any
-    such sigma_max, then counts among them the values above
-    rank_cutoff(high[r], shape), and none of them straddles.  A row with a
-    value or bound that is not finite is not clear."""
-    s = np.asarray(s)
-    top = STRADDLE_FACTOR * rank_cutoff(np.asarray(high, dtype=float), shape)[:, None]
-    bottom = rank_cutoff(np.asarray(low, dtype=float), shape)[:, None] / STRADDLE_FACTOR
-    return ((s > top) | (s < bottom)).all(axis=1) & np.isfinite(top[:, 0] + bottom[:, 0])
-
-
 def fros(stack) -> np.ndarray:
     """Frobenius norm of each matrix of a stack, as one dot product of its
     entries (a complex entry as its real and imaginary parts)."""
@@ -287,15 +255,6 @@ def fros(stack) -> np.ndarray:
     rows = rows.view(np.float64) if rows.dtype.kind == "c" else rows
     with np.errstate(over="ignore"):  # entries above about 1e154: an inf norm, and an inf residual
         return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(len(stack))
-
-
-def norm_bounds(stack, norms) -> np.ndarray:
-    """Per matrix of a stack: an upper bound on its Frobenius norm, from the
-    `norms` that fros(stack) gave, times 1 + gamma_{N+1} for the rounding of
-    the N real squares that it sums and of their square root."""
-    stack = np.asarray(stack)
-    terms = stack.shape[-2] * stack.shape[-1] * (2 if stack.dtype.kind == "c" else 1)
-    return norms * (1.0 + _gamma(terms + 1))
 
 
 def block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
@@ -315,22 +274,36 @@ def block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
     return [r if isinstance(r, RankIndeterminate) else row for r, row in zip(ranks, counts)]
 
 
-def proved_block_ranks(p, floor, top, scale, shape: tuple[int, int], block_shape: tuple[int, int]):
-    """Per matrix A of a stack, block diagonal in blocks whose singular values
-    are known, p[j] (k x b x w, each block's values zero-padded), and one
-    block B of `block_shape` whose values are known only to be at least
-    floor[j], with sigma_max(B) between top[j] and scale[j]: (proved,
-    ranks).  Where proved[j], rank_decision on A's values, with B's as svd
-    computes them, at `shape`, counts all of B's and ranks[j, i] of block
-    i's, and none straddles.  svd's sigma_max of A lies in [low, high], the
-    largest known value or B's, less or plus svd_rounding(scale,
-    block_shape); B's values must be above the band there (above_band) and
-    every known value clear of it (clear_of_band)."""
-    p_max = p.max(axis=(1, 2), initial=0.0)
-    rounding = svd_rounding(scale, block_shape)
-    low, high = np.maximum(p_max, top - rounding), np.maximum(p_max, scale + rounding)
-    proved = above_band(floor, high, shape) & clear_of_band(p.reshape(len(p), -1), low, high, shape)
-    return proved, (p > rank_cutoff(high, shape)[:, None, None]).sum(axis=2)
+def proved_block_ranks(p, e, norms, size: int, shape: tuple[int, int]):
+    """Per matrix A of a stack, block diagonal in blocks whose singular
+    values are known, p[j] (k x b x w, each block's values zero-padded), and
+    one block G whose rows(G) values are known only through a block E of it,
+    G G^H >= E E^H, whose values svd gave as e[j] (NaN where E is no such
+    block): (proved, ranks).  Where proved[j], rank_decision on A's values,
+    with G's as svd computes them, at `shape` (A's), counts all of G's and
+    ranks[j, i] of block i's, and none straddles.  norms[j] is what fros
+    gave for a matrix of `size` entries that holds A, E and every block of p.
+
+    One allowance, r = max(shape) eps scale, stands for svd's rounding of
+    each value (LAPACK's bound p(m, n) eps sigma_max, p a modest function of
+    the shape; the LAPACK Users' Guide takes p = 1): scale, norms times 1 +
+    gamma_{2 size + 1} for fros' sum of 2 size real squares and its square
+    root, bounds every sigma_max involved, and no matrix whose values are
+    used here has a side longer than max(shape).  So svd gives G's values
+    at least min(e) - 2r (E's rounding, then G's), and sigma_max(A) in
+    [low, high] = [max(p's largest, max(e) - 2r), scale + r].  A row is
+    proved where that floor is above FULL_RANK_MARGIN times the straddle
+    band's upper edge at high, and every known value is above that edge or
+    below the band's lower edge at low: clear of the band at each sigma_max
+    in [low, high].  A block's rank is then the count of its values above
+    the band.  A bound that is not finite proves nothing."""
+    scale = np.asarray(norms) * (1.0 + _gamma(2 * size + 1))
+    r = max(shape) * _EPS * scale
+    low = np.maximum(p.max(axis=(1, 2), initial=0.0), e.max(axis=1) - 2.0 * r)
+    top = STRADDLE_FACTOR * rank_cutoff(scale + r, shape)[:, None, None]
+    above = p > top
+    clear = (above | (p < rank_cutoff(low, shape)[:, None, None] / STRADDLE_FACTOR)).all(axis=(1, 2))
+    return (e.min(axis=1) - 2.0 * r > FULL_RANK_MARGIN * top[:, 0, 0]) & clear, above.sum(axis=2)
 
 
 def _gamma(n: int) -> float:

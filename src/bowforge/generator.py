@@ -423,10 +423,9 @@ def generate_mirror(t: TopologicalData, flavor: str, seed: int) -> tuple[BowDatu
             rng = np.random.default_rng((seed, 104729, attempt))
             factors = []
             for _ in range(k - 1):
-                while True:
+                F = ginibre(rng, x0, x0)
+                while x0 and not la.cond(F) < 50:  # an empty factor has no condition to draw for
                     F = ginibre(rng, x0, x0)
-                    if la.cond(F) < 50:
-                        break
                 factors.append(F)
             prefix = np.eye(x0, dtype=np.complex128)
             for F in factors:

@@ -40,12 +40,14 @@ from .errors import RankIndeterminate, SurfaceViolation
 # MonadStack).  A failing point's witness comes on top (see point_bytes).
 CHUNK_BYTES = 9 << 18
 # A stack whose M has at least this many columns tries to prove G's rank from
-# the kept chain spectra before it takes G's SVD (see MonadStack).  With
-# every stack trying it, the ladder's scans ran 0-9 % faster from 14 to 34
-# columns (m0 = 3 to 8), but a one-point stack ran 10-14 % slower at 14
-# columns (fiber_at, is_locally_free_at) and the mirror data's fiber_form
-# (4 and 8 columns) 13-17 % slower.  From 38 columns on, a stack of one
-# point runs within 1.5 % of no proof, or faster.
+# the kept chain spectra before it takes G's SVD (see MonadStack).  Timed with
+# the proof tried on every stack and on none (fiber_rank and locally_free at
+# 40 random points; medians of 41 alternations in one process, one BLAS
+# thread, Xeon): a stack of one point took 45-72 us (10-19 %) longer with it
+# at 4, 8 and 14 columns (the mirror data and m0 = 3), and 1-3 % longer at 34
+# and 42 (m0 = 8 and 10); a stack of 20 points ran 3-11 % faster from 8
+# columns on, and 2 % slower at 4.  So the proof is tried where one point
+# about breaks even and a scan's chunks of several gain.
 CHAIN_PROOF_COLUMNS = 36
 
 
@@ -158,9 +160,10 @@ class MonadStack:
     columns: G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and R1,
     whose singular values are gamma's first and last blocks' in _chain.  By
     Courant-Fischer, G's values are at least sigma_min(E), above the
-    straddle band off the spectra of beta_0 and beta_n (_proved_alpha).  The
-    proof gives what the SVD and the rule give, or declines, and the SVD
-    decides.
+    straddle band off the spectra of beta_0 and beta_n.  _proved_alpha
+    checks that Amap's E is those blocks of Bmap, and la.proved_block_ranks,
+    which states every bound and rounding allowance of the proof, gives
+    what the SVD and the rule give, or declines, and the SVD decides.
     Both cohomology questions are ker(left) / Im(right) with left right = 0:
     the fiber is ker(Bmap) / Im(Amap), and freeness asks that ker(Amap) /
     Im(mu) vanish.  Im(right) lies in ker(left), orthogonal to the row space
@@ -282,31 +285,6 @@ class MonadStack:
         ).reshape(len(ix.alpha_p) + len(ix.gamma), len(js), -1).swapaxes(0, 1)))
 
     @cached_property
-    def _e_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per point: lower bounds on sigma_min(E) and sigma_max(E), E G's
-        block on A's R0 and R1, from the chain spectra of gamma's first and
-        last blocks less their SVD's rounding; NaN, proving nothing, where E
-        is not exactly those two blocks of Bmap.  None where the stack does
-        not try G's chain proof: M narrower than CHAIN_PROOF_COLUMNS, d0 =
-        0 or dn = 0."""
-        ix = self.block_index
-        n = len(ix.alpha_p)
-        d0, dn = _len(ix.gamma[0][0]), _len(ix.gamma[n][0])
-        if _len(ix.alpha_g[1]) < CHAIN_PROOF_COLUMNS or not (d0 and dn):
-            return None
-        start = ix.alpha_g[1].start
-        expected = np.zeros((len(self), d0 + dn, d0 + dn), dtype=np.complex128)
-        expected[:, :d0, :d0] = self.Bmap[:, ix.gamma[0][0], ix.gamma[0][1]]
-        expected[:, d0:, d0:] = self.Bmap[:, ix.gamma[n][0], ix.gamma[n][1]]
-        diagonal = (self.Amap[:, ix.alpha_g[0], start : start + d0 + dn] == expected).all(axis=(1, 2))
-        values = np.concatenate([self._chain[:, n, :d0], self._chain[:, 2 * n, :dn]], axis=1)
-        chain = ix.alpha_p + ix.gamma
-        padded = (max(_len(r) for r, _ in chain), max(_len(c) for _, c in chain))
-        top = np.where(diagonal, values.max(axis=1), np.nan)
-        rounding = la.svd_rounding(top, padded)
-        return np.where(diagonal, values.min(axis=1), np.nan) - rounding, top - rounding
-
-    @cached_property
     def _alpha(self) -> list:
         """Per point: rank(alpha), decided with G, and (i, K_i) for each
         rank-deficient P-block i, K_i its kernel (_kernels).  G's SVD is
@@ -316,7 +294,7 @@ class MonadStack:
         spectra = [self._chain[:, i, :size] for i, size in enumerate(sizes)]
         g = self.Amap[:, ix.alpha_g[0], ix.alpha_g[1]]
         shape = (self.Bmap.shape[2] - self.Bmap.shape[1], self.Amap.shape[2])
-        ranks = [None] * len(self) if self._e_bounds is None else self._proved_alpha(shape)
+        ranks = self._proved_alpha(shape)
         js = [j for j, r in enumerate(ranks) if r is None]
         if js:
             rows = _rows(js, len(self))
@@ -327,16 +305,26 @@ class MonadStack:
 
     def _proved_alpha(self, shape: tuple[int, int]) -> list:
         """Per point: alpha's block ranks (as la.block_ranks gives them) where
-        la.proved_block_ranks proves them without G's SVD, else None: G's
-        values are at least sigma_min(E), as G G^H >= E E^H, and sigma_max(G)
-        lies between sigma_max(E) and fro(Amap)."""
-        floor, top = self._e_bounds
+        la.proved_block_ranks proves them without G's SVD, else None; None at
+        every point where M has fewer than CHAIN_PROOF_COLUMNS columns or d0
+        dn = 0.  G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and
+        R1, so G G^H >= E E^H; where Amap's E is exactly Bmap's first and
+        last blocks of gamma, its values are theirs in _chain."""
         ix = self.block_index
-        g_shape = tuple(map(_len, ix.alpha_g))
+        n, (g_rows, g_cols) = len(ix.alpha_p), ix.alpha_g
+        (r0, c0), (rn, cn) = ix.gamma[0], ix.gamma[n]
+        d0, dn = _len(r0), _len(rn)
+        if _len(g_cols) < CHAIN_PROOF_COLUMNS or not d0 * dn:
+            return [None] * len(self)
+        e = self.Amap[:, g_rows, g_cols.start : g_cols.start + d0 + dn]
+        blocks = [(e[:, :d0, :d0], self.Bmap[:, r0, c0]), (e[:, d0:, d0:], self.Bmap[:, rn, cn])]
+        blocks += [(e[:, :d0, d0:], 0), (e[:, d0:, :d0], 0)]
+        exact = np.logical_and.reduce([(block == expected).all(axis=(1, 2)) for block, expected in blocks])
+        values = np.concatenate([self._chain[:, n, :d0], self._chain[:, 2 * n, :dn]], axis=1)
         proved, counts = la.proved_block_ranks(
-            self._chain[:, : len(ix.alpha_p)], floor, top, la.norm_bounds(self.Amap, self._fro_amap), shape, g_shape
+            self._chain[:, :n], np.where(exact[:, None], values, np.nan), self._fro_amap, self.Amap[0].size, shape
         )
-        return [row + [g_shape[0]] if ok else None for ok, row in zip(proved.tolist(), counts.tolist())]
+        return [row + [_len(g_rows)] if ok else None for ok, row in zip(proved.tolist(), counts.tolist())]
 
     def _m(self, j: int) -> np.ndarray:
         """M of point j (see the class), j with a deficient P-block, without

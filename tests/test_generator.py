@@ -346,6 +346,20 @@ def test_mirror_sp_with_charge():
     assert all(r.passed for r in check_exactness_all(datum))
 
 
+@pytest.mark.parametrize("flavor", ["SO", "Sp"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_mirror_with_empty_blocks_over_several_nuts(flavor, k):
+    # m0 = 0 leaves every block empty: the dual chain's factors are 0 x 0,
+    # with no condition number to draw for
+    t = TopologicalData(
+        n=2, k=k, ell=1.0, lam=(0.25, 0.75), m=(0, 0), nd=(0,) * k, m0=0, z=(0.1, 0.2j, 0.3 + 0.1j)[:k]
+    )
+    datum, pairing = generate_mirror(t, flavor, seed=0)
+    assert datum.dims.d == (0, 0, 0)
+    assert validate_relations(datum).passed
+    assert verify_pairing_relations(datum, pairing).passed
+
+
 SO2_MIRROR = TopologicalData(
     n=2, k=1, ell=1.0, lam=(0.25, 0.75), m=(0, 0), nd=(0,), m0=2, z=(0.3 - 0.2j,)
 )

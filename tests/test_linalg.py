@@ -437,32 +437,53 @@ def test_full_rank_declines_what_it_cannot_prove():
     assert la.full_rank(np.zeros((2, 3, 0)), (3, 0), [0.0, 0.0]).tolist() == [True, True]
 
 
-def test_band_predicates_decide_as_the_rule():
-    # above_band and clear_of_band prove what rank_decision gives at every
-    # sigma_max that the bounds allow, and decline on the band
+def test_proved_block_ranks_decide_as_the_rule():
+    # a row is proved where G's floor and every known value clear the band
+    # at every sigma_max that the bounds allow, and its counts are the
+    # rule's; it declines where a known value or the floor is on the band,
+    # or a value is NaN
     shape = (40, 30)
-    cut = la.rank_cutoff(1.0, shape)
-    edge_up, edge_down = la.STRADDLE_FACTOR * cut, cut / la.STRADDLE_FACTOR
+    r = max(shape) * np.finfo(float).eps  # the rounding allowance at scale 1
+    # the straddle band at the highest sigma_max, 1, and at the lowest, max(e) = 0.5
+    edge_down, edge_up = (f * la.rank_cutoff(1.0, shape) for f in (1 / la.STRADDLE_FACTOR, la.STRADDLE_FACTOR))
+    low_down, low_up = (f * la.rank_cutoff(0.5, shape) for f in (1 / la.STRADDLE_FACTOR, la.STRADDLE_FACTOR))
     margin = la.FULL_RANK_MARGIN * edge_up
-    assert la.above_band([margin * 1.001, margin, np.nan], [1.0] * 3, shape).tolist() == [True, False, False]
-    rounding = la.svd_rounding(2.0, shape)
-    assert rounding == la.rank_cutoff(2.0, shape) / la.RANK_SAFETY
-    # the band moves with sigma_max in [low, high] = [1, 2]: a value clear at
-    # sigma_max 1 alone but on the band at 2 is not clear
-    rows = np.array([
-        [1.0, 1.01 * 2 * edge_up, 0.99 * edge_down, 0.0],  # clear of both bands
-        [1.0, 1.01 * edge_up, 0.0, 0.0],  # above the band at 1, on it at 2
-        [1.0, 1.01 * 2 * edge_down, 0.0, 0.0],  # below the band at 2, on it at 1
-        [1.0, np.nan, 0.0, 0.0],
-    ])
-    clear = la.clear_of_band(rows, [1.0] * 4, [2.0] * 4, shape)
-    assert clear.tolist() == [True, False, False, False]
-    for sigma_max in (1.0, 1.5, 2.0):
-        assert la.rank_decision(rows[0], shape, sigma_max) == 2
+    known = [
+        [[1.01 * edge_up, 0.99 * low_down], [0.3, 0.0]],  # clear of both bands
+        [[0.3, 0.0], [1.01 * low_up, 0.0]],  # above the band at sigma_max 0.5, on it at 1
+        [[0.3, 0.0], [0.99 * edge_down, 0.0]],  # below the band at 1, on it at 0.5
+        [[0.3, 0.0], [0.0, 0.0]],
+        [[0.3, 0.0], [0.0, 0.0]],
+        [[0.3, 0.0], [0.0, 0.0]],
+        [[0.3, 0.0], [0.0, 0.0]],
+        [[np.nan, 0.0], [0.0, 0.0]],
+    ]
+    e = [
+        [0.5, 1.01 * margin],
+        [0.5, 1.01 * margin],
+        [0.5, 1.01 * margin],
+        [0.5, 0.99 * edge_up],  # the floor on the band at sigma_max 1
+        [0.5, margin],  # the floor on the band's margin
+        [0.5, margin + 1.5 * r],  # above it less E's rounding, not less G's too
+        [0.5, np.nan],
+        [0.5, 1.01 * margin],
+    ]
+    proved, counts = la.proved_block_ranks(np.array(known), np.array(e), np.ones(8), shape[0] * shape[1], shape)
+    assert proved.tolist() == [True] + [False] * 7
+    assert counts[0].tolist() == [1, 1]
+    g_rows = 2
+    for sigma_max in (0.5, 0.75, 1.0):
+        for g in (e[0][1] - 2 * r, 0.4):  # G's values anywhere above the floor
+            values = np.sort(np.r_[np.ravel(known[0]), [g] * g_rows])[::-1]
+            assert la.rank_decision(values, shape, sigma_max) == sum(counts[0]) + g_rows
+    for row, sigma_max in ((1, 1.0), (2, 0.5)):
+        with pytest.raises(RankIndeterminate):
+            la.rank_decision(np.sort(np.ravel(known[row]))[::-1], shape, sigma_max)
     with pytest.raises(RankIndeterminate):
-        la.rank_decision(rows[1], shape, 2.0)
-    with pytest.raises(RankIndeterminate):
-        la.rank_decision(rows[2], shape, 1.0)
+        la.rank_decision(np.array(e[3]), shape, 1.0)
+    # a norm that is not finite proves nothing
+    proved, _ = la.proved_block_ranks(np.array(known[:1]), np.array(e[:1]), np.array([np.inf]), 1, shape)
+    assert proved.tolist() == [False]
 
 
 def test_complement_by_null_space_of_adjoint():

@@ -1337,11 +1337,16 @@ def test_chain_proofs_decline_on_the_band_and_off_e(u2, monkeypatch):
     with pytest.raises(RankIndeterminate, match="straddle"):
         on_band.locally_free(0)
     assert on_band.locally_free(1).passed
-    amap = stack.Amap.copy()
-    amap[0][stack.block_index.alpha_g[0].start, stack.block_index.alpha_g[1].start] *= 1 + 1e-15
-    off_e = dataclasses.replace(stack, Amap=amap)
-    assert np.isnan(off_e._e_bounds[0][0]) and not np.isnan(off_e._e_bounds[0][1])
-    assert off_e._proved_alpha(alpha_shape(off_e))[0] is None
+    assert None not in stack._proved_alpha(alpha_shape(stack))
+    # an entry of E off Bmap's, in a diagonal block or off them
+    ix = stack.block_index
+    row, col, d0 = ix.alpha_g[0].start, ix.alpha_g[1].start, _len(ix.gamma[0][0])
+    for entry, value in (((row, col), stack.Amap[0][row, col] * (1 + 1e-15)), ((row, col + d0), 1e-300)):
+        amap = stack.Amap.copy()
+        amap[0][entry] = value
+        off_e = dataclasses.replace(stack, Amap=amap)
+        assert off_e._proved_alpha(alpha_shape(off_e))[0] is None
+        assert off_e._proved_alpha(alpha_shape(off_e))[1] is not None
     # 1e-13 off an eigenvalue of beta_0, E has a value on alpha's band
     straddle = monad_assembler(u2)([point(u2, 1.0, complex(u2.eigenvalues[0][0]) + 1e-13)])
     assert straddle._proved_alpha(alpha_shape(straddle)) == [None]
@@ -1365,18 +1370,24 @@ def test_scan_is_the_same_without_the_chain_proofs(monkeypatch, name, shift):
         d = with_perturbed_entry(d, shift, (0, 0), 1e-3)
     config = ScanConfig(n_random=20, seed=1)
     reports, proved = [], []
-    above = la.above_band
+    proved_block_ranks = la.proved_block_ranks
 
     def recording(*args):
-        out = above(*args)
-        proved.extend(out.tolist())
+        out = proved_block_ranks(*args)
+        proved.extend(out[0].tolist())
         return out
 
-    monkeypatch.setattr(la, "above_band", recording)
+    def declining(*args):
+        out = proved_block_ranks(*args)
+        return np.zeros_like(out[0]), out[1]
+
+    monkeypatch.setattr(la, "proved_block_ranks", recording)
     for floor in (10**9, monad.CHAIN_PROOF_COLUMNS, 0):
         monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", floor)
         reports.append(scan_local_freeness(dataclasses.replace(d), config))
-    assert reports[1] == reports[0] and reports[2] == reports[0]
+    monkeypatch.setattr(la, "proved_block_ranks", declining)  # at floor 0: tried on every stack, never proved
+    reports.append(scan_local_freeness(dataclasses.replace(d), config))
+    assert all(report == reports[0] for report in reports[1:])
     if not shift:  # a shifted datum's points may raise at the zero-product checks, before any rank
         assert any(proved) == bool(d.dims.d[0] * d.dims.d[-1])
 
@@ -1454,7 +1465,8 @@ def test_chain_proofs_decline_on_empty_blocks(monkeypatch, d, ends):
     unproved = scan_local_freeness(datum, config)
     monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
     stack = monad_assembler(datum)(random_points(datum, 3, seed=1))
-    assert (stack._e_bounds is None) == (not d[0] * d[-1])
+    proved = stack._proved_alpha(alpha_shape(stack))
+    assert (proved == [None] * len(stack)) == (not d[0] * d[-1])
     assert scan_local_freeness(dataclasses.replace(datum), config) == unproved
     for j in range(len(stack)):
         assert stack.fiber_rank(j) == datum.topo.n
