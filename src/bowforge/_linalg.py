@@ -277,11 +277,11 @@ def block_ranks(spectra: list[np.ndarray], shape: tuple[int, int]) -> list:
 def proved_block_ranks(p, e, norms, size: int, shape: tuple[int, int]):
     """Per matrix A of a stack, block diagonal in blocks whose singular
     values are known, p[j] (k x b x w, each block's values zero-padded), and
-    one block G whose rows(G) values are known only through a block E of it,
-    G G^H >= E E^H, whose values svd gave as e[j] (NaN where E is no such
-    block): (proved, ranks).  Where proved[j], rank_decision on A's values,
-    with G's as svd computes them, at `shape` (A's), counts all of G's and
-    ranks[j, i] of block i's, and none straddles.  norms[j] is what fros
+    one block G whose rows(G) values (maybe none) are known only through a
+    block E of it, G G^H >= E E^H, whose values svd gave as e[j] (NaN where
+    E is no such block): (proved, ranks).  Where proved[j], rank_decision on
+    A's values, G's as svd computes them, at A's `shape`, counts all of G's
+    and ranks[j, i] of block i's, and none straddles.  norms[j] is what fros
     gave for a matrix of `size` entries that holds A, E and every block of p.
 
     One allowance, r = max(shape) eps scale, stands for svd's rounding of
@@ -299,11 +299,11 @@ def proved_block_ranks(p, e, norms, size: int, shape: tuple[int, int]):
     the band.  A bound that is not finite proves nothing."""
     scale = np.asarray(norms) * (1.0 + _gamma(2 * size + 1))
     r = max(shape) * _EPS * scale
-    low = np.maximum(p.max(axis=(1, 2), initial=0.0), e.max(axis=1) - 2.0 * r)
+    low = np.maximum(p.max(axis=(1, 2), initial=0.0), e.max(axis=1, initial=0.0) - 2.0 * r)
     top = STRADDLE_FACTOR * rank_cutoff(scale + r, shape)[:, None, None]
     above = p > top
     clear = (above | (p < rank_cutoff(low, shape)[:, None, None] / STRADDLE_FACTOR)).all(axis=(1, 2))
-    return (e.min(axis=1) - 2.0 * r > FULL_RANK_MARGIN * top[:, 0, 0]) & clear, above.sum(axis=2)
+    return (e.min(axis=1, initial=np.inf) > FULL_RANK_MARGIN * top[:, 0, 0] + 2.0 * r) & clear, above.sum(axis=2)
 
 
 def _gamma(n: int) -> float:

@@ -39,15 +39,15 @@ from .errors import RankIndeterminate, SurfaceViolation
 # eta's points; what depends on eta alone is kept across chunks (see
 # MonadStack).  A failing point's witness comes on top (see point_bytes).
 CHUNK_BYTES = 9 << 18
-# A stack whose M has at least this many columns tries to prove G's rank from
-# the kept chain spectra before it takes G's SVD (see MonadStack).  Timed with
-# the proof tried on every stack and on none (fiber_rank and locally_free at
-# 40 random points; medians of 41 alternations in one process, one BLAS
-# thread, Xeon): a stack of one point took 45-72 us (10-19 %) longer with it
-# at 4, 8 and 14 columns (the mirror data and m0 = 3), and 1-3 % longer at 34
-# and 42 (m0 = 8 and 10); a stack of 20 points ran 3-11 % faster from 8
-# columns on, and 2 % slower at 4.  So the proof is tried where one point
-# about breaks even and a scan's chunks of several gain.
+# A stack that holds at least this many of G's columns (points times M's
+# width) tries to prove G's rank from the kept chain spectra before it takes
+# G's SVD (see MonadStack).  Timed in one process, one BLAS thread (Xeon),
+# the proof tried or not in alternation: one point took 45-72 us (10-19 %)
+# longer with it at 4, 8 and 14 columns (the mirror data, m0 = 3), 1-3 % at
+# 34 and 42 (m0 = 8, 10; medians of 41); under this rule, scans (medians of
+# 31) of the ladder at m0 = 3 / 5 / 8, chunks of 46 / 27 / 12 points at 14 /
+# 22 / 34 columns, ran 7.5 / 6.5 / 9.7 % faster, and the bow fixtures' 20-
+# random-point scans (22-30 points, 2-8 columns) 0.5-8.4 % (8-110 us) slower.
 CHAIN_PROOF_COLUMNS = 36
 
 
@@ -156,11 +156,11 @@ class MonadStack:
         the left kernels of its deficient blocks.  W^H delta sits at
         rounding level when it should be zero, so it is the one product
         ranked at its parent's scale: fro(Bmap) and Bmap's shape.
-    G's chain proof, on stacks whose M has at least CHAIN_PROOF_COLUMNS
-    columns: G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and R1,
-    whose singular values are gamma's first and last blocks' in _chain.  By
-    Courant-Fischer, G's values are at least sigma_min(E), above the
-    straddle band off the spectra of beta_0 and beta_n.  _proved_alpha
+    G's chain proof, on stacks that hold CHAIN_PROOF_COLUMNS of G's columns:
+    G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and R1, whose
+    values are gamma's first and last blocks' in _chain.  By Courant-Fischer,
+    G's d0 + dn values are at least sigma_min(E) (d0 or dn may be 0), above
+    the straddle band off the spectra of beta_0 and beta_n.  _proved_alpha
     checks that Amap's E is those blocks of Bmap, and la.proved_block_ranks,
     which states every bound and rounding allowance of the proof, gives
     what the SVD and the rule give, or declines, and the SVD decides.
@@ -306,15 +306,15 @@ class MonadStack:
     def _proved_alpha(self, shape: tuple[int, int]) -> list:
         """Per point: alpha's block ranks (as la.block_ranks gives them) where
         la.proved_block_ranks proves them without G's SVD, else None; None at
-        every point where M has fewer than CHAIN_PROOF_COLUMNS columns or d0
-        dn = 0.  G holds E = diag(eta - beta_0, eta - beta_n) on A's R0 and
-        R1, so G G^H >= E E^H; where Amap's E is exactly Bmap's first and
-        last blocks of gamma, its values are theirs in _chain."""
+        each point where the stack holds fewer than CHAIN_PROOF_COLUMNS of
+        G's columns (points times M's width).  G holds E = diag(eta - beta_0,
+        eta - beta_n) on A's R0 and R1, so G G^H >= E E^H, d0 or dn 0 or
+        not; where Amap's E is exactly Bmap's blocks, its values are _chain's."""
         ix = self.block_index
         n, (g_rows, g_cols) = len(ix.alpha_p), ix.alpha_g
         (r0, c0), (rn, cn) = ix.gamma[0], ix.gamma[n]
         d0, dn = _len(r0), _len(rn)
-        if _len(g_cols) < CHAIN_PROOF_COLUMNS or not d0 * dn:
+        if len(self) * _len(g_cols) < CHAIN_PROOF_COLUMNS:
             return [None] * len(self)
         e = self.Amap[:, g_rows, g_cols.start : g_cols.start + d0 + dn]
         blocks = [(e[:, :d0, :d0], self.Bmap[:, r0, c0]), (e[:, d0:, d0:], self.Bmap[:, rn, cn])]

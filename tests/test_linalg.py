@@ -484,6 +484,13 @@ def test_proved_block_ranks_decide_as_the_rule():
     # a norm that is not finite proves nothing
     proved, _ = la.proved_block_ranks(np.array(known[:1]), np.array(e[:1]), np.array([np.inf]), 1, shape)
     assert proved.tolist() == [False]
+    # a G with no rows: nothing to bound, and the known values decide alone,
+    # with sigma_max(A) from their largest, 0.3, so 0.99 low_down is on its band
+    alone = np.array([[[1.01 * edge_up, 0.0], [0.3, 0.0]], known[0]])
+    proved, counts = la.proved_block_ranks(alone, np.zeros((2, 0)), np.ones(2), shape[0] * shape[1], shape)
+    assert proved.tolist() == [True, False] and counts[0].tolist() == [1, 1]
+    proved, _ = la.proved_block_ranks(alone[:1], np.zeros((1, 0)), np.array([np.inf]), 1, shape)
+    assert proved.tolist() == [False]
 
 
 def test_complement_by_null_space_of_adjoint():

@@ -1389,7 +1389,7 @@ def test_scan_is_the_same_without_the_chain_proofs(monkeypatch, name, shift):
     reports.append(scan_local_freeness(dataclasses.replace(d), config))
     assert all(report == reports[0] for report in reports[1:])
     if not shift:  # a shifted datum's points may raise at the zero-product checks, before any rank
-        assert any(proved) == bool(d.dims.d[0] * d.dims.d[-1])
+        assert any(proved)  # empty end blocks too: E bounds all of G's d0 + dn rows
 
 
 def chain_svd_shapes(run, monkeypatch):
@@ -1444,10 +1444,11 @@ def test_ladder_scan_takes_svds_of_g_and_m_over_the_boundary_spectra_only(monkey
 @pytest.mark.parametrize("d, ends", [
     ((0, 1), "d0 = 0"), ((1, 0), "dn = 0"), ((0, 0), "all empty"), ((1, 0, 1), "an empty interior P-block"),
 ])
-def test_chain_proofs_decline_on_empty_blocks(monkeypatch, d, ends):
-    # with no floor, the proofs decline where d0 or dn is 0 (nothing to
-    # bound G's values by) and run where only an interior block is empty;
-    # the reports are those of the SVD path either way
+def test_chain_proofs_answer_as_the_rule_on_empty_blocks(monkeypatch, d, ends):
+    # with no floor, the proofs run on empty blocks too: E = diag(eta -
+    # beta_0, eta - beta_n) bounds all of G's d0 + dn rows, whichever is 0;
+    # each proved row is what the SVD and the rule give, and the reports
+    # are those of the SVD path
     from bowforge import monad
 
     topologies = {
@@ -1465,8 +1466,54 @@ def test_chain_proofs_decline_on_empty_blocks(monkeypatch, d, ends):
     unproved = scan_local_freeness(datum, config)
     monkeypatch.setattr(monad, "CHAIN_PROOF_COLUMNS", 0)
     stack = monad_assembler(datum)(random_points(datum, 3, seed=1))
-    proved = stack._proved_alpha(alpha_shape(stack))
-    assert (proved == [None] * len(stack)) == (not d[0] * d[-1])
+    shape, ix = alpha_shape(stack), stack.block_index
+    sizes = [min(map(_len, s)) for s in ix.alpha_p]
+    spectra = [stack._chain[:, i, :size] for i, size in enumerate(sizes)]
+    by_svd = la.block_ranks(spectra + [np.linalg.svd(stack.Amap[:, ix.alpha_g[0], ix.alpha_g[1]], compute_uv=False)], shape)
+    for row, expected in zip(stack._proved_alpha(shape), by_svd):
+        assert row is None or row == expected
     assert scan_local_freeness(dataclasses.replace(datum), config) == unproved
     for j in range(len(stack)):
         assert stack.fiber_rank(j) == datum.topo.n
+
+
+def test_chain_proof_rule_counts_the_stacks_g_columns(monkeypatch):
+    # the proof runs where a stack holds CHAIN_PROOF_COLUMNS of G's
+    # columns: the m0 = 3 ladder scan (seed 101, 20 random points at seed
+    # 1), one stack of 46 points at 14 columns, takes G's SVD at the 10
+    # points over the spectra of beta_0 and beta_n only; a stack of one of
+    # its points, 14 columns, takes it
+    from bowforge import monad
+
+    d = ladder(3)
+    g_shape, _ = g_and_m_shapes(d)
+    assert g_shape[1] == 14 < monad.CHAIN_PROOF_COLUMNS
+    report = []
+    shapes = chain_svd_shapes(lambda: report.append(scan_local_freeness(d, ScanConfig(n_random=20, seed=1))), monkeypatch)
+    over = {complex(v) for v in np.concatenate([d.eigenvalues[0], d.eigenvalues[d.topo.n]])}
+    at_spectra = [p for p in report[0].points if any(abs(p.point.eta - v) < la.EIG_CLUSTER_TOL for v in over)]
+    assert len(report[0].points) == 46 and shapes.count(g_shape) == len(at_spectra) == 10
+    one = monad_assembler(d)(random_points(d, 1, seed=4))
+    shapes = chain_svd_shapes(lambda: one.fiber_rank(0), monkeypatch)
+    assert shapes.count(g_shape) == 1
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 6: the zero-product checks divide fro(Bmap Amap) by 1 + fro(Bmap) fro(Amap), "
+    "which grows as |psi|^2, so far out a monad that is not a complex passes them"
+))
+def test_zero_product_check_rejects_a_non_complex_far_out():
+    # suite_topology(3, 3, 10) at seed 101 with Mxi[0][0, 0] shifted by
+    # 1e-3 fails validate_relations, and fro(Bmap Amap) is 0.395 at each of
+    # its 20 random points (seed 2); yet composition_residuals falls with
+    # |psi|, below DEFAULT_TOL at the 4 points with |psi| >= 7.4e3
+    from bowforge.bowdata import validate_relations
+
+    d = with_perturbed_entry(ladder(10), "Mxi[0]", (0, 0), 1e-3)
+    assert not validate_relations(d).passed
+    stack = monad_assembler(d)(random_points(d, 20, seed=2))
+    products = [np.linalg.norm(stack.Bmap[j] @ stack.Amap[j]) for j in range(len(stack))]
+    np.testing.assert_allclose(products, 0.395, rtol=1e-2)
+    far = np.array([abs(x.psi) >= 7.4e3 for x in stack.points])
+    assert far.sum() == 4
+    assert (stack.composition_residuals[far] >= la.DEFAULT_TOL).all()
