@@ -1,14 +1,18 @@
 """Matrix data of a bow complex and the validators for its relations.
 
-A BowDatum carries the chain endomorphisms beta_i, the boundary maps
-(A_i, alpha_i, gamma_i) at the holonomy points, and the bifundamental maps
-(M_xi_j, M_psi_j) of the NUT chain together with its endomorphisms
-beta_{n,j}.  The two chain endpoints are aliases: betaN[0] is beta[n] and
-betaN[k] is beta[0] (the same array objects, never copies).
+A BowDatum carries each matrix once, in the seven families of FAMILIES:
+the chain endomorphisms beta_i, the boundary maps (A_i, alpha_i, gamma_i)
+at the holonomy points, and the bifundamental maps (M_xi_j, M_psi_j) of
+the NUT chain together with its interior endomorphisms beta_{n,j}.  The
+NUT chain's end intervals are the lambda chain's ends, so its view
+betaN[0..k] reads beta[n] and beta[0] at its ends (the same array
+objects, never copies).  FAMILIES' one table names, counts and
+shape-checks the matrices, and the bow file reads and writes them by it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +68,40 @@ def _spectra(mats) -> tuple[np.ndarray, ...]:
     return tuple(_freeze(la.eigenvalues(m)) for m in mats)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One family of a datum's matrices.  `field` names it as the datum's
+    field, assemble's argument and the bow file's "bow" key; `count` is its
+    length in n and k ("n+1", "n", "k-1" or "k"); shape(d, dn, j) is the
+    shape of the matrix named `name[j]`.  The interior NUT nodes are named
+    as nodes of the whole chain, betaN_interior[i] as betaN[i + 1], and a
+    datum checks them through its betaN view, whose ends beta[n] and beta[0]
+    it so checks against dn[0] and dn[k] too."""
+
+    field: str
+    count: str
+    shape: Callable[[tuple[int, ...], tuple[int, ...], int], tuple[int, int]]
+    name: str = ""  # the field's own if empty
+    first: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "name", self.name or self.field)
+
+    def length(self, n: int, k: int) -> int:
+        return (n if self.count[0] == "n" else k) + int(self.count[1:] or 0)
+
+
+FAMILIES = (
+    Family("beta", "n+1", lambda d, dn, i: (d[i], d[i])),
+    Family("A", "n", lambda d, dn, i: (d[i + 1], d[i])),
+    Family("alpha", "n", lambda d, dn, i: (d[i + 1], 1)),
+    Family("gamma", "n", lambda d, dn, i: (1, d[i])),
+    Family("betaN_interior", "k-1", lambda d, dn, j: (dn[j], dn[j]), name="betaN", first=1),
+    Family("Mxi", "k", lambda d, dn, j: (dn[j + 1], dn[j])),
+    Family("Mpsi", "k", lambda d, dn, j: (dn[j], dn[j + 1])),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class BowDatum:
     """All matrices of a bow complex, shape-checked against the dimension
@@ -80,11 +118,12 @@ class BowDatum:
 
     topo: TopologicalData
     dims: DimensionVector
+    # the families of FAMILIES, in its order
     beta: tuple[np.ndarray, ...]  # beta[i]: d_i x d_i, i = 0..n
     A: tuple[np.ndarray, ...]  # A[i]: d_{i+1} x d_i, i = 0..n-1
     alpha: tuple[np.ndarray, ...]  # alpha[i]: d_{i+1} x 1
     gamma: tuple[np.ndarray, ...]  # gamma[i]: 1 x d_i
-    betaN: tuple[np.ndarray, ...]  # betaN[j]: dn_j x dn_j; [0] aliases beta[n], [k] beta[0]
+    betaN_interior: tuple[np.ndarray, ...]  # betaN_interior[j-1] = beta_{n,j}: dn_j x dn_j, j = 1..k-1
     Mxi: tuple[np.ndarray, ...]  # Mxi[j-1] = M_{xi_j}: dn_j x dn_{j-1}, j = 1..k
     Mpsi: tuple[np.ndarray, ...]  # Mpsi[j-1] = M_{psi_j}: dn_{j-1} x dn_j
 
@@ -102,7 +141,7 @@ class BowDatum:
         dims: DimensionVector | None = None,
         beta_eigenvalues=None,
     ) -> "BowDatum":
-        """Build a datum from raw arrays; the chain endpoints are aliased.
+        """Build a datum from raw arrays, each made a read-only complex array.
 
         `betaN_interior` holds beta_{n,1}..beta_{n,k-1} only.  `beta_eigenvalues`,
         if given (generate hands over its own), are la.eigenvalues of these very
@@ -112,76 +151,38 @@ class BowDatum:
         """
         if dims is None:
             dims = compute_dimensions(topo)
-        beta = tuple(_freeze(b) for b in beta)
-        datum = cls(
-            topo=topo,
-            dims=dims,
-            beta=beta,
-            A=tuple(_freeze(a) for a in A),
-            alpha=tuple(_freeze(a) for a in alpha),
-            gamma=tuple(_freeze(g) for g in gamma),
-            betaN=(beta[topo.n], *(_freeze(b) for b in betaN_interior), beta[0]),
-            Mxi=tuple(_freeze(m) for m in Mxi),
-            Mpsi=tuple(_freeze(m) for m in Mpsi),
-        )
+        families = (beta, A, alpha, gamma, betaN_interior, Mxi, Mpsi)  # FAMILIES' order
+        datum = cls(topo, dims, *(tuple(map(_freeze, seq)) for seq in families))
         if beta_eigenvalues is not None:
-            kept = (*map(_freeze, beta_eigenvalues), *_spectra(datum.betaN[1:-1]))
+            kept = (*map(_freeze, beta_eigenvalues), *_spectra(datum.betaN_interior))
             datum.__dict__["eigenvalues"] = kept  # primes the cached property
         return datum
 
     def __post_init__(self) -> None:
         n, k = self.topo.n, self.topo.k
         d, dn = self.dims.d, self.dims.dn
+        for family in FAMILIES:
+            seq, count = getattr(self, family.field), family.length(n, k)
+            if len(seq) != count:
+                raise ShapeMismatch(f"{family.field} must have {family.count}={count} blocks, got {len(seq)}")
+            for j, mat in enumerate(getattr(self, family.name)):  # betaN: beta[n] and beta[0] too
+                shape = family.shape(d, dn, j)
+                if mat.shape != shape:
+                    raise ShapeMismatch(f"{family.name}[{j}] has shape {mat.shape}, expected {shape}")
 
-        def want(mat, shape, name):
-            if mat.shape != shape:
-                raise ShapeMismatch(f"{name} has shape {mat.shape}, expected {shape}")
-
-        if len(self.beta) != n + 1:
-            raise ShapeMismatch(f"beta must have n+1={n + 1} blocks, got {len(self.beta)}")
-        for i, b in enumerate(self.beta):
-            want(b, (d[i], d[i]), f"beta[{i}]")
-        for seq, name, shape_of in (
-            (self.A, "A", lambda i: (d[i + 1], d[i])),
-            (self.alpha, "alpha", lambda i: (d[i + 1], 1)),
-            (self.gamma, "gamma", lambda i: (1, d[i])),
-        ):
-            if len(seq) != n:
-                raise ShapeMismatch(f"{name} must have n={n} blocks, got {len(seq)}")
-            for i, mat in enumerate(seq):
-                want(mat, shape_of(i), f"{name}[{i}]")
-        if len(self.betaN) != k + 1:
-            raise ShapeMismatch(
-                f"betaN must have k+1={k + 1} blocks, got {len(self.betaN)}"
-            )
-        for j, b in enumerate(self.betaN):
-            want(b, (dn[j], dn[j]), f"betaN[{j}]")
-        if self.betaN[0] is not self.beta[n] or self.betaN[k] is not self.beta[0]:
-            raise ShapeMismatch("betaN[0]/betaN[k] must alias beta[n]/beta[0]")
-        for seq, name, shape_of in (
-            (self.Mxi, "Mxi", lambda j: (dn[j + 1], dn[j])),
-            (self.Mpsi, "Mpsi", lambda j: (dn[j], dn[j + 1])),
-        ):
-            if len(seq) != k:
-                raise ShapeMismatch(f"{name} must have k={k} blocks, got {len(seq)}")
-            for j, mat in enumerate(seq):
-                want(mat, shape_of(j), f"{name}[{j}]")
+    @cached_property
+    def betaN(self) -> tuple[np.ndarray, ...]:
+        """The NUT chain's k+1 nodes beta_{n,0..k}: beta[n], the interior
+        nodes, beta[0] (the same array objects, never copies)."""
+        return (self.beta[self.topo.n], *self.betaN_interior, self.beta[0])
 
     def all_matrices(self) -> dict[str, np.ndarray]:
         """Named view of every independent matrix (chain endpoints not repeated)."""
-        out: dict[str, np.ndarray] = {}
-        for i, b in enumerate(self.beta):
-            out[f"beta[{i}]"] = b
-        for name, seq in (("A", self.A), ("alpha", self.alpha), ("gamma", self.gamma)):
-            for i, m in enumerate(seq):
-                out[f"{name}[{i}]"] = m
-        for j in range(1, self.topo.k):
-            out[f"betaN[{j}]"] = self.betaN[j]
-        for j, m in enumerate(self.Mxi):
-            out[f"Mxi[{j}]"] = m
-        for j, m in enumerate(self.Mpsi):
-            out[f"Mpsi[{j}]"] = m
-        return out
+        return {
+            f"{family.name}[{j}]": mat
+            for family in FAMILIES
+            for j, mat in enumerate(getattr(self, family.field), family.first)
+        }
 
     @cached_property
     def monad_assembler(self):
@@ -195,7 +196,7 @@ class BowDatum:
     @cached_property
     def eigenvalues(self) -> tuple[np.ndarray, ...]:
         """Read-only eigenvalues of each beta_i, then of each interior betaN_j."""
-        return _spectra((*self.beta, *self.betaN[1:-1]))
+        return _spectra((*self.beta, *self.betaN_interior))
 
     @cached_property
     def clusters(self) -> tuple[tuple[complex, ...], ...]:
@@ -476,20 +477,11 @@ def with_perturbed_entry(
     b: BowDatum, name: str, index: tuple[int, int], delta: complex
 ) -> BowDatum:
     """Copy of the datum with one entry of one named matrix shifted by delta."""
-    mats = {nm: np.array(m) for nm, m in b.all_matrices().items()}
+    mats = b.all_matrices()
     if name not in mats:
         raise KeyError(f"unknown matrix {name!r}")
+    mats[name] = np.array(mats[name])
     mats[name][index] += delta
-
-    n, k = b.topo.n, b.topo.k
-    return BowDatum.assemble(
-        b.topo,
-        beta=[mats[f"beta[{i}]"] for i in range(n + 1)],
-        A=[mats[f"A[{i}]"] for i in range(n)],
-        alpha=[mats[f"alpha[{i}]"] for i in range(n)],
-        gamma=[mats[f"gamma[{i}]"] for i in range(n)],
-        betaN_interior=[mats[f"betaN[{j}]"] for j in range(1, k)],
-        Mxi=[mats[f"Mxi[{j}]"] for j in range(k)],
-        Mpsi=[mats[f"Mpsi[{j}]"] for j in range(k)],
-        dims=b.dims,
-    )
+    named = iter(mats.values())  # in FAMILIES' order
+    families = {family.field: [next(named) for _ in getattr(b, family.field)] for family in FAMILIES}
+    return BowDatum.assemble(b.topo, **families, dims=b.dims)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bowdata import BowDatum
+from .bowdata import FAMILIES, BowDatum
 from .errors import ParseError, ShapeMismatch
 from .orthosymplectic import PairingDatum, check_pairing_shapes
 from .topology import TopologicalData, compute_dimensions
@@ -227,15 +227,9 @@ class BowFile:
             "metadata": self.metadata,
         }
         if self.datum is not None:
-            b = self.datum
             doc["bow"] = {
-                "beta": [matrix_to_doc(m) for m in b.beta],
-                "A": [matrix_to_doc(m) for m in b.A],
-                "alpha": [matrix_to_doc(m) for m in b.alpha],
-                "gamma": [matrix_to_doc(m) for m in b.gamma],
-                "betaN_interior": [matrix_to_doc(b.betaN[j]) for j in range(1, b.topo.k)],
-                "Mxi": [matrix_to_doc(m) for m in b.Mxi],
-                "Mpsi": [matrix_to_doc(m) for m in b.Mpsi],
+                family.field: [matrix_to_doc(m) for m in getattr(self.datum, family.field)]
+                for family in FAMILIES
             }
         doc["pairing"] = pairing_to_doc(self.pairing) if self.pairing else None
         return doc
@@ -293,24 +287,14 @@ def parse(data) -> BowFile:
         if not isinstance(bow, dict):
             raise ParseError("bow: expected an object")
 
-        def mats(name, count):
-            seq = bow.get(name)
+        families = {}
+        for family in FAMILIES:
+            seq, count = bow.get(family.field), family.length(topo.n, topo.k)
             if not isinstance(seq, list) or len(seq) != count:
-                raise ParseError(f"bow.{name}: expected {count} matrices")
-            return [matrix_from_doc(m, f"bow.{name}[{i}]") for i, m in enumerate(seq)]
-
-        n, k = topo.n, topo.k
+                raise ParseError(f"bow.{family.field}: expected {count} matrices")
+            families[family.field] = [matrix_from_doc(m, f"bow.{family.field}[{i}]") for i, m in enumerate(seq)]
         try:
-            datum = BowDatum.assemble(
-                topo,
-                beta=mats("beta", n + 1),
-                A=mats("A", n),
-                alpha=mats("alpha", n),
-                gamma=mats("gamma", n),
-                betaN_interior=mats("betaN_interior", k - 1),
-                Mxi=mats("Mxi", k),
-                Mpsi=mats("Mpsi", k),
-            )
+            datum = BowDatum.assemble(topo, **families)
         except ShapeMismatch as exc:
             raise ShapeMismatch(f"bow: {exc}") from exc
 

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from bowforge.topology import TopologicalData
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# the files of FIXTURES that tests read as bow files, by name, so that no
+# other JSON there (the verdict corpus) is taken for one: the canonical
+# examples' bow files and one topology-only file
+BOW_FIXTURES = ("u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror")
+FIXTURE_NAMES = (*BOW_FIXTURES, "u2-topology")
 
 
 def suite_topology(n: int, k: int, m0: int) -> TopologicalData:

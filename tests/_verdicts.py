@@ -33,11 +33,9 @@ from bowforge.errors import RankIndeterminate
 from bowforge.generator import canonical_examples, degenerate_example, generate
 from bowforge.monad import ScanConfig, SurfacePoint, scan_local_freeness
 
-from _suites import suite_topology
+from _suites import BOW_FIXTURES, FIXTURES, suite_topology
 
-FIXTURES = Path(__file__).parent / "fixtures"
-CORPUS = FIXTURES / "verdicts" / "verdicts.json"  # apart from the bow files, which tests glob
-BOW_FIXTURES = ("so2-mirror", "sp1-mirror", "u1-charge", "u1-single-nut", "u2-basic")
+CORPUS = FIXTURES / "verdicts" / "verdicts.json"
 BOW_COMMANDS = ("validate", "exactness", "invariants", "scan", "fiber", "pairing", "export-bow")
 SHIFT = 1e-3  # the shift of the [0, 0] entry of a named matrix
 ROWS = ("scan", "points")  # the sections of one row a point
@@ -107,7 +105,7 @@ def cli_commands(workdir: Path) -> dict:
     """argv by label: dims and gen on u2-topology, and each bow command on
     each bow fixture, in human and machine format."""
     jobs = [(cmd, "u2-topology") for cmd in ("dims", "gen")]
-    jobs += [(cmd, fixture) for fixture in BOW_FIXTURES for cmd in BOW_COMMANDS]
+    jobs += [(cmd, fixture) for fixture in sorted(BOW_FIXTURES) for cmd in BOW_COMMANDS]
     extra = {
         "gen": ["--seed", "0", "-o", str(workdir / "gen.json")],
         "export-bow": ["-o", str(workdir / "export.json")],

@@ -1,5 +1,7 @@
 import dataclasses
-from pathlib import Path
+import inspect
+import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from bowforge import _linalg as la
 from bowforge import bowfile
 from bowforge.bowdata import (
+    FAMILIES,
     BowDatum,
     aggregate_maps,
     check_chain_invariants,
@@ -20,12 +23,10 @@ from bowforge.bowdata import (
 )
 from bowforge.errors import ShapeMismatch
 from bowforge.generator import canonical_examples, generate, ginibre
-from bowforge.topology import TopologicalData, compute_dimensions
+from bowforge.topology import DimensionVector, TopologicalData, compute_dimensions
 
-from _suites import suite_topology
+from _suites import BOW_FIXTURES, FIXTURES, suite_topology
 
-FIXTURES = Path(__file__).parent / "fixtures"
-BOW_FIXTURES = ("u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror")
 SUITE = [(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)]
 
 
@@ -115,6 +116,87 @@ def test_direct_construction_checks_shapes(u2):
 def test_chain_endpoints_are_aliased(u2):
     assert u2.betaN[0] is u2.beta[2]
     assert u2.betaN[-1] is u2.beta[0]
+
+
+def test_one_family_table_names_fields_arguments_and_file_keys(u2):
+    fields = [family.field for family in FAMILIES]
+    assert [f.name for f in dataclasses.fields(BowDatum)] == ["topo", "dims", *fields]
+    assert list(inspect.signature(BowDatum.assemble).parameters)[1:8] == fields
+    assert sorted(json.loads(bowfile.serialize(bowfile.BowFile(u2.topo, u2)))["bow"]) == sorted(fields)
+    assert {family.field: family.count for family in FAMILIES} == COUNTS
+
+
+# each family's length in n and k, as the count message prints it
+COUNTS = {"beta": "n+1", "A": "n", "alpha": "n", "gamma": "n", "betaN_interior": "k-1", "Mxi": "k", "Mpsi": "k"}
+
+
+def families(d):
+    """The matrices of d by family, as BowDatum.assemble takes them."""
+    out = {family: [] for family in COUNTS}
+    for name, m in d.all_matrices().items():
+        family = name.split("[")[0]
+        out["betaN_interior" if family == "betaN" else family].append(m)
+    return out
+
+
+def edited_bow(d, family, blocks, topology=None):
+    """The bow file of d with one family's matrices replaced, and its topology edited."""
+    doc = json.loads(bowfile.serialize(bowfile.BowFile(d.topo, d)))
+    doc["bow"][family] = [bowfile.matrix_to_doc(m) for m in blocks]
+    doc["topology"].update(topology or {})
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("family", list(COUNTS))
+@pytest.mark.parametrize("wrong", ["count", "shape"])
+def test_every_family_is_checked_when_built(family, wrong):
+    # n = k = 2, d = (2, 2, 1), dn = (1, 2, 2): every family holds a nonempty matrix
+    d = generate(suite_topology(2, 2, 1), seed=0)
+    blocks = families(d)
+    good = blocks[family]
+    if wrong == "count":
+        bad = good[:-1]
+        built = f"{family} must have {COUNTS[family]}={len(good)} blocks, got {len(bad)}"
+        read = (bowfile.ParseError, f"bow.{family}: expected {len(good)} matrices")
+    else:
+        bad = [np.zeros((good[0].shape[0] + 1, good[0].shape[1])), *good[1:]]
+        name = "betaN[1]" if family == "betaN_interior" else f"{family}[0]"
+        built = f"{name} has shape {bad[0].shape}, expected {good[0].shape}"
+        read = (ShapeMismatch, f"bow: {built}")
+    for build in (lambda: dataclasses.replace(d, **{family: tuple(bad)}),
+                  lambda: BowDatum.assemble(d.topo, **{**blocks, family: bad})):
+        with pytest.raises(ShapeMismatch) as exc:
+            build()
+        assert str(exc.value) == built
+    with pytest.raises(read[0]) as exc:
+        bowfile.parse(edited_bow(d, family, bad))
+    assert str(exc.value) == read[1]
+
+
+def test_chain_endpoints_are_checked_against_the_nut_chain(u2):
+    # beta_n is the NUT chain's first node and beta_0 its last: each is
+    # checked as betaN[0] and betaN[k] too, before the Mxi and Mpsi it meets
+    d = generate(suite_topology(2, 2, 1), seed=0)
+    for j, message in ((0, "betaN[0] has shape (1, 1), expected (2, 2)"),
+                       (2, "betaN[2] has shape (2, 2), expected (3, 3)")):
+        dn = list(d.dims.dn)
+        dn[j] += 1
+        with pytest.raises(ShapeMismatch) as exc:
+            BowDatum.assemble(d.topo, **families(d), dims=DimensionVector(d.dims.d, dn))
+        assert str(exc.value) == message
+    # charge balance broken (m0 = 2, nd = (0,)): d_n = 1 but dn_0 = 2
+    with pytest.raises(ShapeMismatch) as exc:
+        bowfile.parse(edited_bow(u2, "beta", u2.beta, {"m0": 2, "nd": [0]}))
+    assert str(exc.value) == "bow: betaN[0] has shape (1, 1), expected (2, 2)"
+
+
+def test_perturbing_names_only_independent_matrices(u2):
+    # the chain endpoints betaN[0] and betaN[k] are beta[n] and beta[0], named so
+    for name in ("betaN[0]", "betaN[1]", "delta[0]", "beta[3]"):
+        with pytest.raises(KeyError, match=re.escape(f"unknown matrix {name!r}")):
+            with_perturbed_entry(u2, name, (0, 0), 1.0)
+    shifted = with_perturbed_entry(u2, "beta[2]", (0, 0), 1.0)
+    assert shifted.betaN[0] is shifted.beta[2] and shifted.betaN[0][0, 0] == u2.beta[2][0, 0] + 1.0
 
 
 # --------------------------------------------------------------- exactness

@@ -19,10 +19,7 @@ from bowforge.monad import MonadStack, PointReport, ScanReport, SurfacePoint
 from bowforge.orthosymplectic import PairingDatum
 from bowforge.topology import TopologicalData
 
-from _suites import suite_topology
-
-FIXTURES = Path(__file__).parent / "fixtures"
-FIXTURE_NAMES = ["u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror"]
+from _suites import BOW_FIXTURES, FIXTURE_NAMES, FIXTURES, suite_topology
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +36,7 @@ def test_fixture_round_trip_byte_identical(name):
 
 
 def test_fixtures_match_canonical_examples(canon):
-    for name in FIXTURE_NAMES:
+    for name in BOW_FIXTURES:
         ex = canon[name]
         built = bowfile.serialize(
             bowfile.BowFile(
@@ -57,6 +54,14 @@ def test_complex_scalar_parse():
     doc["topology"]["z"] = [[1.0, -2.0]]
     parsed = bowfile.parse(json.dumps(doc))
     assert parsed.topo.z == (1.0 - 2.0j,)
+
+
+def test_empty_metadata_round_trips():
+    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
+    doc["metadata"] = {}
+    raw = bowfile.serialize(bowfile.parse(json.dumps(doc)))
+    assert b'"metadata": {}' in raw
+    assert bowfile.serialize(bowfile.parse(raw)) == raw
 
 
 def test_float_formatting_17_digits():
@@ -421,6 +426,22 @@ def test_cli_export_bow(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["format"] == "bowforge.bowcomplex"
     capsys.readouterr()
+
+
+def test_cli_export_bow_writes_nothing_for_a_failing_datum(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "u2-basic.json").read_text())
+    doc["bow"]["beta"][0][0][0][0] += 0.01  # breaks sylvester[0] and p-step-left[1]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    out = tmp_path / "complex.json"
+    assert main(["export-bow", str(broken), "-o", str(out), "--format", "machine"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert main(["validate", str(broken), "--format", "machine"]) == 1
+    validated = json.loads(capsys.readouterr().out)
+    assert validated.pop("topology_violations") == []
+    assert report == validated  # validate's report, printed, and no file written
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["sylvester[0]", "p-step-left[1]"]
+    assert not out.exists()
 
 
 def test_cli_tolerance_env_override(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ validators run.
 
 import dataclasses
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,10 +29,8 @@ from bowforge.generator import canonical_examples, degenerate_example, generate,
 from bowforge.monad import random_points, structured_points
 from bowforge.orthosymplectic import p_pairing_matrix
 
-from _suites import count_eigensolver_calls, suite_topology
+from _suites import BOW_FIXTURES, FIXTURES, count_eigensolver_calls, suite_topology
 
-FIXTURES = Path(__file__).parent / "fixtures"
-BOW_FIXTURES = ("u1-single-nut", "u1-charge", "u2-basic", "so2-mirror", "sp1-mirror")
 SUITE = [(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)]
 
 

@@ -34,7 +34,7 @@ from bowforge.monad import (
 )
 from bowforge.topology import DimensionVector, TopologicalData, compute_dimensions
 
-from _suites import suite_topology
+from _suites import BOW_FIXTURES, FIXTURES, suite_topology
 
 
 @pytest.fixture(scope="module")
@@ -492,10 +492,7 @@ def test_fiber_matches_rank_count_oracle(u2):
 def _fiber_rank_data():
     data = [generate(suite_topology(3, 3, m0), seed=m0) for m0 in (3, 10)]
     data += [e.datum for e in canonical_examples()] + [degenerate_example()[1]]
-    for path in sorted((Path(__file__).parent / "fixtures").glob("*.json")):
-        bf = bowfile.parse(path.read_bytes())
-        if bf.datum is not None:
-            data.append(bf.datum)
+    data += [bowfile.parse((FIXTURES / f"{name}.json").read_bytes()).datum for name in sorted(BOW_FIXTURES)]
     return data
 
 
@@ -1162,8 +1159,6 @@ def test_scan_takes_no_dense_svd(canon, monkeypatch, which):
 
 
 def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
-    from pathlib import Path
-
     from bowforge import cli, monad
     from bowforge.orthosymplectic import fiber_form
 
@@ -1179,7 +1174,7 @@ def test_fiber_form_and_cli_fiber_assemble_once(canon, monkeypatch, capsys):
     fiber_form(so2.datum, so2.pairing, pt)
     assert calls == [pt]
     calls.clear()
-    fixture = Path(__file__).parent / "fixtures" / "u2-basic.json"
+    fixture = FIXTURES / "u2-basic.json"
     assert cli.main(["fiber", str(fixture), "--xi", "1.0", "--eta", "2.1+0.4j"]) == 0
     assert len(calls) == 1
     capsys.readouterr()

@@ -11,15 +11,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bowforge import bowfile, cli
-from bowforge.bowdata import check_exactness_all, gauge_transform, validate_relations
+from bowforge.bowdata import FAMILIES, check_exactness_all, gauge_transform, validate_relations
 from bowforge.errors import NegativeDimension, StructuralError
 from bowforge.generator import generate, ginibre
 from bowforge.monad import ScanConfig, scan_local_freeness
 
-from _suites import suite_topology
+from _suites import FIXTURE_NAMES, FIXTURES, suite_topology
 
-FIXTURES = Path(__file__).parent / "fixtures"
-FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+FIXTURE_NAMES = sorted(FIXTURE_NAMES)  # the order the derandomized draws sample from
 
 
 # ------------------------------------------------------------------ parsing
@@ -138,7 +137,6 @@ def test_bow_file_is_rejected_or_kept_exactly(case, tmp_path, capsys):
 # ---------------------------------------------------------- round trip
 
 SUITE_KEYS = [(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)]
-MATRIX_FIELDS = ("beta", "A", "alpha", "gamma", "betaN", "Mxi", "Mpsi")
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -150,8 +148,8 @@ def test_generated_datum_survives_a_bow_file_bitwise(key, seed):
     back = bowfile.parse(written)
     assert bowfile.serialize(back) == written
     assert back.topo == topo
-    for field in MATRIX_FIELDS:
-        for m, m_back in zip(getattr(datum, field), getattr(back.datum, field), strict=True):
+    for family in FAMILIES:
+        for m, m_back in zip(getattr(datum, family.field), getattr(back.datum, family.field), strict=True):
             assert m_back.shape == m.shape
             assert m_back.tobytes() == np.asarray(m, dtype=np.complex128).tobytes()
 

@@ -8,9 +8,11 @@ hyperkahler space."""
 import numpy as np
 import pytest
 
+from bowforge.bowdata import FAMILIES, BowDatum
 from bowforge.generator import canonical_examples, degenerate_example, generate
+from bowforge.topology import compute_dimensions
 
-from _suites import suite_topology, tangent_cohomology, tangent_complex
+from _suites import random_valid_topology, suite_topology, tangent_cohomology, tangent_complex
 
 CANON = {e.name: e.datum for e in canonical_examples()}
 
@@ -23,10 +25,14 @@ def datum(name):
     return CANON[name]
 
 
+def label(v):
+    return "suite-" + "-".join(map(str, v)) if isinstance(v, tuple) else str(v)
+
+
 @pytest.mark.parametrize("name, h1", [
     ((1, 1, 1), 2), ((2, 1, 1), 6), ((2, 2, 1), 6), ((2, 2, 2), 10), ((3, 3, 3), 22),
     ("u1-single-nut", 0), ("u1-charge", 2), ("u2-basic", 6), ("sp1-mirror", 6), ("degenerate", 2),
-], ids=lambda v: "suite-" + "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+], ids=label)
 def test_tangent_complex_is_unobstructed_with_the_counted_dimension(name, h1):
     b = datum(name)
     t, j = tangent_complex(b)
@@ -41,3 +47,45 @@ def test_so2_mirror_has_a_stabilizer_and_an_obstruction():
     # obstruction space of the same dimension, and dim H^1 two above the
     # count.  Why this SO(2) datum is not a good point is open.
     assert tangent_cohomology(CANON["so2-mirror"]) == (1, 10, 1, 8)
+
+
+def closed_count(t) -> int:
+    """dim data - dim relations - dim gauge from compute_dimensions alone:
+    the squares of the d_i and the interior dn_j cancel against the gauge,
+    d_{i+1} d_i against the Sylvester relations, and the NUT chain leaves
+    -(dn_j - dn_{j-1})^2 = -n_j^2 per step."""
+    d = compute_dimensions(t).d
+    return sum(d[i] + d[i + 1] for i in range(t.n)) - sum(v * v for v in t.nd)
+
+
+def counted(b) -> int:
+    """The count of b's tangent complex, from its matrices' shapes."""
+    t, j = tangent_complex(b)
+    return j.shape[1] - j.shape[0] - t.shape[1]
+
+
+@pytest.mark.parametrize("name", [
+    *[(n, k, m0) for n in (1, 2, 3) for k in (1, 2, 3) for m0 in (0, 1, 2, 3)],
+    *CANON, "degenerate"], ids=label)
+def test_the_count_has_a_closed_form(name):
+    b = datum(name)
+    assert counted(b) == closed_count(b.topo)
+    if isinstance(name, tuple):  # on the suite, count / 2 = n m0 + n - 1
+        n, _, m0 = name
+        assert closed_count(b.topo) == 2 * (n * m0 + n - 1)
+
+
+def zero_datum(t) -> BowDatum:
+    """The datum of t whose matrices are all zero: the shapes alone."""
+    dims = compute_dimensions(t)
+    return BowDatum.assemble(t, dims=dims, **{
+        family.field: [np.zeros(family.shape(dims.d, dims.dn, i + family.first)) for i in range(family.length(t.n, t.k))]
+        for family in FAMILIES})
+
+
+def test_the_count_is_even():
+    # d_0 + d_n = d_0 - d_n = sum m_i = sum n_j = sum n_j^2 mod 2
+    rng = np.random.default_rng(7)
+    topologies = [random_valid_topology(rng) for _ in range(200)]
+    assert all(closed_count(t) % 2 == 0 for t in topologies)
+    assert all(counted(zero_datum(t)) == closed_count(t) for t in topologies[:20])
