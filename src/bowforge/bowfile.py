@@ -18,7 +18,7 @@ import numpy as np
 from .bowdata import FAMILIES, BowDatum
 from .errors import ParseError, ShapeMismatch
 from .orthosymplectic import PairingDatum, check_pairing_shapes
-from .topology import TopologicalData, compute_dimensions
+from .topology import TopologicalData, compute_dimensions, validate_topology
 
 FORMAT_BOWFILE = "bowforge.bowfile"
 FORMAT_TOPOLOGY = "bowforge.topology"
@@ -252,8 +252,8 @@ def _load_json(data) -> dict:
 
 
 def _header(data) -> tuple[dict, TopologicalData, dict | None]:
-    """The document of a bow or topology file, its topology and its
-    metadata, with the format marker, version and metadata checked."""
+    """The document of a bow or topology file, its topology and its metadata,
+    with the format marker, version, the topology's structure and metadata checked."""
     doc = _load_json(data)
     fmt = doc.get("format")
     if fmt not in (FORMAT_BOWFILE, FORMAT_TOPOLOGY):
@@ -262,6 +262,9 @@ def _header(data) -> tuple[dict, TopologicalData, dict | None]:
     if version != VERSION:
         raise ParseError(f"unsupported version {version!r}")
     topo = topology_from_doc(doc.get("topology"))
+    broken = [v.message for v in validate_topology(topo) if v.kind == "structural"]
+    if broken:
+        raise ParseError("topology: " + "; ".join(broken))
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object or null")

@@ -32,7 +32,6 @@ from .errors import (
     BowforgeError,
     ParseError,
     RankIndeterminate,
-    StructuralError,
     ValidationFailure,
 )
 from .orthosymplectic import verify_pairing_relations
@@ -73,6 +72,12 @@ def _short(value):
     return value
 
 
+def _conclude(document: dict, fmt: str) -> int:
+    """Print a document with a verdict; exit 0 on pass, else 1."""
+    _emit(document, fmt)
+    return PASS_EXIT if document["verdict"] == "pass" else FAIL_EXIT
+
+
 def _verdict(failed: bool, indeterminate: bool) -> str:
     """Any failure fails; otherwise a call too close to make is indeterminate."""
     return "fail" if failed else "indeterminate" if indeterminate else "pass"
@@ -105,8 +110,7 @@ def cmd_dims(args) -> int:
     topo = bowfile.parse_topology(_read(args.file))
     problems = validate_topology(topo)
     if problems:
-        _emit({"verdict": "fail", "violations": [str(p) for p in problems]}, args.format)
-        return FAIL_EXIT
+        return _conclude({"verdict": "fail", "violations": [str(p) for p in problems]}, args.format)
     dims = compute_dimensions(topo)
     chern = chern_summary(topo)
     _emit(
@@ -122,14 +126,18 @@ def cmd_dims(args) -> int:
     return PASS_EXIT
 
 
+def _validation(datum, tol: float) -> dict:
+    """validate's document: the relations at tol and the topology's violations."""
+    doc = _report_doc(validate_relations(datum, tol=tol))
+    doc["topology_violations"] = [str(p) for p in validate_topology(datum.topo)]
+    if doc["topology_violations"]:
+        doc["verdict"] = "fail"
+    return doc
+
+
 def cmd_validate(args) -> int:
     _, datum = _load_bow(args.file)
-    problems = validate_topology(datum.topo)
-    report = validate_relations(datum, tol=args.tol)
-    doc = _report_doc(report)
-    doc["topology_violations"] = [str(p) for p in problems]
-    _emit(doc, args.format)
-    return PASS_EXIT if report.passed and not problems else FAIL_EXIT
+    return _conclude(_validation(datum, args.tol), args.format)
 
 
 def cmd_exactness(args) -> int:
@@ -149,15 +157,13 @@ def cmd_exactness(args) -> int:
             for r in results
         ],
     }
-    _emit(doc, args.format)
-    return PASS_EXIT if doc["verdict"] == "pass" else FAIL_EXIT
+    return _conclude(doc, args.format)
 
 
 def cmd_invariants(args) -> int:
     _, datum = _load_bow(args.file)
     report = check_chain_invariants(datum, tol=max(args.tol, DERIVED_TOL))
-    _emit(_report_doc(report), args.format)
-    return PASS_EXIT if report.passed else FAIL_EXIT
+    return _conclude(_report_doc(report), args.format)
 
 
 def cmd_gen(args) -> int:
@@ -176,31 +182,23 @@ def cmd_gen(args) -> int:
 def cmd_fiber(args) -> int:
     """Fiber rank and local freeness at one point.  A rank too close to call
     prints the document with both null and the reason, then exits 1."""
-    from .monad import SurfacePoint, assemble_monad  # deferred: only fiber and scan need it
+    from .monad import SurfacePoint, assemble_monad, point_report  # deferred: only fiber and scan need it
 
     _, datum = _load_bow(args.file)
     point = SurfacePoint.from_xi_eta(datum.topo.z, complex(args.xi), complex(args.eta))
-    monad = assemble_monad(datum, point)
+    report = point_report(assemble_monad(datum, point), 0, "probe")
     doc = {
-        "point": {
-            "xi": bowfile.complex_to_doc(point.xi),
-            "psi": bowfile.complex_to_doc(point.psi),
-            "eta": bowfile.complex_to_doc(point.eta),
-        },
-        "rank": None,
-        "locally_free": None,
+        "point": {name: bowfile.complex_to_doc(getattr(point, name)) for name in ("xi", "psi", "eta")},
+        "rank": report.fiber_rank,
+        "locally_free": report.locally_free,
         "expected_rank": datum.topo.n,
     }
-    try:
-        rank, free = monad.fiber_rank(0), monad.locally_free(0)
-    except RankIndeterminate as exc:
-        doc["reason"] = str(exc)
+    if report.status == "indeterminate":
+        doc["reason"] = report.reason
         _emit(doc, args.format)
-        raise  # main reports it on stderr and exits 1
-    doc["rank"], doc["locally_free"] = rank, free.passed
+        raise RankIndeterminate(report.reason)  # main reports it on stderr and exits 1
     _emit(doc, args.format)
-    ok = free.passed and rank == datum.topo.n
-    return PASS_EXIT if ok else FAIL_EXIT
+    return PASS_EXIT if report.status == "ok" and report.fiber_rank == datum.topo.n else FAIL_EXIT
 
 
 def cmd_scan(args) -> int:
@@ -226,8 +224,7 @@ def cmd_scan(args) -> int:
             for p in report.failures
         ],
     }
-    _emit(doc, args.format)
-    return PASS_EXIT if doc["verdict"] == "pass" else FAIL_EXIT
+    return _conclude(doc, args.format)
 
 
 def cmd_pairing(args) -> int:
@@ -235,18 +232,16 @@ def cmd_pairing(args) -> int:
     if bf.pairing is None:
         raise ParseError("file carries no pairing data")
     report = verify_pairing_relations(datum, bf.pairing, tol=args.tol)
-    _emit(_report_doc(report), args.format)
-    return PASS_EXIT if report.passed else FAIL_EXIT
+    return _conclude(_report_doc(report), args.format)
 
 
 def cmd_export_bow(args) -> int:
     from .export import export_bow_complex  # deferred: only export-bow needs it
 
     _, datum = _load_bow(args.file)
-    report = validate_relations(datum, tol=args.tol)
-    if not report.passed:
-        _emit(_report_doc(report), args.format)
-        return FAIL_EXIT
+    doc = _validation(datum, args.tol)
+    if doc["verdict"] != "pass":
+        return _conclude(doc, args.format)  # validate's document, and no file
     Path(args.output).write_text(bowfile.canonical_dumps(export_bow_complex(datum)))
     _emit({"written": args.output}, args.format)
     return PASS_EXIT
@@ -306,13 +301,11 @@ def main(argv=None) -> int:
         return ERROR_EXIT if exc.code not in (0, None) else PASS_EXIT
     try:
         return args.func(args)
-    except (StructuralError, ValueError, OSError) as exc:
-        code, line = ERROR_EXIT, f"error: {exc}"
     except RankIndeterminate as exc:
         code, line = FAIL_EXIT, f"indeterminate: {exc}"
     except ValidationFailure as exc:
         code, line = FAIL_EXIT, f"validation failure: {exc}"
-    except BowforgeError as exc:
+    except (BowforgeError, ValueError, OSError) as exc:  # StructuralError among them
         code, line = ERROR_EXIT, f"error: {exc}"
     _diagnose(line)
     return code

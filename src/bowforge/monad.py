@@ -722,11 +722,20 @@ class ScanConfig:
 @dataclass(frozen=True)
 class PointReport:
     point: SurfacePoint
-    kind: str  # "random" | "structured"
+    kind: str  # "random" | "structured" | "probe" (a point asked on its own)
     fiber_rank: int | None
     locally_free: bool | None
     status: str  # "ok" | "fail" | "indeterminate"
     reason: str = ""  # what made an indeterminate point indeterminate
+
+
+def point_report(stack: MonadStack, j: int, kind: str) -> PointReport:
+    """Point j of a stack: its fiber rank and freeness, or why they cannot be called."""
+    try:
+        rank, free = stack.fiber_rank(j), stack.locally_free(j)
+    except RankIndeterminate as exc:
+        return PointReport(stack.points[j], kind, None, None, "indeterminate", str(exc))
+    return PointReport(stack.points[j], kind, rank, free.passed, "ok" if free.passed else "fail")
 
 
 @dataclass(frozen=True)
@@ -823,13 +832,6 @@ def scan_local_freeness(b: BowDatum, config: ScanConfig = ScanConfig()) -> ScanR
         # an eta's points are adjacent: only this chunk's first eta can have some
         shared = {key: r for key, r in shared.items() if key[1] == chunk[0][0].eta}
         stack = replace(assemble([x for x, _ in chunk]), shared=shared)
-        for j, (x, kind) in enumerate(chunk):
-            try:
-                rank, free = stack.fiber_rank(j), stack.locally_free(j)
-            except RankIndeterminate as exc:
-                reports.append(PointReport(x, kind, None, None, "indeterminate", str(exc)))
-            else:
-                status = "ok" if free.passed else "fail"
-                reports.append(PointReport(x, kind, rank, free.passed, status))
+        reports += [point_report(stack, j, kind) for j, (_, kind) in enumerate(chunk)]
         del stack  # freed before the next chunk is assembled
     return ScanReport(points=tuple(reports), expected_rank=b.topo.n)

@@ -28,7 +28,7 @@ from bowforge.generator import (
 from bowforge.orthosymplectic import verify_pairing_relations
 from bowforge.topology import TopologicalData, compute_dimensions
 
-from _suites import count_eigensolver_calls, suite_topology
+from _suites import count_eigensolver_calls, random_valid_topology, suite_topology
 
 
 # ---------------------------------------------------------------- sylvester
@@ -226,6 +226,41 @@ def test_generate_failed_checks_exhaust_retries(monkeypatch):
     with pytest.raises(RetriesExhausted, match=f"after {generator.ATTEMPTS} attempts") as info:
         generate(suite_topology(2, 1, 1), seed=7)
     assert info.value.last_failure == "relations failed: injected"
+
+
+def exact_datum_refused():
+    """Draw 8 of random_valid_topology(default_rng(7)): n = k = 2, m = (3, -2),
+    nd = (-1, 2), m0 = 0, d = (3, 0, 2).  Its charges pass validate_topology,
+    yet every attempt of generate fails exactness at i = 0."""
+    rng = np.random.default_rng(7)
+    t = [random_valid_topology(rng) for _ in range(9)][8]
+    assert (t.n, t.k, t.m, t.nd, t.m0) == (2, 2, (3, -2), (-1, 2), 0)
+    assert compute_dimensions(t).d == (3, 0, 2)
+    return t
+
+
+REFUSED = f"generation failed after {generator.ATTEMPTS} attempts: exactness failed at i=0 (fail)"
+
+
+def test_generate_failed_checks_name_the_last_one():
+    # no check injected: _run_checks' own exactness failure, as generate raises it
+    with pytest.raises(RetriesExhausted) as info:
+        generate(exact_datum_refused(), seed=0)
+    assert str(info.value) == REFUSED
+    assert info.value.last_failure == "exactness failed at i=0 (fail)"
+
+
+def test_cli_gen_reports_the_failed_check(tmp_path, capsys):
+    from bowforge import bowfile
+    from bowforge.cli import main
+
+    topo = tmp_path / "refused.json"
+    topo.write_bytes(bowfile.serialize(bowfile.BowFile(topo=exact_datum_refused())))
+    out = tmp_path / "generated.json"
+    assert main(["gen", str(topo), "--seed", "0", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"validation failure: {REFUSED}\n"
 
 
 def test_generate_negative_dimension_propagates():

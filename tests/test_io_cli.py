@@ -20,6 +20,7 @@ from bowforge.orthosymplectic import PairingDatum
 from bowforge.topology import TopologicalData
 
 from _suites import BOW_FIXTURES, FIXTURE_NAMES, FIXTURES, suite_topology
+from _verdicts import BOW_COMMANDS
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,25 @@ def test_cli_validate_pass_and_fail(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_cli_validate_fails_on_a_semantic_topology_violation(fmt, tmp_path, capsys):
+    # the relations hold, but lambda = [0.75, 0.25] is not increasing: the
+    # verdict fails, and export-bow prints that document and writes nothing
+    bad = edited_fixture("u2-basic", ("topology", "lambda"), [0.75, 0.25], tmp_path)
+    assert main(["validate", str(bad), "--format", fmt]) == 1
+    validated = capsys.readouterr().out
+    assert document_verdict(validated, fmt) == "fail"
+    out = tmp_path / "complex.json"
+    assert main(["export-bow", str(bad), "-o", str(out), "--format", fmt]) == 1
+    assert capsys.readouterr() == (validated, "")
+    assert not out.exists()
+    if fmt == "machine":
+        doc = json.loads(validated)
+        assert all(check["pass"] for check in doc["checks"])
+        assert doc["topology_violations"] == [
+            "[semantic] holonomy logs must satisfy 0 <= lam_1 < ... < lam_n < ell, got (0.75, 0.25)"]
+
+
 def huge_fixture(tmp_path) -> Path:
     """u2-basic with A, alpha and gamma scaled by 1e100: entries near 1e200,
     whose Frobenius norms overflow."""
@@ -213,6 +233,10 @@ def test_cli_structural_errors_exit_2(tmp_path, capsys):
     shaped.write_text(json.dumps(doc))
     assert main(["validate", str(shaped)]) == 2
     capsys.readouterr()
+    # a topology file carries no matrices for a bow command to read
+    for command in BOW_COMMANDS:
+        assert main([command, fixture("u2-topology"), *BOW_OPTIONS.get(command, [])]) == 2
+        assert capsys.readouterr() == ("", "error: file carries no bow matrices\n")
 
 
 def test_cli_dims_machine_output(capsys):
@@ -230,9 +254,14 @@ def test_cli_dims_invalid_topology_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("header", [{"version": 2}, {"version": "x"}, {"version": None}, {"metadata": "nope"}])
+TOPOLOGY = json.loads((FIXTURES / "u2-topology.json").read_text())["topology"]
+
+
+@pytest.mark.parametrize("header", [{"version": 2}, {"version": "x"}, {"version": None}, {"metadata": "nope"},
+                                    {"topology": {**TOPOLOGY, "nd": [1, 0]}}])
 def test_cli_every_reader_checks_the_header(tmp_path, capsys, header):
-    # dims and gen read the topology alone, and check the header as validate does
+    # dims and gen read the topology alone, and check the header, the
+    # topology's structure included, as validate does
     doc = json.loads((FIXTURES / "u2-topology.json").read_text())
     doc.update(header)
     bad = tmp_path / "bad-header.json"
@@ -438,8 +467,8 @@ def test_cli_export_bow_writes_nothing_for_a_failing_datum(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert main(["validate", str(broken), "--format", "machine"]) == 1
     validated = json.loads(capsys.readouterr().out)
-    assert validated.pop("topology_violations") == []
-    assert report == validated  # validate's report, printed, and no file written
+    assert report == validated  # validate's document, printed whole, and no file written
+    assert report["topology_violations"] == []
     assert [c["name"] for c in report["checks"] if not c["pass"]] == ["sylvester[0]", "p-step-left[1]"]
     assert not out.exists()
 
@@ -487,17 +516,13 @@ def edited_fixture(name, keys, value, tmp_path):
     return bad
 
 
+BOW_OPTIONS = {  # each bow command's options beyond the file
+    "scan": ["--n", "2"],
+    "fiber": ["--xi", "1.0", "--eta", "2.1+0.4j"],
+    "export-bow": ["-o", "complex.json"],
+}
 bow_commands = pytest.mark.parametrize(
-    "command",
-    [
-        ["validate"],
-        ["exactness"],
-        ["invariants"],
-        ["scan", "--n", "2"],
-        ["fiber", "--xi", "1.0", "--eta", "2.1+0.4j"],
-        ["export-bow", "-o", "complex.json"],
-    ],
-    ids=lambda c: c[0],
+    "command", [[cmd, *BOW_OPTIONS.get(cmd, [])] for cmd in BOW_COMMANDS], ids=lambda c: c[0]
 )
 
 
@@ -555,6 +580,10 @@ MALFORMED_MATRIX_FIELDS = {  # field path and error -> (fixture, keys into the d
     "top level must be an object": ("u2-basic", (), []),
     "topology: missing field 'm0'": ("u2-basic", ("topology", "m0"), MISSING),
     "bow.Mxi: expected 1 matrices": ("u2-basic", ("bow", "Mxi"), []),
+    # a topology whose counts and lengths disagree is read by no command
+    "topology: z must have k=1 entries, got 2": ("u2-basic", ("topology", "z"), [[0.2, 0.1], [1.0, 0.0]]),
+    "topology: lambda must have n=2 entries, got 3": ("u2-basic", ("topology", "lambda"), [0.1, 0.2, 0.3]),
+    "topology: k must be a positive integer, got 0": ("u2-basic", ("topology", "k"), 0),
 }
 
 
@@ -564,7 +593,9 @@ def test_cli_malformed_matrices_exit_2(field, command, tmp_path, capsys, monkeyp
     bad = edited_fixture(*MALFORMED_MATRIX_FIELDS[field], tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([command[0], str(bad), *command[1:]]) == 2
-    assert f"error: {field}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {field}" in captured.err
+    assert not (tmp_path / "complex.json").exists()
 
 
 @pytest.mark.parametrize(

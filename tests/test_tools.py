@@ -22,9 +22,10 @@ def run_tool(name, *args):
 
 
 def test_identity_probe_prints_one_digest_line_per_category():
-    lines = run_tool("identity_probe.py", "canonical")
-    assert len(lines) == 1
+    lines = run_tool("identity_probe.py", "canonical", "cli")
+    assert len(lines) == 2
     assert re.fullmatch(r"canonical [1-9]\d* [0-9a-f]{64}", lines[0]), lines
+    assert re.fullmatch(r"cli 74 [0-9a-f]{64}", lines[1]), lines  # 7 bow commands x 5 fixtures + 2, x 2 formats
 
 
 def test_chunk_sweep_prints_one_row_per_chunk_size():

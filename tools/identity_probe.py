@@ -29,6 +29,12 @@ the output.  The default categories, all run when none is named:
              that shares eta-only results, and a stack of one each:
              fiber_rank, locally_free with its witness and, below m0 = 20,
              the fiber basis
+  cli        each bow command of tests/_verdicts.BOW_COMMANDS on the five bow
+             fixtures, and dims and gen --seed 5 on u2-topology, in human
+             and machine format, through cli.main in this process: the exit
+             code or the name of the exception that escapes main, stdout,
+             stderr and the bytes of the file written, the temporary
+             directory's path masked
 
 Opt-in categories, run only when named:
 
@@ -41,8 +47,11 @@ Opt-in categories, run only when named:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,8 +60,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from _suites import suite_topology  # noqa: E402
-from bowforge import generator  # noqa: E402
+from _suites import BOW_FIXTURES, FIXTURES, suite_topology  # noqa: E402
+from _verdicts import BOW_COMMANDS  # noqa: E402
+from bowforge import cli as bowforge_cli, generator  # noqa: E402
 from bowforge.bowdata import with_perturbed_entry  # noqa: E402
 from bowforge.monad import ScanConfig, random_points, scan_local_freeness, structured_points  # noqa: E402
 from bowforge.orthosymplectic import fiber_form, verify_pairing_relations  # noqa: E402
@@ -185,11 +195,39 @@ def ladder40(out: Digest) -> None:
                 out.outcome("locally_free", lambda: freeness(stack.locally_free(j)))
 
 
+CLI_OPTIONS = {  # each command's options beyond the file and format; {out} is the written file
+    "gen": ["--seed", "5", "-o", "{out}"],
+    "export-bow": ["-o", "{out}"],
+    "scan": ["--n", "20"],
+    "fiber": ["--xi", "1.0", "--eta", "2.1+0.4j"],
+}
+
+
+def cli(out: Digest) -> None:
+    jobs = [(cmd, "u2-topology") for cmd in ("dims", "gen")]
+    jobs += [(cmd, fixture) for fixture in sorted(BOW_FIXTURES) for cmd in BOW_COMMANDS]
+    with tempfile.TemporaryDirectory() as tmp:
+        written = Path(tmp) / "out.json"
+        for fmt in ("human", "machine"):
+            for cmd, fixture in jobs:
+                options = [str(written) if o == "{out}" else o for o in CLI_OPTIONS.get(cmd, [])]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    try:
+                        code = bowforge_cli.main([cmd, str(FIXTURES / f"{fixture}.json"), "--format", fmt, *options])
+                    except Exception as exc:  # an escaping exception is an outcome too
+                        code = f"raised {type(exc).__name__}"
+                data = written.read_bytes() if written.exists() else None
+                written.unlink(missing_ok=True)
+                out.add(cmd, fixture, fmt, code, stdout.getvalue().replace(tmp, "<tmp>"),
+                        stderr.getvalue().replace(tmp, "<tmp>"), data)
+
+
 def freeness(result) -> tuple:
     return (result.passed, result.quotient_dim) + (() if result.witness is None else (result.witness,))
 
 
-CATEGORIES = {"suite": suite, "canonical": canonical, "mirror": mirror, "scan": scan}
+CATEGORIES = {"suite": suite, "canonical": canonical, "mirror": mirror, "scan": scan, "cli": cli}
 OPT_IN = {"ladder40": ladder40}
 
 
